@@ -8,7 +8,8 @@ import statistics
 from dataclasses import replace
 from pathlib import Path
 
-from sentipipe.pipeline import run_baselines, run_chain
+from sentipipe.mlp import TrainConfig
+from sentipipe.pipeline import run_baselines, run_stages
 from sentipipe.synth import DEFAULT_SIGNAL_AUS, SynthConfig, generate, generate_null
 from sentipipe.core import CANONICAL_AU_NAMES
 
@@ -31,8 +32,8 @@ def main():
     rows = []
     for seed in range(args.seeds):
         cfg = replace(config, rng_seed=seed)
-        result = run_chain(cfg, null=args.null)
         data = generate_null(cfg) if args.null else generate(cfg)
+        result = run_stages(data, train_config=TrainConfig(rng_seed=seed))
         _, per_au = run_baselines(data.test)
         rows.append({
             "seed": seed,

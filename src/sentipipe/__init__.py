@@ -74,7 +74,6 @@ from .metrics import (
 )
 from .mlp import (
     MODEL_FORMAT,
-    AdamState,
     MlpParams,
     TrainConfig,
     adam_step,

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import AggregateCurve, CurveBin, Interval, VideoRecord
+from .core import N_AUS, AggregateCurve, CurveBin, Interval, VideoRecord
 from .errors import EmptyInterval, NoPredictions, SchemaError, ValidationError
 from .mlp import MlpParams, _forward_batch
 
@@ -38,19 +38,24 @@ def n_bins_for(duration_s: float, step_s: float = DEFAULT_STEP_S) -> int:
     return max(1, math.ceil(duration_s / step_s - 1e-9))
 
 
+def face_frames(video: VideoRecord) -> tuple[np.ndarray, np.ndarray]:
+    """(timestamps (n,), AU scores (n, 20)) over the face-detected frames,
+    as float64 arrays in frame order."""
+    faces = [f for f in video.frames if f.face_detected]
+    ts = np.array([f.timestamp_s for f in faces], dtype=np.float64)
+    aus = np.array([f.aus.scores for f in faces], dtype=np.float64)
+    return ts, aus.reshape(len(faces), N_AUS)
+
+
 def score_video(params: MlpParams, video: VideoRecord) -> tuple[np.ndarray, np.ndarray]:
     """Model scores for every face-detected frame of one video.
 
     Returns (timestamps, scores) as float64 arrays in frame order; both are
     empty when the video has no face frames.
     """
-    ts = [f.timestamp_s for f in video.frames if f.face_detected]
-    if not ts:
-        return np.empty(0), np.empty(0)
-    x = np.array(
-        [f.aus.scores for f in video.frames if f.face_detected], dtype=np.float64)
-    p, _ = _forward_batch(params, x)
-    return np.array(ts, dtype=np.float64), p
+    ts, aus = face_frames(video)
+    p, _ = _forward_batch(params, aus)
+    return ts, p
 
 
 def aggregate_scores(

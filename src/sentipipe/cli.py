@@ -92,17 +92,28 @@ def _read_config_json(path: str) -> dict:
     return payload
 
 
+def _strict(kind: type) -> Callable[[object], object]:
+    """Coercer that takes only JSON values of one kind: bool is never a
+    number, and float fields also take integers."""
+    accepted = (int, float) if kind is float else kind
+
+    def coerce(value: object) -> object:
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+            raise TypeError(f"expected a JSON {kind.__name__}, got {value!r}")
+        return kind(value)
+    return coerce
+
+
+_INT, _FLOAT, _BOOL = _strict(int), _strict(float), _strict(bool)
+
+
 def _coerce_au_index(value: object) -> int:
-    if isinstance(value, bool):
-        raise ConfigError(f"not an AU name or index: {value!r}")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str):
-        try:
-            return canonical_au_index(value)
-        except UnknownAuName as exc:
-            raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"not an AU name or index: {value!r}")
+    if not isinstance(value, str):
+        return _INT(value)
+    try:
+        return canonical_au_index(value)
+    except UnknownAuName as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _coerce_signal_aus(value: object) -> frozenset[int]:
@@ -114,41 +125,41 @@ def _coerce_signal_aus(value: object) -> frozenset[int]:
 def _coerce_moment_range(value: object) -> tuple[int, int]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError("moments_per_ad must be a [lo, hi] pair")
-    return int(value[0]), int(value[1])
+    return _INT(value[0]), _INT(value[1])
 
 
 _SYNTH_COERCERS: dict[str, Callable[[object], object]] = {
-    "n_train_sent_ads": int,
-    "n_test_sent_ads": int,
-    "n_test_nonsent_ads": int,
-    "participants_per_ad": int,
-    "ad_duration_s": float,
-    "fps": float,
+    "n_train_sent_ads": _INT,
+    "n_test_sent_ads": _INT,
+    "n_test_nonsent_ads": _INT,
+    "participants_per_ad": _INT,
+    "ad_duration_s": _FLOAT,
+    "fps": _FLOAT,
     "moments_per_ad": _coerce_moment_range,
     "signal_aus": _coerce_signal_aus,
-    "signal_strength": float,
-    "responder_fraction": float,
-    "noise_level": float,
-    "face_dropout_prob": float,
-    "distracted_fraction": float,
-    "rng_seed": int,
+    "signal_strength": _FLOAT,
+    "responder_fraction": _FLOAT,
+    "noise_level": _FLOAT,
+    "face_dropout_prob": _FLOAT,
+    "distracted_fraction": _FLOAT,
+    "rng_seed": _INT,
 }
 
 _TRAIN_COERCERS: dict[str, Callable[[object], object]] = {
-    "epochs": int,
-    "learning_rate": float,
-    "batch_size": int,
-    "adam_beta1": float,
-    "adam_beta2": float,
-    "adam_epsilon": float,
-    "oversample_positives": bool,
-    "rng_seed": int,
+    "epochs": _INT,
+    "learning_rate": _FLOAT,
+    "batch_size": _INT,
+    "adam_beta1": _FLOAT,
+    "adam_beta2": _FLOAT,
+    "adam_epsilon": _FLOAT,
+    "oversample_positives": _BOOL,
+    "rng_seed": _INT,
 }
 
 _LABEL_COERCERS: dict[str, Callable[[object], object]] = {
-    "activation_threshold": float,
-    "min_active_positive": int,
-    "include_nonsentimental_ads": bool,
+    "activation_threshold": _FLOAT,
+    "min_active_positive": _INT,
+    "include_nonsentimental_ads": _BOOL,
 }
 
 

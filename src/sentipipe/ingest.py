@@ -65,12 +65,6 @@ class Dataset:
                     f"video {video.video_id!r} references unknown ad {video.ad_id!r}")
         object.__setattr__(self, "videos", videos)
 
-    def videos_by_ad(self) -> dict[str, list[VideoRecord]]:
-        grouped: dict[str, list[VideoRecord]] = {}
-        for video in self.videos:
-            grouped.setdefault(video.ad_id, []).append(video)
-        return grouped
-
 
 def _au_column_to_index(column: str) -> int | None:
     """Resolve an ``au_*`` header cell to a canonical AU position, else None."""

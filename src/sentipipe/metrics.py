@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .aggregate import DEFAULT_STEP_S, aggregate_scores, max_over_interval
+from .aggregate import DEFAULT_STEP_S, aggregate_scores, face_frames, max_over_interval
 from .core import (
     CANONICAL_AU_NAMES,
     AdSpec,
@@ -101,21 +101,28 @@ def complement_intervals(
     return tuple(gaps)
 
 
-def kpi_roc_ad(
-    curves: Sequence[AggregateCurve], ads: Mapping[str, AdSpec]
-) -> float:
-    """ROC-AUC of whole-curve maxima, sentimental vs non-sentimental ads."""
-    pos, neg = [], []
-    for curve in curves:
-        ad = ads.get(curve.ad_id)
-        if ad is None:
-            raise UnknownAdId(f"curve references unknown ad {curve.ad_id!r}")
-        (pos if ad.is_sentimental else neg).append(curve_max(curve))
+def _ad_of(curve: AggregateCurve, ads: Mapping[str, AdSpec]) -> AdSpec:
+    ad = ads.get(curve.ad_id)
+    if ad is None:
+        raise UnknownAdId(f"curve references unknown ad {curve.ad_id!r}")
+    return ad
+
+
+def _roc_ad(peaks: Sequence[tuple[AdSpec, float]]) -> float:
+    pos = [peak for ad, peak in peaks if ad.is_sentimental]
+    neg = [peak for ad, peak in peaks if not ad.is_sentimental]
     if not pos or not neg:
         raise InsufficientAds(
             f"need both ad classes, got {len(pos)} sentimental and "
             f"{len(neg)} non-sentimental")
     return roc_auc(pos, neg)
+
+
+def kpi_roc_ad(
+    curves: Sequence[AggregateCurve], ads: Mapping[str, AdSpec]
+) -> float:
+    """ROC-AUC of whole-curve maxima, sentimental vs non-sentimental ads."""
+    return _roc_ad([(_ad_of(curve, ads), curve_max(curve)) for curve in curves])
 
 
 def _moment_and_complement_max(
@@ -133,6 +140,13 @@ def _moment_and_complement_max(
     return pos, neg
 
 
+def _roc_sent(maxima: Sequence[tuple[float, float]]) -> float:
+    if not maxima:
+        raise NoMoments("no sentimental ad curves provided")
+    pos, neg = zip(*maxima)
+    return roc_auc(pos, neg)
+
+
 def kpi_roc_sent(
     curves: Sequence[AggregateCurve],
     ads: Mapping[str, AdSpec],
@@ -143,17 +157,8 @@ def kpi_roc_sent(
     Every curve must belong to a sentimental ad; each contributes exactly one
     positive and one negative score.
     """
-    if not curves:
-        raise NoMoments("no sentimental ad curves provided")
-    pos, neg = [], []
-    for curve in curves:
-        ad = ads.get(curve.ad_id)
-        if ad is None:
-            raise UnknownAdId(f"curve references unknown ad {curve.ad_id!r}")
-        p, n = _moment_and_complement_max(curve, ad, guard_s)
-        pos.append(p)
-        neg.append(n)
-    return roc_auc(pos, neg)
+    return _roc_sent([_moment_and_complement_max(curve, _ad_of(curve, ads), guard_s)
+                      for curve in curves])
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,37 +195,29 @@ def evaluate_kpis(
     ads: Mapping[str, AdSpec],
     guard_s: float = 0.0,
 ) -> KpiReport:
-    """Compute both KPIs over one set of per-ad curves."""
-    roc_ad = kpi_roc_ad(curves, ads)
-    sent_curves = [c for c in curves if ads[c.ad_id].is_sentimental]
-    roc_sent = kpi_roc_sent(sent_curves, ads, guard_s)
+    """Compute both KPIs over one set of per-ad curves.
+
+    Each ad's maxima are taken once and feed both the ROCs and the details.
+    """
+    peaks = [(_ad_of(curve, ads), curve_max(curve)) for curve in curves]
+    roc_ad = _roc_ad(peaks)
     details: dict[str, AdScore] = {}
-    for curve in curves:
-        ad = ads[curve.ad_id]
+    within: list[tuple[float, float]] = []
+    for curve, (ad, peak) in zip(curves, peaks):
         if ad.is_sentimental:
             p, n = _moment_and_complement_max(curve, ad, guard_s)
+            within.append((p, n))
             details[curve.ad_id] = AdScore(
-                label=ad.label.value, curve_max=curve_max(curve),
-                moment_max=p, complement_max=n)
+                label=ad.label.value, curve_max=peak, moment_max=p, complement_max=n)
         else:
-            details[curve.ad_id] = AdScore(
-                label=ad.label.value, curve_max=curve_max(curve))
+            details[curve.ad_id] = AdScore(label=ad.label.value, curve_max=peak)
+    roc_sent = _roc_sent(within)
     return KpiReport(
         roc_ad=roc_ad,
         roc_sent=roc_sent,
         avg=(roc_ad + roc_sent) / 2,
         per_ad_scores=details,
     )
-
-
-def _face_frame_matrix(video: VideoRecord) -> tuple[np.ndarray, np.ndarray]:
-    """(timestamps, au matrix (n, 20)) over the face-detected frames."""
-    ts = [f.timestamp_s for f in video.frames if f.face_detected]
-    if not ts:
-        return np.empty(0), np.empty((0, len(CANONICAL_AU_NAMES)))
-    aus = np.array(
-        [f.aus.scores for f in video.frames if f.face_detected], dtype=np.float64)
-    return np.array(ts, dtype=np.float64), aus
 
 
 def single_au_baselines(
@@ -235,7 +232,7 @@ def single_au_baselines(
     reference points the trained model has to beat.
     """
     extracted = {
-        ad_id: [_face_frame_matrix(v) for v in videos]
+        ad_id: [face_frames(v) for v in videos]
         for ad_id, videos in videos_by_ad.items()
     }
     reports = []
@@ -262,7 +259,7 @@ def chance_baseline(
     for ad_id, videos in videos_by_ad.items():
         per_participant = []
         for v in videos:
-            ts, _ = _face_frame_matrix(v)
+            ts, _ = face_frames(v)
             per_participant.append((ts, np.full(ts.shape, 0.5)))
         curves.append(
             aggregate_scores(ad_id, per_participant, ads[ad_id].duration_s,

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -25,7 +25,10 @@ N_HIDDEN = 8
 MODEL_FORMAT = "sentipipe-mlp-v1"
 BCE_EPS = 1e-12
 
+# The flat parameter layout: w1, b1, w2, b2 back to back, 177 values.
 _SHAPES = {"w1": (N_HIDDEN, N_INPUT), "b1": (N_HIDDEN,), "w2": (1, N_HIDDEN), "b2": (1,)}
+_ENDS = np.cumsum([math.prod(shape) for shape in _SHAPES.values()])
+N_PARAMS = int(_ENDS[-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,9 +51,23 @@ class MlpParams:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return iter((self.w1, self.b1, self.w2, self.b2))
+
     @classmethod
     def zeros(cls) -> "MlpParams":
         return cls(*(np.zeros(shape) for shape in _SHAPES.values()))
+
+
+def _unpack(theta: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(w1, b1, w2, b2) as reshaped views into a flat parameter vector."""
+    parts = np.split(theta, _ENDS[:-1])
+    return tuple(part.reshape(shape) for part, shape in zip(parts, _SHAPES.values()))
+
+
+def _flatten(layers) -> np.ndarray:
+    """Inverse of _unpack: (w1, b1, w2, b2) copied into one flat vector."""
+    return np.concatenate([np.ravel(a) for a in layers])
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,8 +84,10 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        # an infinite rate would only show up as non-finite weights after training
+        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+            raise ConfigError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         for name in ("adam_beta1", "adam_beta2"):
@@ -76,33 +95,6 @@ class TrainConfig:
                 raise ConfigError(f"{name} must lie in [0, 1)")
         if self.adam_epsilon <= 0:
             raise ConfigError("adam_epsilon must be > 0")
-
-
-@dataclass(frozen=True, eq=False)
-class AdamState:
-    """First and second moment estimates plus the step counter."""
-
-    m: MlpParams
-    v: MlpParams
-    t: int = 0
-
-    def __post_init__(self) -> None:
-        if self.t < 0:
-            raise ValidationError(f"step counter must be >= 0, got {self.t}")
-
-    @classmethod
-    def initial(cls, params: MlpParams) -> "AdamState":
-        del params  # shapes are fixed by the architecture
-        return cls(m=MlpParams.zeros(), v=MlpParams.zeros(), t=0)
-
-
-def _map_params(fn: Callable[..., np.ndarray], *ps: MlpParams) -> MlpParams:
-    return MlpParams(
-        w1=fn(*(p.w1 for p in ps)),
-        b1=fn(*(p.b1 for p in ps)),
-        w2=fn(*(p.w2 for p in ps)),
-        b2=fn(*(p.b2 for p in ps)),
-    )
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -118,10 +110,14 @@ def _as_input_row(aus) -> np.ndarray:
     return x.reshape(1, N_INPUT)
 
 
-def _forward_batch(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched forward pass. x: (n, 20). Returns (scores (n,), hidden (n, 8))."""
-    h = _sigmoid(x @ params.w1.T + params.b1)
-    p = _sigmoid(h @ params.w2.T + params.b2)[:, 0]
+def _forward_batch(params, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batched forward pass over an MlpParams or a (w1, b1, w2, b2) tuple.
+
+    x: (n, 20). Returns (scores (n,), hidden (n, 8)).
+    """
+    w1, b1, w2, b2 = params
+    h = _sigmoid(x @ w1.T + b1)
+    p = _sigmoid(h @ w2.T + b2)[:, 0]
     return p, h
 
 
@@ -143,23 +139,16 @@ def _bce_batch(p: np.ndarray, y: np.ndarray) -> np.ndarray:
     return -(y * np.log(p) + (1.0 - y) * np.log1p(-p))
 
 
-def _backward_batch(
-    params: MlpParams,
-    x: np.ndarray,
-    h: np.ndarray,
-    p: np.ndarray,
-    y: np.ndarray,
-) -> MlpParams:
-    """Gradient of the mean BCE over the batch, via the sigmoid + BCE shortcut."""
+def _backward_batch(params, x: np.ndarray, h: np.ndarray, p: np.ndarray,
+                    y: np.ndarray) -> np.ndarray:
+    """Flat gradient of the mean BCE over the batch, via the sigmoid + BCE shortcut."""
+    _, _, w2, _ = params
     n = x.shape[0]
     delta2 = (p - y) / n                      # (n,)
-    gw2 = (delta2 @ h).reshape(1, N_HIDDEN)
-    gb2 = np.array([delta2.sum()])
-    dh = np.outer(delta2, params.w2[0])       # (n, 8)
+    dh = np.outer(delta2, w2[0])              # (n, 8)
     delta1 = dh * h * (1.0 - h)
-    gw1 = delta1.T @ x                        # (8, 20)
-    gb1 = delta1.sum(axis=0)
-    return MlpParams(gw1, gb1, gw2, gb2)
+    # gradients of w1 (8, 20), b1, w2 and b2
+    return _flatten((delta1.T @ x, delta1.sum(axis=0), delta2 @ h, [delta2.sum()]))
 
 
 def backward(params: MlpParams, aus, label: float) -> MlpParams:
@@ -167,38 +156,35 @@ def backward(params: MlpParams, aus, label: float) -> MlpParams:
     x = _as_input_row(aus)
     y = np.array([float(label)])
     p, h = _forward_batch(params, x)
-    return _backward_batch(params, x, h, p, y)
+    return MlpParams(*_unpack(_backward_batch(params, x, h, p, y)))
 
 
-def adam_step(
-    params: MlpParams,
-    grads: MlpParams,
-    state: AdamState,
-    config: TrainConfig,
-) -> tuple[MlpParams, AdamState]:
-    """One bias-corrected Adam update. Returns new params and the advanced state."""
-    t = state.t + 1
+def adam_step(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
+              t: int, config: TrainConfig) -> int:
+    """One bias-corrected Adam update after t earlier steps; returns t + 1.
+
+    theta, m and v are flat parameter-layout vectors updated in place.
+    """
+    t += 1
     b1, b2 = config.adam_beta1, config.adam_beta2
-    m = _map_params(lambda m_, g: b1 * m_ + (1.0 - b1) * g, state.m, grads)
-    v = _map_params(lambda v_, g: b2 * v_ + (1.0 - b2) * g * g, state.v, grads)
+    m *= b1
+    m += (1.0 - b1) * grad
+    v *= b2
+    v += (1.0 - b2) * grad * grad
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
-    lr, eps = config.learning_rate, config.adam_epsilon
-    new_params = _map_params(
-        lambda p_, m_, v_: p_ - lr * (m_ / c1) / (np.sqrt(v_ / c2) + eps),
-        params, m, v)
-    return new_params, AdamState(m=m, v=v, t=t)
+    theta -= config.learning_rate * (m / c1) / (np.sqrt(v / c2) + config.adam_epsilon)
+    return t
 
 
-def _glorot_init(rng: np.random.Generator) -> MlpParams:
+def _glorot_init(rng: np.random.Generator) -> np.ndarray:
     lim1 = math.sqrt(6.0 / (N_INPUT + N_HIDDEN))
     lim2 = math.sqrt(6.0 / (N_HIDDEN + 1))
-    return MlpParams(
-        w1=rng.uniform(-lim1, lim1, size=(N_HIDDEN, N_INPUT)),
-        b1=np.zeros(N_HIDDEN),
-        w2=rng.uniform(-lim2, lim2, size=(1, N_HIDDEN)),
-        b2=np.zeros(1),
-    )
+    theta = np.zeros(N_PARAMS)
+    w1, _, w2, _ = _unpack(theta)
+    w1[...] = rng.uniform(-lim1, lim1, size=w1.shape)
+    w2[...] = rng.uniform(-lim2, lim2, size=w2.shape)
+    return theta
 
 
 def _balanced_epoch_order(
@@ -229,7 +215,8 @@ def train(
     """Train on weakly labeled examples; returns (params, mean loss per epoch).
 
     The reported loss is the running training loss: each batch is scored
-    before the update that it triggers.
+    before the update that it triggers. Weights that went non-finite raise
+    ValidationError once training ends, when the returned MlpParams is built.
     """
     if not examples:
         raise DegenerateTrainingSet("no training examples")
@@ -241,8 +228,11 @@ def train(
         raise DegenerateTrainingSet(
             f"need both classes, got {n_pos} positives and {n_neg} negatives")
     rng = np.random.default_rng(config.rng_seed)
-    params = _glorot_init(rng)
-    state = AdamState.initial(params)
+    theta = _glorot_init(rng)
+    layers = _unpack(theta)  # views: they follow theta's in-place updates
+    m = np.zeros(N_PARAMS)
+    v = np.zeros(N_PARAMS)
+    t = 0
     losses: list[float] = []
     for _ in range(config.epochs):
         order = _balanced_epoch_order(rng, y, config.oversample_positives)
@@ -250,12 +240,12 @@ def train(
         for start in range(0, len(order), config.batch_size):
             idx = order[start:start + config.batch_size]
             xb, yb = x[idx], y[idx]
-            p, h = _forward_batch(params, xb)
+            p, h = _forward_batch(layers, xb)
             loss_total += float(_bce_batch(p, yb).sum())
-            grads = _backward_batch(params, xb, h, p, yb)
-            params, state = adam_step(params, grads, state, config)
+            grad = _backward_batch(layers, xb, h, p, yb)
+            t = adam_step(theta, grad, m, v, t, config)
         losses.append(loss_total / len(order))
-    return params, losses
+    return MlpParams(*layers), losses
 
 
 def evaluate_accuracy(

@@ -4,6 +4,7 @@ The terminal summary hook in conftest prints one "ACCEPTANCE Cn" verdict
 line per check at the end of any run that includes this module.
 """
 
+import hashlib
 import json
 import statistics
 import subprocess
@@ -246,6 +247,17 @@ def _chain_artifacts(root, config_path):
     ]
 
 
+# SHA-256 of the C8 chain's outputs. A refactor that changes any of these
+# bytes changes the numbers; re-pinning needs a reason in CHANGES.md.
+GOLDEN_SHA256 = {
+    "model.json": "d93256484578a59c11d5411516d53cd36cc81d243961aa58c93caca3608dcc96",
+    "loss.csv": "72bf2855736c271b7331605750c7793fe5926eb50f132235a0f6d7405596ef6b",
+    "curves.csv": "64aaf2c2b382602cd72b374b1807d4237215c3acee3f7ba6b81801e6426577b4",
+    "report.json": "50efabc2efd37fc7329af2f8d99a6143352bc2b735fb63a0cf1e1e8eec93d939",
+    "table.csv": "97e4b06534855b2d7f38419b5b3d13c353c4cb8032adcc903acad01f29b5da8f",
+}
+
+
 def test_c8_fixed_seed_runs_are_byte_identical(tmp_path):
     config_path = tmp_path / "synth.json"
     config_path.write_text(json.dumps({
@@ -257,6 +269,12 @@ def test_c8_fixed_seed_runs_are_byte_identical(tmp_path):
     second = _chain_artifacts(tmp_path / "run2", config_path)
     for a, b in zip(first, second):
         assert a.read_bytes() == b.read_bytes(), f"{a.name} differs between runs"
+    for path in first:
+        if path.name in GOLDEN_SHA256:
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            assert digest == GOLDEN_SHA256[path.name], (
+                f"{path.name} drifted from its golden digest "
+                f"(numpy {np.__version__})")
 
 
 def test_c9_coverage_boundary_is_inclusive():

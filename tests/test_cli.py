@@ -203,6 +203,31 @@ class TestExitCodes:
         assert code == 2
         assert "volume" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("train", "oversample_positives", "false"),
+        ("label", "include_nonsentimental_ads", "no"),
+        ("train", "epochs", 2.9),
+        ("train", "epochs", True),
+        ("train", "learning_rate", True),
+        ("simulate", "rng_seed", "3"),
+        ("simulate", "moments_per_ad", [1.7, 2.2]),
+    ])
+    def test_config_values_are_not_coerced(self, tmp_path, capsys,
+                                           command, key, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        inputs = {
+            "simulate": ["--out", str(tmp_path / "x")],
+            "label": ["--annotations", str(tmp_path / "a.json"),
+                      "--streams", str(tmp_path / "s.csv"),
+                      "--out", str(tmp_path / "ex.jsonl")],
+            "train": ["--examples", str(tmp_path / "ex.jsonl"),
+                      "--model-out", str(tmp_path / "m.json")],
+        }[command]
+        code = main([command, *inputs, "--config", str(config)])
+        assert code == 2
+        assert key in capsys.readouterr().err
+
     def test_label_missing_streams(self, tmp_path, capsys):
         ann = tmp_path / "annotations.json"
         ann.write_text("[]")

@@ -17,6 +17,7 @@ from sentipipe.ingest import (
     write_au_stream,
     write_dataset,
 )
+from sentipipe.pipeline import grouped_by_ad
 
 from conftest import constant_video, make_video
 
@@ -321,13 +322,18 @@ class TestDataset:
             Dataset(ads=remapped, videos=())
 
     def test_videos_by_ad(self, two_ads):
-        v1 = constant_video("v1", "a1", [0.2] * 20, n_frames=2)
+        ads = {"a0": AdSpec(ad_id="a0", label=AdLabel.NON_SENTIMENTAL,
+                            duration_s=5.0), **two_ads}
+        v1 = constant_video("v1", "a2", [0.2] * 20, n_frames=2)
         v2 = constant_video("v2", "a1", [0.3] * 20, n_frames=2)
         v3 = constant_video("v3", "a2", [0.4] * 20, n_frames=2)
-        ds = Dataset(ads=two_ads, videos=(v1, v2, v3))
-        grouped = ds.videos_by_ad()
-        assert [v.video_id for v in grouped["a1"]] == ["v1", "v2"]
-        assert [v.video_id for v in grouped["a2"]] == ["v3"]
+        ds = Dataset(ads=ads, videos=(v1, v2, v3))
+        grouped = grouped_by_ad(ds.videos, ds.ads)
+        # ads keep their insertion order, not the order videos arrive in;
+        # a0 has no videos and is left out
+        assert list(grouped) == ["a1", "a2"]
+        assert [v.video_id for v in grouped["a1"]] == ["v2"]
+        assert [v.video_id for v in grouped["a2"]] == ["v1", "v3"]
 
     def test_load_write_round_trip(self, tmp_path, two_ads):
         videos = (constant_video("v1", "a1", [0.2] * 20, n_frames=4),

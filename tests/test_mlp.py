@@ -15,7 +15,7 @@ from sentipipe.mlp import (
     MODEL_FORMAT,
     N_HIDDEN,
     N_INPUT,
-    AdamState,
+    N_PARAMS,
     MlpParams,
     TrainConfig,
     adam_step,
@@ -95,6 +95,7 @@ class TestTrainConfig:
         {"epochs": 0},
         {"learning_rate": 0.0},
         {"learning_rate": -1e-3},
+        {"learning_rate": math.inf},
         {"batch_size": 0},
         {"adam_beta1": 1.0},
         {"adam_beta2": -0.1},
@@ -202,7 +203,7 @@ class TestBackward:
         x = rng.uniform(0, 1, size=(4, N_INPUT))
         y = np.array([1.0, 0.0, 0.0, 1.0])
         p, h = _forward_batch(params, x)
-        batch = flatten(_backward_batch(params, x, h, p, y))
+        batch = _backward_batch(params, x, h, p, y)
         singles = [flatten(backward(
             params,
             au_vec(**{f"i{j}": v for j, v in enumerate(x[i])}),
@@ -222,25 +223,24 @@ class TestAdamStep:
     def test_formula_single_coordinate(self):
         config = TrainConfig()
         g = 0.125
-        w1 = np.zeros((8, 20))
-        w1[2, 3] = 0.5
-        params = MlpParams(w1=w1, b1=np.zeros(8), w2=np.zeros((1, 8)),
-                           b2=np.zeros(1))
-        gw1 = np.zeros((8, 20))
-        gw1[2, 3] = g
-        grads = MlpParams(w1=gw1, b1=np.zeros(8), w2=np.zeros((1, 8)),
-                          b2=np.zeros(1))
-        new, state = adam_step(params, grads, AdamState.initial(params), config)
+        k = 2 * N_INPUT + 3  # w1[2, 3] in the flat layout
+        theta = np.zeros(N_PARAMS)
+        theta[k] = 0.5
+        grad = np.zeros(N_PARAMS)
+        grad[k] = g
+        m, v = np.zeros(N_PARAMS), np.zeros(N_PARAMS)
+        t = adam_step(theta, grad, m, v, 0, config)
 
-        m = (1.0 - config.adam_beta1) * g
-        v = (1.0 - config.adam_beta2) * g * g
-        m_hat = m / (1.0 - config.adam_beta1)
-        v_hat = v / (1.0 - config.adam_beta2)
+        m_k = (1.0 - config.adam_beta1) * g
+        v_k = (1.0 - config.adam_beta2) * g * g
+        m_hat = m_k / (1.0 - config.adam_beta1)
+        v_hat = v_k / (1.0 - config.adam_beta2)
         expected = 0.5 - config.learning_rate * m_hat / (
             math.sqrt(v_hat) + config.adam_epsilon)
-        assert state.t == 1
-        assert state.m.w1[2, 3] == m
-        assert state.v.w1[2, 3] == v
+        new = unflatten(theta)
+        assert t == 1
+        assert m[k] == m_k
+        assert v[k] == v_k
         assert new.w1[2, 3] == pytest.approx(expected, rel=0, abs=1e-15)
         # untouched coordinates stay put
         assert new.w1[0, 0] == 0.0 and new.b2[0] == 0.0
@@ -248,18 +248,17 @@ class TestAdamStep:
     def test_two_steps_advance_counter_and_moments(self):
         config = TrainConfig()
         rng = np.random.default_rng(9)
-        params = random_params(rng, scale=0.5)
-        grads = random_params(rng, scale=0.1)
-        state = AdamState.initial(params)
-        p1, s1 = adam_step(params, grads, state, config)
-        p2, s2 = adam_step(p1, grads, s1, config)
-        assert (s1.t, s2.t) == (1, 2)
+        theta = flatten(random_params(rng, scale=0.5))
+        grad = flatten(random_params(rng, scale=0.1))
+        m, v = np.zeros(N_PARAMS), np.zeros(N_PARAMS)
+        t1 = adam_step(theta, grad, m, v, 0, config)
+        p1, m1, v1 = theta.copy(), m.copy(), v.copy()
+        t2 = adam_step(theta, grad, m, v, t1, config)
+        assert (t1, t2) == (1, 2)
         b1, b2 = config.adam_beta1, config.adam_beta2
-        assert np.allclose(
-            s2.m.w1, b1 * s1.m.w1 + (1 - b1) * grads.w1, rtol=0, atol=1e-15)
-        assert np.allclose(
-            s2.v.w1, b2 * s1.v.w1 + (1 - b2) * grads.w1 ** 2, rtol=0, atol=1e-15)
-        assert not np.array_equal(p2.w1, p1.w1)
+        assert np.allclose(m, b1 * m1 + (1 - b1) * grad, rtol=0, atol=1e-15)
+        assert np.allclose(v, b2 * v1 + (1 - b2) * grad ** 2, rtol=0, atol=1e-15)
+        assert not np.array_equal(theta, p1)
 
 
 class TestEpochOrder:
