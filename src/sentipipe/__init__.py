@@ -18,11 +18,11 @@ from .aggregate import (
 )
 from .core import (
     CANONICAL_AU_NAMES,
+    FRAME_DTYPE,
     N_AUS,
     AdLabel,
     AdSpec,
     AggregateCurve,
-    AuFrame,
     AuVector,
     CurveBin,
     Interval,

@@ -18,8 +18,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import N_AUS, AggregateCurve, CurveBin, Interval, VideoRecord
-from .errors import EmptyInterval, NoPredictions, SchemaError, ValidationError
+from .core import AggregateCurve, CurveBin, Interval, VideoRecord
+from .errors import ConfigError, EmptyInterval, NoPredictions, SchemaError, ValidationError
 from .mlp import MlpParams, _forward_batch
 
 DEFAULT_STEP_S = 0.5
@@ -32,7 +32,7 @@ def n_bins_for(duration_s: float, step_s: float = DEFAULT_STEP_S) -> int:
     if not math.isfinite(duration_s) or duration_s <= 0:
         raise ValidationError(f"duration_s must be finite and > 0, got {duration_s}")
     if not math.isfinite(step_s) or step_s <= 0:
-        raise ValidationError(f"step_s must be finite and > 0, got {step_s}")
+        raise ConfigError(f"step_s must be finite and > 0, got {step_s}")
     # the 1e-9 slack keeps exact multiples (10.0 / 0.5) from gaining a bin
     # when the quotient lands a hair above an integer
     return max(1, math.ceil(duration_s / step_s - 1e-9))
@@ -41,10 +41,8 @@ def n_bins_for(duration_s: float, step_s: float = DEFAULT_STEP_S) -> int:
 def face_frames(video: VideoRecord) -> tuple[np.ndarray, np.ndarray]:
     """(timestamps (n,), AU scores (n, 20)) over the face-detected frames,
     as float64 arrays in frame order."""
-    faces = [f for f in video.frames if f.face_detected]
-    ts = np.array([f.timestamp_s for f in faces], dtype=np.float64)
-    aus = np.array([f.aus.scores for f in faces], dtype=np.float64)
-    return ts, aus.reshape(len(faces), N_AUS)
+    f = video.frames
+    return f.timestamp_s[f.face_detected], f.aus[f.face_detected]
 
 
 def score_video(params: MlpParams, video: VideoRecord) -> tuple[np.ndarray, np.ndarray]:

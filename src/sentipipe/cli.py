@@ -27,7 +27,7 @@ from .aggregate import (
     read_curves_csv,
     write_curves_csv,
 )
-from .core import canonical_au_index
+from .core import canonical_au_index, strict
 from .errors import (
     ConfigError,
     DegenerateComplement,
@@ -92,19 +92,7 @@ def _read_config_json(path: str) -> dict:
     return payload
 
 
-def _strict(kind: type) -> Callable[[object], object]:
-    """Coercer that takes only JSON values of one kind: bool is never a
-    number, and float fields also take integers."""
-    accepted = (int, float) if kind is float else kind
-
-    def coerce(value: object) -> object:
-        if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
-            raise TypeError(f"expected a JSON {kind.__name__}, got {value!r}")
-        return kind(value)
-    return coerce
-
-
-_INT, _FLOAT, _BOOL = _strict(int), _strict(float), _strict(bool)
+_INT, _FLOAT, _BOOL = strict(int), strict(float), strict(bool)
 
 
 def _coerce_au_index(value: object) -> int:

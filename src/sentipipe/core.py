@@ -11,6 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
+
+import numpy as np
 
 from .errors import ConfigError, UnknownAuName, ValidationError
 
@@ -25,6 +28,23 @@ CANONICAL_AU_NAMES: tuple[str, ...] = (
 N_AUS = len(CANONICAL_AU_NAMES)
 
 _INDEX_BY_LOWER_NAME = {name.lower(): i for i, name in enumerate(CANONICAL_AU_NAMES)}
+
+
+def strict(kind: type) -> Callable[[object], object]:
+    """Coercer that takes only JSON values of one kind: bool is never a
+    number, integer fields take integers only, and float fields also take
+    integers. A wrong kind raises TypeError, an unrepresentable value
+    ValueError."""
+    accepted = (int, float) if kind is float else kind
+
+    def coerce(value: object) -> object:
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+            raise TypeError(f"expected a JSON {kind.__name__}, got {value!r}")
+        try:
+            return kind(value)
+        except OverflowError as exc:  # an integer too large for a float
+            raise ValueError(f"{value!r} is out of range ({exc})") from None
+    return coerce
 
 
 def canonical_au_index(name: str) -> int:
@@ -42,14 +62,15 @@ class AuVector:
     scores: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        scores = tuple(float(s) for s in self.scores)
+        scores = tuple(map(float, self.scores))
         if len(scores) != N_AUS:
             raise ValidationError(
                 f"AuVector needs exactly {N_AUS} scores, got {len(scores)}")
-        for i, s in enumerate(scores):
-            if not 0.0 <= s <= 1.0:  # also rejects NaN
-                raise ValidationError(
-                    f"AU score {CANONICAL_AU_NAMES[i]}={s} outside [0, 1]")
+        # min and max may step over a NaN, but a NaN makes the sum NaN
+        if not (0.0 <= min(scores) and max(scores) <= 1.0 and not math.isnan(sum(scores))):
+            i = next(i for i, s in enumerate(scores) if not 0.0 <= s <= 1.0)
+            raise ValidationError(
+                f"AU score {CANONICAL_AU_NAMES[i]}={scores[i]} outside [0, 1]")
         object.__setattr__(self, "scores", scores)
 
     def __getitem__(self, index: int) -> float:
@@ -62,58 +83,81 @@ class AuVector:
         return N_AUS
 
 
-def active_au_count(aus: AuVector, threshold: float = 0.5) -> int:
+def active_au_count(aus: AuVector | np.ndarray, threshold: float = 0.5) -> int:
     """Number of AU scores at or above ``threshold`` (boundary counts as active)."""
     if not 0.0 < threshold < 1.0:
         raise ConfigError(f"activation threshold must lie in (0, 1), got {threshold}")
-    return sum(1 for s in aus.scores if s >= threshold)
+    return sum(1 for s in aus if s >= threshold)
 
 
-@dataclass(frozen=True, slots=True)
-class AuFrame:
-    """One analyzed video frame: a detection flag plus AU scores when a face was found."""
-
-    frame_index: int
-    timestamp_s: float
-    face_detected: bool
-    aus: AuVector | None = None
-
-    def __post_init__(self) -> None:
-        if self.frame_index < 0:
-            raise ValidationError(f"frame_index must be >= 0, got {self.frame_index}")
-        if not math.isfinite(self.timestamp_s) or self.timestamp_s < 0:
-            raise ValidationError(
-                f"timestamp_s must be finite and >= 0, got {self.timestamp_s}")
-        if self.face_detected and self.aus is None:
-            raise ValidationError("frame with a detected face is missing AU scores")
-        if not self.face_detected and self.aus is not None:
-            raise ValidationError("frame without a detected face cannot carry AU scores")
+# One row per analyzed video frame. ``aus`` holds the twenty scores in
+# canonical order on face rows and exact zeros on rows without a face.
+FRAME_DTYPE = np.dtype([
+    ("frame_index", np.int64),
+    ("timestamp_s", np.float64),
+    ("face_detected", np.bool_),
+    ("aus", np.float64, (N_AUS,)),
+], align=True)
 
 
-@dataclass(frozen=True, slots=True)
+def _first_bad(video_id: str, bad: np.ndarray, what: str) -> None:
+    """Raise for the first row flagged in ``bad``."""
+    if bad.any():
+        raise ValidationError(
+            f"video {video_id!r}: {what} (first at row {int(np.argmax(bad))})")
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class VideoRecord:
-    """One participant's frame sequence recorded while watching one ad."""
+    """One participant's frame sequence recorded while watching one ad.
+
+    ``frames`` is one read-only record array of FRAME_DTYPE: columns read as
+    ``frames.timestamp_s`` and rows as ``frames[i].aus``. A writable input
+    array is copied, so nothing can change a record after it was checked.
+    """
 
     video_id: str
     ad_id: str
-    frames: tuple[AuFrame, ...]
+    frames: np.recarray
 
     def __post_init__(self) -> None:
-        frames = tuple(self.frames)
-        if not frames:
+        frames = self.frames
+        if not isinstance(frames, np.ndarray) or frames.dtype != FRAME_DTYPE or frames.ndim != 1:
+            raise ValidationError(
+                f"video {self.video_id!r}: frames must be a 1-d array of FRAME_DTYPE")
+        if frames.size == 0:
             raise ValidationError(f"video {self.video_id!r} has no frames")
-        prev = frames[0]
-        for frame in frames[1:]:
-            if frame.frame_index <= prev.frame_index:
-                raise ValidationError(
-                    f"video {self.video_id!r}: frame_index must increase strictly "
-                    f"({prev.frame_index} then {frame.frame_index})")
-            if frame.timestamp_s < prev.timestamp_s:
-                raise ValidationError(
-                    f"video {self.video_id!r}: timestamps must be non-decreasing "
-                    f"({prev.timestamp_s} then {frame.timestamp_s})")
-            prev = frame
+        if frames.flags.writeable:
+            frames = frames.copy()
+            frames.flags.writeable = False
+        frames = frames.view(np.recarray)
+        index, ts, face, aus = (frames[name] for name in FRAME_DTYPE.names)
+        _first_bad(self.video_id, np.diff(index, prepend=-1) <= 0,
+                   "frame_index must be >= 0 and increase strictly")
+        _first_bad(self.video_id, ~np.isfinite(ts) | (np.diff(ts, prepend=0.0) < 0.0),
+                   "timestamp_s must be finite, >= 0 and non-decreasing")
+        # the comparisons are False for NaN, so NaN scores fail here too
+        _first_bad(self.video_id, face & ~((aus >= 0.0) & (aus <= 1.0)).all(axis=1),
+                   "AU scores of a face frame must lie in [0, 1]")
+        _first_bad(self.video_id, ~face & (aus != 0.0).any(axis=1),
+                   "a frame without a detected face must carry all-zero AU scores")
         object.__setattr__(self, "frames", frames)
+
+    @classmethod
+    def from_columns(cls, video_id: str, ad_id: str, frame_index, timestamp_s,
+                     face_detected, aus) -> VideoRecord:
+        """Build a record from per-frame columns (aus shaped (n, 20))."""
+        frames = np.empty(len(timestamp_s), dtype=FRAME_DTYPE)
+        for name, column in zip(FRAME_DTYPE.names, (frame_index, timestamp_s, face_detected, aus)):
+            frames[name] = column
+        frames.flags.writeable = False  # nothing else holds it, so no copy is needed
+        return cls(video_id, ad_id, frames)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, VideoRecord):
+            return NotImplemented
+        return (self.video_id == other.video_id and self.ad_id == other.ad_id
+                and np.array_equal(self.frames, other.frames))
 
 
 @dataclass(frozen=True, slots=True)
@@ -198,6 +242,10 @@ class LabeledExample:
         if self.label not in (0, 1):
             raise ValidationError(f"label must be 0 or 1, got {self.label!r}")
         vid, idx = self.source
+        if not vid:
+            raise ValidationError("source video_id must not be empty")
+        if idx < 0:
+            raise ValidationError(f"source frame_index must be >= 0, got {idx}")
         object.__setattr__(self, "source", (str(vid), int(idx)))
 
 

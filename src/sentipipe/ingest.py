@@ -10,22 +10,24 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .core import (
     AdLabel,
     AdSpec,
-    AuFrame,
-    AuVector,
     CANONICAL_AU_NAMES,
     Interval,
     N_AUS,
     VideoRecord,
     canonical_au_index,
+    strict,
 )
-from .errors import SchemaError, ValidationError
+from .errors import ConfigError, SchemaError, ValidationError
 
 DEFAULT_MIN_COVERAGE = 0.90
 
@@ -40,6 +42,7 @@ STREAM_AU_COLUMNS = (
 
 _ANNOTATION_KEYS = {"ad_id", "label", "duration_s", "moments"}
 _LABEL_BY_STRING = {label.value: label for label in AdLabel}
+_FLOAT = strict(float)
 
 
 @dataclass(frozen=True)
@@ -86,39 +89,31 @@ def parse_ad_annotations(path: str | Path) -> dict[str, AdSpec]:
         raise SchemaError(f"{path}: expected a JSON array of ad objects")
     ads: dict[str, AdSpec] = {}
     for i, item in enumerate(payload):
-        if not isinstance(item, dict):
-            raise SchemaError(f"{path}: entry {i} is not an object")
-        if set(item) != _ANNOTATION_KEYS:
+        if not isinstance(item, dict) or set(item) != _ANNOTATION_KEYS:
             raise SchemaError(
-                f"{path}: entry {i} must have exactly the keys "
-                f"{sorted(_ANNOTATION_KEYS)}, got {sorted(item)}")
-        ad_id = item["ad_id"]
+                f"{path}: entry {i} must be an object with exactly the keys "
+                f"{sorted(_ANNOTATION_KEYS)}")
+        ad_id, label, moments = item["ad_id"], item["label"], item["moments"]
         if not isinstance(ad_id, str) or not ad_id:
             raise SchemaError(f"{path}: entry {i} has a non-string or empty ad_id")
         if ad_id in ads:
             raise SchemaError(f"{path}: duplicate ad_id {ad_id!r}")
-        label = _LABEL_BY_STRING.get(item["label"])
-        if label is None:
+        if not isinstance(label, str) or label not in _LABEL_BY_STRING:
             raise ValidationError(
                 f"{path}: ad {ad_id!r} label must be one of "
-                f"{sorted(_LABEL_BY_STRING)}, got {item['label']!r}")
-        duration = item["duration_s"]
-        if isinstance(duration, bool) or not isinstance(duration, (int, float)):
-            raise SchemaError(f"{path}: ad {ad_id!r} duration_s is not a number")
-        raw_moments = item["moments"]
-        if not isinstance(raw_moments, list):
-            raise SchemaError(f"{path}: ad {ad_id!r} moments is not an array")
-        moments = []
-        for pair in raw_moments:
-            if (not isinstance(pair, list) or len(pair) != 2
-                    or any(isinstance(x, bool) or not isinstance(x, (int, float))
-                           for x in pair)):
-                raise SchemaError(
-                    f"{path}: ad {ad_id!r} moments must be [start, end] number pairs")
-            moments.append(Interval(float(pair[0]), float(pair[1])))
-        moments.sort(key=lambda m: (m.start_s, m.end_s))
-        ads[ad_id] = AdSpec(ad_id=ad_id, label=label, duration_s=float(duration),
-                            moments=tuple(moments))
+                f"{sorted(_LABEL_BY_STRING)}, got {label!r}")
+        try:
+            if not isinstance(moments, list) or any(
+                    not isinstance(pair, list) or len(pair) != 2 for pair in moments):
+                raise TypeError("moments must be [start, end] number pairs")
+            intervals = sorted((Interval(_FLOAT(a), _FLOAT(b)) for a, b in moments),
+                               key=lambda m: (m.start_s, m.end_s))
+            ads[ad_id] = AdSpec(ad_id, _LABEL_BY_STRING[label],
+                                _FLOAT(item["duration_s"]), tuple(intervals))
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{path}: ad {ad_id!r}: {exc}") from exc
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: ad {ad_id!r}: {exc}") from exc
     return ads
 
 
@@ -170,95 +165,73 @@ def parse_au_stream(path: str | Path) -> list[VideoRecord]:
     """Read an AU stream CSV into VideoRecords, in first-appearance order.
 
     Rows belonging to one video must appear in strictly increasing frame_index
-    order and must all name the same ad.
+    order with non-decreasing timestamps and must all name the same ad. Each
+    row is checked as it is read, so an error names its ``file:line``.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError(f"{path}: empty AU stream file")
-        meta_pos, au_pos = _resolve_stream_header(header, path)
-        vid_p = meta_pos["video_id"]
-        ad_p = meta_pos["ad_id"]
-        idx_p = meta_pos["frame_index"]
-        ts_p = meta_pos["timestamp_s"]
-        face_p = meta_pos["face_detected"]
-        n_cols = len(header)
-
-        frames_by_video: dict[str, list[AuFrame]] = {}
-        ad_by_video: dict[str, str] = {}
-        last_frame: dict[str, AuFrame] = {}
-        for row in reader:
-            line = reader.line_num
-            if len(row) != n_cols:
-                raise SchemaError(
-                    f"{path}:{line}: expected {n_cols} cells, got {len(row)}")
-            video_id = row[vid_p]
-            ad_id = row[ad_p]
-            if not video_id or not ad_id:
-                raise SchemaError(f"{path}:{line}: empty video_id or ad_id")
-            try:
-                frame_index = int(row[idx_p])
-                timestamp = float(row[ts_p])
-            except ValueError as exc:
-                raise SchemaError(f"{path}:{line}: {exc}") from exc
-            face_cell = row[face_p]
-            if face_cell not in ("0", "1"):
-                raise SchemaError(
-                    f"{path}:{line}: face_detected must be 0 or 1, got {face_cell!r}")
-            face = face_cell == "1"
-            if face:
-                scores = []
-                for pos in au_pos:
-                    cell = row[pos]
-                    if cell == "":
-                        raise ValidationError(
-                            f"{path}:{line}: missing AU value in column "
-                            f"{header[pos]!r} on a face-detected row")
-                    try:
-                        scores.append(float(cell))
-                    except ValueError as exc:
-                        raise SchemaError(f"{path}:{line}: {exc}") from exc
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise SchemaError(f"{path}: empty AU stream file")
+            meta_pos, au_pos = _resolve_stream_header(header, path)
+            n_cols = len(header)
+            no_face = [0.0] * N_AUS
+            # video_id -> [ad_id, indices, timestamps, faces, flat AU scores]
+            columns: dict[str, list] = {}
+            for row in reader:
+                where = f"{path}:{reader.line_num}"
+                if len(row) != n_cols:
+                    raise SchemaError(f"{where}: expected {n_cols} cells, got {len(row)}")
+                video_id, ad_id, index, ts, face = (row[meta_pos[c]] for c in STREAM_META_COLUMNS)
+                if not video_id or not ad_id:
+                    raise SchemaError(f"{where}: empty video_id or ad_id")
+                if face not in ("0", "1"):
+                    raise SchemaError(f"{where}: face_detected must be 0 or 1, got {face!r}")
+                cells = [row[p] for p in au_pos]
+                if face == "1" and "" in cells:
+                    raise ValidationError(
+                        f"{where}: missing AU value in column "
+                        f"{header[au_pos[cells.index('')]]!r} on a face-detected row")
+                if face == "0" and any(cells):
+                    raise ValidationError(
+                        f"{where}: AU cells must be empty when no face was detected")
                 try:
-                    aus = AuVector(tuple(scores))
-                except ValidationError as exc:
-                    raise ValidationError(f"{path}:{line}: {exc}") from exc
-            else:
-                for pos in au_pos:
-                    if row[pos] != "":
-                        raise ValidationError(
-                            f"{path}:{line}: AU cell {header[pos]!r} must be empty "
-                            f"when no face was detected")
-                aus = None
-            try:
-                frame = AuFrame(frame_index, timestamp, face, aus)
-            except ValidationError as exc:
-                raise ValidationError(f"{path}:{line}: {exc}") from exc
+                    index, ts = int(index), float(ts)
+                    scores = [float(c) for c in cells] if face == "1" else no_face
+                except ValueError as exc:
+                    raise SchemaError(f"{where}: {exc}") from exc
+                if not 0 <= index < 2 ** 63:  # stored as int64
+                    raise ValidationError(f"{where}: frame_index {index} out of range")
+                if not 0.0 <= ts < math.inf:  # also rejects NaN
+                    raise ValidationError(f"{where}: timestamp_s must be finite and >= 0")
+                if not all(0.0 <= s <= 1.0 for s in scores):  # also rejects NaN
+                    raise ValidationError(f"{where}: AU scores must lie in [0, 1]")
 
-            known_ad = ad_by_video.get(video_id)
-            if known_ad is None:
-                ad_by_video[video_id] = ad_id
-                frames_by_video[video_id] = []
-            elif known_ad != ad_id:
-                raise ValidationError(
-                    f"{path}:{line}: video {video_id!r} maps to both ads "
-                    f"{known_ad!r} and {ad_id!r}")
-            prev = last_frame.get(video_id)
-            if prev is not None:
-                if frame.frame_index <= prev.frame_index:
+                known_ad, indices, stamps, faces, aus = columns.setdefault(
+                    video_id, [ad_id, [], [], [], []])
+                if known_ad != ad_id:
                     raise ValidationError(
-                        f"{path}:{line}: video {video_id!r} frame_index must "
-                        f"increase strictly ({prev.frame_index} then {frame.frame_index})")
-                if frame.timestamp_s < prev.timestamp_s:
+                        f"{where}: video {video_id!r} maps to both ads "
+                        f"{known_ad!r} and {ad_id!r}")
+                if indices and index <= indices[-1]:
                     raise ValidationError(
-                        f"{path}:{line}: video {video_id!r} timestamps must be "
-                        f"non-decreasing")
-            frames_by_video[video_id].append(frame)
-            last_frame[video_id] = frame
+                        f"{where}: video {video_id!r} frame_index must increase "
+                        f"strictly ({indices[-1]} then {index})")
+                if stamps and ts < stamps[-1]:
+                    raise ValidationError(
+                        f"{where}: video {video_id!r} timestamps must be non-decreasing")
+                indices.append(index)
+                stamps.append(ts)
+                faces.append(face == "1")
+                aus.extend(scores)
+        except csv.Error as exc:
+            raise SchemaError(f"{path}:{reader.line_num}: {exc}") from exc
 
     return [
-        VideoRecord(video_id, ad_by_video[video_id], tuple(frames))
-        for video_id, frames in frames_by_video.items()
+        VideoRecord.from_columns(video_id, ad_id, indices, stamps, faces,
+                                 np.array(aus).reshape(-1, N_AUS))
+        for video_id, (ad_id, indices, stamps, faces, aus) in columns.items()
     ]
 
 
@@ -270,22 +243,18 @@ def write_au_stream(videos: Iterable[VideoRecord], path: str | Path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for video in videos:
-            for frame in video.frames:
-                if frame.face_detected:
-                    au_cells = [repr(s) for s in frame.aus.scores]
-                    face = "1"
-                else:
-                    au_cells = empty_aus
-                    face = "0"
-                writer.writerow(
-                    [video.video_id, video.ad_id, frame.frame_index,
-                     repr(frame.timestamp_s), face] + au_cells)
+            f = video.frames
+            writer.writerows(
+                [video.video_id, video.ad_id, index, repr(ts), "1" if face else "0"]
+                + ([repr(s) for s in aus] if face else empty_aus)
+                for index, ts, face, aus in zip(
+                    f.frame_index.tolist(), f.timestamp_s.tolist(),
+                    f.face_detected.tolist(), f.aus.tolist()))
 
 
 def face_coverage(video: VideoRecord) -> float:
     """Fraction of the video's frames in which a face was detected."""
-    detected = sum(1 for f in video.frames if f.face_detected)
-    return detected / len(video.frames)
+    return int(np.count_nonzero(video.frames.face_detected)) / len(video.frames)
 
 
 def filter_by_coverage(
@@ -298,7 +267,7 @@ def filter_by_coverage(
     boundary itself passes. Order is preserved on both sides.
     """
     if not 0.0 <= min_coverage <= 1.0:
-        raise ValidationError(f"min_coverage must lie in [0, 1], got {min_coverage}")
+        raise ConfigError(f"min_coverage must lie in [0, 1], got {min_coverage}")
     kept: list[VideoRecord] = []
     dropped: list[str] = []
     for video in videos:

@@ -18,9 +18,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import AdLabel, AdSpec, AuFrame, AuVector, Interval, N_AUS, VideoRecord
+from .core import AdLabel, AdSpec, Interval, N_AUS, VideoRecord
 from .errors import ConfigError
 from .ingest import Dataset
+from .weak_label import frame_in_moments
 
 # canonical indices: AU1, AU6, Smile
 DEFAULT_SIGNAL_AUS = frozenset({0, 4, 18})
@@ -150,22 +151,12 @@ def _generate_video(
     face = rng.random(n_frames) >= dropout_p
     aus = rng.beta(1.0, _noise_beta_b(config.noise_level), size=(n_frames, N_AUS))
     if responder and ad.moments and config.signal_strength > 0:
-        in_moment = np.zeros(n_frames, dtype=bool)
-        for m in ad.moments:
-            in_moment |= (ts >= m.start_s) & (ts < m.end_s)
+        in_moment = frame_in_moments(ts, ad.moments)
         cols = sorted(config.signal_aus)
         block = aus[np.ix_(in_moment, cols)]
         aus[np.ix_(in_moment, cols)] = np.clip(block + config.signal_strength, 0.0, 1.0)
-    frames = []
-    for i in range(n_frames):
-        if face[i]:
-            frames.append(AuFrame(
-                frame_index=i, timestamp_s=float(ts[i]), face_detected=True,
-                aus=AuVector(tuple(float(x) for x in aus[i]))))
-        else:
-            frames.append(AuFrame(
-                frame_index=i, timestamp_s=float(ts[i]), face_detected=False))
-    return VideoRecord(video_id=video_id, ad_id=ad.ad_id, frames=tuple(frames))
+    aus[~face] = 0.0  # frames without a face carry no scores
+    return VideoRecord.from_columns(video_id, ad.ad_id, np.arange(n_frames), ts, face, aus)
 
 
 def _generate_ad_block(

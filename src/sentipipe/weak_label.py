@@ -24,20 +24,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .core import (
-    AdSpec,
-    AuVector,
-    Interval,
-    LabeledExample,
-    N_AUS,
-    VideoRecord,
-    active_au_count,
-)
+import numpy as np
+
+from .core import AdSpec, AuVector, Interval, LabeledExample, N_AUS, VideoRecord, strict
 from .errors import ConfigError, SchemaError, UnknownAdId, ValidationError
 
 DEFAULT_ACTIVATION_THRESHOLD = 0.5
 
 _EXAMPLE_KEYS = {"video_id", "frame_index", "label", "aus"}
+_STR, _INT, _FLOAT = strict(str), strict(int), strict(float)
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,10 +57,16 @@ class LabelSummary:
     ratio: float | None  # negatives per positive; inf when positives == 0, None when empty
 
 
-def frame_in_moments(timestamp_s: float, moments: Sequence[Interval]) -> bool:
-    """True when the timestamp falls inside any moment. Intervals are half-open,
-    so a frame exactly at a moment's end_s is outside it."""
-    return any(m.start_s <= timestamp_s < m.end_s for m in moments)
+def frame_in_moments(
+    timestamp_s: float | np.ndarray, moments: Sequence[Interval]
+) -> bool | np.ndarray:
+    """True where a timestamp falls inside any moment, for one timestamp or
+    an array of them. Intervals are half-open, so a frame exactly at a
+    moment's end_s is outside it."""
+    inside = np.zeros(np.shape(timestamp_s), dtype=bool)
+    for m in moments:
+        inside |= (timestamp_s >= m.start_s) & (timestamp_s < m.end_s)
+    return inside[()]
 
 
 def extract_examples(
@@ -78,8 +79,6 @@ def extract_examples(
     The result is sorted by (video_id, frame_index), so it does not depend on
     the order of the input videos.
     """
-    threshold = config.activation_threshold
-    min_active = config.min_active_positive
     out: list[LabeledExample] = []
     for video in videos:
         ad = ads.get(video.ad_id)
@@ -88,16 +87,16 @@ def extract_examples(
                 f"video {video.video_id!r} references unknown ad {video.ad_id!r}")
         if not ad.is_sentimental and not config.include_nonsentimental_ads:
             continue
-        moments = ad.moments
-        for frame in video.frames:
-            if not frame.face_detected:
-                continue
-            if frame_in_moments(frame.timestamp_s, moments):
-                if active_au_count(frame.aus, threshold) >= min_active:
-                    out.append(LabeledExample(frame.aus, 1, (video.video_id, frame.frame_index)))
-                # in-moment frames below the activity bar are too ambiguous to keep
-            else:
-                out.append(LabeledExample(frame.aus, 0, (video.video_id, frame.frame_index)))
+        frames = video.frames
+        inside = frame_in_moments(frames.timestamp_s, ad.moments)
+        active = (frames.aus >= config.activation_threshold).sum(axis=1)
+        positive = inside & (active >= config.min_active_positive)
+        # in-moment frames below the activity bar are too ambiguous to keep
+        keep = frames.face_detected & (positive | ~inside)
+        for index, label, aus in zip(frames.frame_index[keep].tolist(),
+                                     positive[keep].tolist(),
+                                     frames.aus[keep].tolist()):
+            out.append(LabeledExample(AuVector(aus), int(label), (video.video_id, index)))
     out.sort(key=lambda ex: ex.source)
     return out
 
@@ -145,11 +144,12 @@ def read_examples_jsonl(path: str | Path) -> list[LabeledExample]:
             if not isinstance(aus, list) or len(aus) != N_AUS:
                 raise SchemaError(f"{path}:{lineno}: aus must be a list of {N_AUS} numbers")
             try:
-                examples.append(LabeledExample(
-                    AuVector(tuple(aus)),
-                    obj["label"],
-                    (obj["video_id"], obj["frame_index"]),
-                ))
-            except (ValidationError, TypeError, ValueError) as exc:
+                video_id, index = _STR(obj["video_id"]), _INT(obj["frame_index"])
+                label, scores = _INT(obj["label"]), [_FLOAT(s) for s in aus]
+            except (TypeError, ValueError) as exc:
+                raise SchemaError(f"{path}:{lineno}: {exc}") from exc
+            try:
+                examples.append(LabeledExample(AuVector(scores), label, (video_id, index)))
+            except ValidationError as exc:
                 raise ValidationError(f"{path}:{lineno}: {exc}") from exc
     return examples

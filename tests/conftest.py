@@ -7,7 +7,6 @@ from sentipipe.core import (
     AdLabel,
     AdSpec,
     AggregateCurve,
-    AuFrame,
     AuVector,
     CurveBin,
     Interval,
@@ -35,13 +34,13 @@ def au_vec(**overrides) -> AuVector:
 
 
 def make_video(video_id, ad_id, spec):
-    """Build a VideoRecord from (timestamp, face, scores-or-None) triples."""
-    frames = []
-    for i, (ts, face, scores) in enumerate(spec):
-        aus = AuVector(tuple(scores)) if face else None
-        frames.append(AuFrame(frame_index=i, timestamp_s=ts, face_detected=face,
-                              aus=aus))
-    return VideoRecord(video_id=video_id, ad_id=ad_id, frames=tuple(frames))
+    """Build a VideoRecord from (timestamp, face, scores-or-None) triples;
+    frames are numbered 0, 1, ... and faceless frames get all-zero scores."""
+    ts = [t for t, _, _ in spec]
+    face = [f for _, f, _ in spec]
+    aus = [list(scores) if f else [0.0] * 20 for _, f, scores in spec]
+    return VideoRecord.from_columns(video_id, ad_id, range(len(spec)), ts, face,
+                                    np.array(aus, dtype=np.float64).reshape(-1, 20))
 
 
 def constant_video(video_id, ad_id, scores, n_frames=20, fps=2.0):

@@ -211,6 +211,7 @@ class TestExitCodes:
         ("train", "learning_rate", True),
         ("simulate", "rng_seed", "3"),
         ("simulate", "moments_per_ad", [1.7, 2.2]),
+        ("simulate", "ad_duration_s", 10 ** 400),
     ])
     def test_config_values_are_not_coerced(self, tmp_path, capsys,
                                            command, key, value):
@@ -245,6 +246,43 @@ class TestExitCodes:
                      "--streams", str(streams),
                      "--out", str(tmp_path / "ex.jsonl")])
         assert code == 4
+
+    @pytest.mark.parametrize("label", [[], {}])
+    def test_label_annotation_label_not_a_string(self, tmp_path, capsys, label):
+        ann = tmp_path / "annotations.json"
+        ann.write_text(json.dumps([{"ad_id": "ad_x", "label": label,
+                                    "duration_s": 10.0, "moments": []}]))
+        streams = tmp_path / "s.csv"
+        streams.write_text("")
+        code = main(["label", "--annotations", str(ann),
+                     "--streams", str(streams),
+                     "--out", str(tmp_path / "ex.jsonl")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert str(ann) in err and "ad_x" in err
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("predict", "--step-s", "0"),
+        ("predict", "--step-s", "-1"),
+        ("evaluate", "--step-s", "nan"),
+        ("label", "--min-coverage", "1.5"),
+        ("predict", "--min-coverage", "-0.5"),
+    ])
+    def test_out_of_range_flags_exit_2(self, chain, tmp_path, capsys,
+                                       command, flag, value):
+        split = chain["out"] / ("train" if command == "label" else "test")
+        inputs = ["--annotations", str(split / "annotations.json"),
+                  "--streams", str(split / "au_streams.csv")]
+        inputs += {
+            "label": ["--out", str(tmp_path / "ex.jsonl")],
+            "predict": ["--model", str(chain["model"]),
+                        "--out", str(tmp_path / "c.csv")],
+            "evaluate": ["--model", str(chain["model"]),
+                         "--report-out", str(tmp_path / "r.json")],
+        }[command]
+        code = main([command, *inputs, flag, value])
+        assert code == 2
+        assert flag.lstrip("-").replace("-", "_") in capsys.readouterr().err
 
     def test_label_bad_threshold(self, tmp_path, capsys):
         ann = tmp_path / "annotations.json"

@@ -1,15 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from sentipipe.core import (
     CANONICAL_AU_NAMES,
+    FRAME_DTYPE,
     N_AUS,
     AdLabel,
     AdSpec,
     AggregateCurve,
-    AuFrame,
     AuVector,
     CurveBin,
     Interval,
@@ -86,43 +87,88 @@ class TestActiveAuCount:
         assert active_au_count(v, threshold) == sum(s >= threshold for s in scores)
 
 
-class TestAuFrame:
-    def test_face_requires_aus(self):
-        with pytest.raises(ValidationError):
-            AuFrame(frame_index=0, timestamp_s=0.0, face_detected=True, aus=None)
-
-    def test_faceless_forbids_aus(self):
-        with pytest.raises(ValidationError):
-            AuFrame(frame_index=0, timestamp_s=0.0, face_detected=False,
-                    aus=au_vec())
-
-    def test_negative_index(self):
-        with pytest.raises(ValidationError):
-            AuFrame(frame_index=-1, timestamp_s=0.0, face_detected=False)
+def record(index, ts, face, aus=None):
+    """VideoRecord from columns; AU scores default to all zero."""
+    aus = np.zeros((len(ts), N_AUS)) if aus is None else np.asarray(aus, dtype=float)
+    return VideoRecord.from_columns("v", "a", index, ts, face, aus)
 
 
 class TestVideoRecord:
+    def test_face_requires_aus(self):
+        # a face row has no "missing" marker: NaN scores are rejected
+        aus = np.full((1, N_AUS), 0.5)
+        aus[0, 3] = np.nan
+        with pytest.raises(ValidationError, match="face frame"):
+            record([0], [0.0], [True], aus)
+
+    def test_faceless_forbids_aus(self):
+        aus = np.zeros((2, N_AUS))
+        aus[1, 0] = 0.25
+        with pytest.raises(ValidationError, match="all-zero"):
+            record([0, 1], [0.0, 0.5], [True, False], aus)
+
+    def test_negative_index(self):
+        with pytest.raises(ValidationError, match="frame_index"):
+            record([-1], [0.0], [False])
+
+    def test_au_out_of_range(self):
+        for bad in (1.5, -0.1, np.inf):
+            aus = np.full((1, N_AUS), 0.5)
+            aus[0, 7] = bad
+            with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+                record([0], [0.0], [True], aus)
+
+    def test_bad_timestamps(self):
+        for bad in (-0.5, np.nan, np.inf):
+            with pytest.raises(ValidationError, match="finite"):
+                record([0], [bad], [False])
+
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
-            VideoRecord(video_id="v", ad_id="a", frames=())
+            VideoRecord(video_id="v", ad_id="a", frames=np.empty(0, FRAME_DTYPE))
+
+    def test_wrong_frame_type_rejected(self):
+        for frames in ((), np.zeros(2)):
+            with pytest.raises(ValidationError, match="FRAME_DTYPE"):
+                VideoRecord(video_id="v", ad_id="a", frames=frames)
 
     def test_frame_index_strictly_increasing(self):
-        f0 = AuFrame(0, 0.0, False)
-        f0_dup = AuFrame(0, 0.5, False)
         with pytest.raises(ValidationError):
-            VideoRecord(video_id="v", ad_id="a", frames=(f0, f0_dup))
+            record([0, 0], [0.0, 0.5], [False, False])
 
     def test_timestamps_non_decreasing(self):
-        f0 = AuFrame(0, 1.0, False)
-        f1 = AuFrame(1, 0.5, False)
         with pytest.raises(ValidationError):
-            VideoRecord(video_id="v", ad_id="a", frames=(f0, f1))
+            record([0, 1], [1.0, 0.5], [False, False])
 
     def test_equal_timestamps_allowed(self):
-        f0 = AuFrame(0, 1.0, False)
-        f1 = AuFrame(1, 1.0, False)
-        v = VideoRecord(video_id="v", ad_id="a", frames=(f0, f1))
+        v = record([0, 1], [1.0, 1.0], [False, False])
         assert len(v.frames) == 2
+
+    def test_frames_read_as_columns_and_rows(self):
+        aus = np.zeros((2, N_AUS))
+        aus[0, 18] = 0.75
+        v = record([3, 5], [0.0, 0.2], [True, False], aus)
+        assert v.frames.frame_index.tolist() == [3, 5]
+        assert v.frames[1].timestamp_s == 0.2
+        assert v.frames[0].face_detected and not v.frames[1].face_detected
+        assert v.frames[0].aus[18] == 0.75
+
+    def test_frames_are_read_only_copies(self):
+        frames = np.zeros(2, FRAME_DTYPE)
+        frames["frame_index"] = [0, 1]
+        v = VideoRecord(video_id="v", ad_id="a", frames=frames)
+        frames["timestamp_s"] = [5.0, 1.0]  # the caller's array, not the record's
+        assert v.frames.timestamp_s.tolist() == [0.0, 0.0]
+        with pytest.raises(ValueError):
+            v.frames.aus[0, 0] = 0.5
+
+    def test_equality_by_value(self):
+        a = record([0, 1], [0.0, 0.5], [True, False], [[0.5] * N_AUS, [0.0] * N_AUS])
+        b = record([0, 1], [0.0, 0.5], [True, False], [[0.5] * N_AUS, [0.0] * N_AUS])
+        assert a == b and a.frames is not b.frames
+        assert a != record([0, 1], [0.0, 0.5], [True, False])
+        assert a != VideoRecord.from_columns("w", "a", [0, 1], [0.0, 0.5], [True, False],
+                                             a.frames.aus)
 
 
 class TestInterval:

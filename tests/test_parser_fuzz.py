@@ -1,0 +1,139 @@
+"""Fuzz the three parsers with one drawn value spliced into a valid file.
+
+Each case starts from what the matching writer produced and replaces one JSON
+value or one CSV cell. The parser must then either parse the file, and the
+result must survive a write -> parse round trip unchanged, or raise a
+SentiPipeError subclass. Any other exception fails the test.
+"""
+
+import copy
+import csv
+import json
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from sentipipe.core import AdLabel, AdSpec, Interval, LabeledExample
+from sentipipe.errors import SentiPipeError
+from sentipipe.ingest import (
+    parse_ad_annotations,
+    parse_au_stream,
+    write_ad_annotations,
+    write_au_stream,
+)
+from sentipipe.weak_label import read_examples_jsonl, write_examples_jsonl
+
+from conftest import au_vec, constant_video, make_video
+
+FUZZ = settings(max_examples=50, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+# values near the valid ones (so some files still parse) plus arbitrary JSON
+json_values = st.one_of(
+    st.integers(-2, 40),
+    st.floats(-1.0, 41.0),
+    st.sampled_from(["v9", "", "sentimental", "non_sentimental", [1.0, 2.0]]),
+    st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+        lambda inner: (st.lists(inner, max_size=3)
+                       | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+        max_leaves=6),
+)
+
+cell_texts = st.one_of(
+    st.text(),
+    st.sampled_from(["", "0", "1", "-1", "-0.0", "nan", "inf", "1e400", "0.5 ",
+                     "9" * 30, "au_1", "video_id"]),
+    st.floats().map(repr),
+    st.integers().map(str),
+)
+
+
+def json_paths(value, prefix=()):
+    """Every key/index path into a JSON value, the root included."""
+    yield prefix
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from json_paths(item, prefix + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from json_paths(item, prefix + (i,))
+
+
+def replaced(value, path, new):
+    if not path:
+        return new
+    out = copy.deepcopy(value)
+    target = out
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = new
+    return out
+
+
+def parses_or_raises_typed(parse, write, path):
+    try:
+        parsed = parse(path)
+    except SentiPipeError:
+        return
+    again = path.with_name("again" + path.suffix)
+    write(parsed, again)
+    assert parse(again) == parsed
+
+
+ADS = {
+    "a1": AdSpec(ad_id="a1", label=AdLabel.SENTIMENTAL, duration_s=30.0,
+                 moments=(Interval(3.0, 9.0), Interval(12.5, 20.0))),
+    "a2": AdSpec(ad_id="a2", label=AdLabel.NON_SENTIMENTAL, duration_s=15.5),
+}
+
+VIDEOS = [
+    make_video("v1", "a1", [(0.0, True, [0.25] * 20), (0.5, False, None),
+                            (1.0, True, [0.0] * 19 + [1.0])]),
+    constant_video("v2", "a2", [0.5] * 20, n_frames=3, fps=2.0),
+]
+
+EXAMPLES = [
+    LabeledExample(au_vec(i0=0.1), 0, ("v1", 0)),
+    LabeledExample(au_vec(i0=0.5, i4=0.9), 1, ("v1", 4)),
+    LabeledExample(au_vec(i7=1 / 3), 0, ("v2", 0)),
+]
+
+
+@FUZZ
+@given(data=st.data())
+def test_annotation_parser(tmp_path, data):
+    path = tmp_path / "ads.json"
+    write_ad_annotations(ADS, path)
+    payload = json.loads(path.read_text())
+    where = data.draw(st.sampled_from(list(json_paths(payload))))
+    path.write_text(json.dumps(replaced(payload, where, data.draw(json_values))))
+    parses_or_raises_typed(parse_ad_annotations, write_ad_annotations, path)
+
+
+@FUZZ
+@given(data=st.data())
+def test_stream_parser(tmp_path, data):
+    path = tmp_path / "s.csv"
+    write_au_stream(VIDEOS, path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    r = data.draw(st.integers(0, len(rows) - 1))
+    c = data.draw(st.integers(0, len(rows[r]) - 1))
+    rows[r][c] = data.draw(cell_texts)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    parses_or_raises_typed(parse_au_stream, write_au_stream, path)
+
+
+@FUZZ
+@given(data=st.data())
+def test_examples_parser(tmp_path, data):
+    path = tmp_path / "ex.jsonl"
+    write_examples_jsonl(EXAMPLES, path)
+    lines = path.read_text().splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1))
+    obj = json.loads(lines[i])
+    where = data.draw(st.sampled_from(list(json_paths(obj))))
+    lines[i] = json.dumps(replaced(obj, where, data.draw(json_values)))
+    path.write_text("\n".join(lines) + "\n")
+    parses_or_raises_typed(read_examples_jsonl, write_examples_jsonl, path)

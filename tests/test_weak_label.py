@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -218,6 +219,29 @@ class TestExamplesJsonl:
         with pytest.raises(ValidationError):
             read_examples_jsonl(self._one_line(tmp_path, aus=[1.5] + [0.0] * 19))
 
+    @pytest.mark.parametrize("key, value", [
+        ("label", True),
+        ("label", 1.0),
+        ("frame_index", 2.7),
+        ("frame_index", True),
+        ("frame_index", -4),
+        ("video_id", 5),
+        ("video_id", None),
+        ("video_id", ""),
+        ("aus", ["0.5"] * 20),
+        ("aus", [True] + [0.5] * 19),
+        ("aus", [False] * 20),
+    ])
+    def test_values_are_not_coerced(self, tmp_path, key, value):
+        import json
+
+        good = {"video_id": "v", "frame_index": 0, "label": 1, "aus": [0.5] * 20}
+        path = tmp_path / "ex.jsonl"
+        path.write_text(json.dumps(good) + "\n"
+                        + json.dumps({**good, "frame_index": 1, key: value}) + "\n")
+        with pytest.raises((SchemaError, ValidationError), match=re.escape(f"{path}:2:")):
+            read_examples_jsonl(path)
+
 
 score_strategy = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -238,7 +262,7 @@ def test_labels_match_per_frame_oracle(frame_specs):
             assert frame.frame_index not in by_index
             continue
         in_moment = any(m.start_s <= frame.timestamp_s < m.end_s for m in moments)
-        active = sum(1 for s in frame.aus.scores if s >= 0.5)
+        active = sum(1 for k in range(20) if frame.aus[k] >= 0.5)
         if in_moment and active >= 2:
             assert by_index[frame.frame_index].label == 1
         elif in_moment:
@@ -246,5 +270,5 @@ def test_labels_match_per_frame_oracle(frame_specs):
         else:
             assert by_index[frame.frame_index].label == 0
         if frame.frame_index in by_index:
-            assert by_index[frame.frame_index].aus == frame.aus
+            assert by_index[frame.frame_index].aus.scores == tuple(frame.aus[k] for k in range(20))
         assert active == active_au_count(frame.aus, 0.5)
