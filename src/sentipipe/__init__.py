@@ -8,6 +8,7 @@ curves, and two ad-level KPIs (whole-ad and within-ad separability).
 from .aggregate import (
     DEFAULT_STEP_S,
     aggregate_ad,
+    aggregate_columns,
     aggregate_scores,
     export_curve_svg,
     max_over_interval,
@@ -24,7 +25,6 @@ from .core import (
     AdSpec,
     AggregateCurve,
     AuVector,
-    CurveBin,
     Interval,
     LabeledExample,
     VideoRecord,

@@ -1,24 +1,25 @@
 """Turning per-frame scores into per-ad curves.
 
-A curve has one bin per ``step_s`` seconds of ad time, bin k covering
-[k * step_s, (k + 1) * step_s). Each participant contributes the mean of
+A curve has one bin per ``step_s`` seconds of ad time, bin b covering
+[b * step_s, (b + 1) * step_s). Each participant contributes the mean of
 their frame scores inside a bin; the bin value is the mean over contributing
 participants, so participants with different frame rates carry equal weight.
 Bins nobody's frames landed in are filled by linear interpolation between
-populated neighbours (edge gaps copy the nearest populated bin) and are
-marked with participant_count 0.
+populated neighbours (edge gaps copy the nearest populated bin) and have a
+participant count of 0.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import AggregateCurve, CurveBin, Interval, VideoRecord
+from .core import AggregateCurve, Interval, VideoRecord
 from .errors import ConfigError, EmptyInterval, NoPredictions, SchemaError, ValidationError
 from .mlp import MlpParams, _forward_batch
 
@@ -56,56 +57,68 @@ def score_video(params: MlpParams, video: VideoRecord) -> tuple[np.ndarray, np.n
     return ts, p
 
 
+def aggregate_columns(
+    ad_id: str,
+    per_participant: Sequence[tuple[np.ndarray, np.ndarray]],
+    duration_s: float,
+    step_s: float = DEFAULT_STEP_S,
+) -> tuple[AggregateCurve, ...]:
+    """Build one curve per score column of one ad in a single binning pass.
+
+    Each participant gives (timestamps (f,), scores (f, k)); the result holds
+    k curves, column j's curve equal to ``aggregate_scores`` on column j
+    alone. Frames outside the bin domain are ignored. The result is
+    independent of participant order: the across-participant mean uses exact
+    summation.
+    """
+    n = n_bins_for(duration_s, step_s)
+    counts = np.zeros(n, dtype=np.int64)  # participants with frames in each bin
+    means = []  # per participant: (n, k) bin means, 0.0 where it has no frames
+    for ts, scores in per_participant:
+        ts, scores = np.asarray(ts, dtype=np.float64), np.asarray(scores, dtype=np.float64)
+        if ts.ndim != 1 or scores.ndim != 2 or len(scores) != len(ts) or (
+                means and scores.shape[1] != means[0].shape[1]):
+            raise ValidationError("timestamps and scores must have equal length, "
+                                  "and every participant the same score columns")
+        k = scores.shape[1]
+        b = np.floor(ts / step_s).astype(np.int64)
+        keep = (b >= 0) & (b < n)
+        b, scores = b[keep], scores[keep]
+        frames = np.bincount(b, minlength=n)
+        # bincount adds in frame order, so each (bin, column) sum is the one a
+        # bincount over that column alone gives
+        sums = np.bincount((b[:, None] * k + np.arange(k)).ravel(),
+                           weights=scores.ravel(), minlength=n * k)
+        means.append(sums.reshape(n, k) / np.maximum(frames, 1)[:, None])
+        counts += frames > 0
+    populated = np.flatnonzero(counts)
+    if populated.size == 0:
+        raise NoPredictions(f"ad {ad_id!r}: no scored frames fall inside [0, {n * step_s})")
+    # fsum is exactly rounded, so a bin's mean does not depend on the order
+    # participants were listed in, and an absent one's 0.0 changes nothing
+    rows = np.stack(means)[:, populated].reshape(len(means), -1).T.tolist()
+    knots = np.array([math.fsum(row) for row in rows]).reshape(-1, k) / counts[populated, None]
+    values = np.empty((k, n))
+    for j in range(k):
+        values[j] = np.interp(np.arange(n), populated, knots[:, j])
+    # np.interp may perturb knot values by an ulp; keep measured bins exact
+    values[:, populated] = knots.T
+    np.clip(values, 0.0, 1.0, out=values)
+    values.flags.writeable = counts.flags.writeable = False
+    return tuple(AggregateCurve(ad_id, step_s, row, counts) for row in values)
+
+
 def aggregate_scores(
     ad_id: str,
     per_participant: Sequence[tuple[np.ndarray, np.ndarray]],
     duration_s: float,
     step_s: float = DEFAULT_STEP_S,
 ) -> AggregateCurve:
-    """Build the curve for one ad from per-participant (timestamps, scores).
-
-    Frames outside the bin domain are ignored. The result is independent of
-    participant order: the across-participant mean uses exact summation.
-    """
-    n = n_bins_for(duration_s, step_s)
-    per_bin: list[list[float]] = [[] for _ in range(n)]
-    for ts, scores in per_participant:
-        ts = np.asarray(ts, dtype=np.float64)
-        scores = np.asarray(scores, dtype=np.float64)
-        if ts.shape != scores.shape:
-            raise ValidationError("timestamps and scores must have equal length")
-        if ts.size == 0:
-            continue
-        k = np.floor(ts / step_s).astype(np.int64)
-        keep = (k >= 0) & (k < n)
-        k, s = k[keep], scores[keep]
-        if k.size == 0:
-            continue
-        counts = np.bincount(k, minlength=n)
-        sums = np.bincount(k, weights=s, minlength=n)
-        for b in np.flatnonzero(counts):
-            per_bin[b].append(sums[b] / counts[b])
-    counts = [len(vals) for vals in per_bin]
-    populated = [b for b in range(n) if counts[b]]
-    if not populated:
-        raise NoPredictions(
-            f"ad {ad_id!r}: no scored frames fall inside [0, {n * step_s})")
-    values = np.full(n, np.nan)
-    for b in populated:
-        # fsum is exactly rounded, so the mean does not depend on the order
-        # participants were listed in
-        values[b] = math.fsum(per_bin[b]) / counts[b]
-    if len(populated) < n:
-        filled = np.interp(np.arange(n), populated, values[populated])
-        # np.interp may perturb knot values by an ulp; keep measured bins exact
-        filled[populated] = values[populated]
-        values = filled
-    values = np.clip(values, 0.0, 1.0)
-    bins = tuple(
-        CurveBin(timestamp_s=b * step_s, mean_score=float(values[b]),
-                 participant_count=counts[b])
-        for b in range(n))
-    return AggregateCurve(ad_id=ad_id, step_s=step_s, values=bins)
+    """Build the curve for one ad from per-participant (timestamps, scores):
+    ``aggregate_columns`` with a single score column."""
+    return aggregate_columns(
+        ad_id, [(ts, np.reshape(scores, (-1, 1))) for ts, scores in per_participant],
+        duration_s, step_s)[0]
 
 
 def aggregate_ad(
@@ -138,7 +151,7 @@ def max_over_interval(curve: AggregateCurve, interval: Interval) -> float:
                 f"interval [{interval.start_s}, {interval.end_s}) lies outside "
                 f"the curve domain [0, {curve.domain_end_s})")
         first, last_excl = k, k + 1
-    return max(v.mean_score for v in curve.values[first:last_excl])
+    return float(curve.scores[first:last_excl].max())
 
 
 def write_curves_csv(curves: Sequence[AggregateCurve], path: str | Path) -> None:
@@ -147,60 +160,63 @@ def write_curves_csv(curves: Sequence[AggregateCurve], path: str | Path) -> None
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CURVE_CSV_COLUMNS)
         for curve in curves:
-            for v in curve.values:
-                writer.writerow([
-                    curve.ad_id,
-                    repr(v.timestamp_s),
-                    repr(v.mean_score),
-                    v.participant_count,
-                ])
+            # Python floats and ints: repr of a numpy scalar is not a number
+            stamps = (np.arange(curve.n_bins) * curve.step_s).tolist()
+            writer.writerows(zip(repeat(curve.ad_id), map(repr, stamps),
+                                 map(repr, curve.scores.tolist()), curve.counts.tolist()))
 
 
 def read_curves_csv(path: str | Path) -> list[AggregateCurve]:
     """Parse a curves CSV back into AggregateCurve objects.
 
-    Rows of one ad must be contiguous and in bin order. A single-bin curve
-    does not pin down its own step, so the default step is assumed there.
+    Rows of one ad must be contiguous and in bin order, bin b at timestamp
+    b * step_s. A single-bin curve does not pin down its own step, so the
+    default step is assumed there.
     """
-    groups: dict[str, list[CurveBin]] = {}
+    rows: dict[str, list[tuple[float, float, int]]] = {}  # ad_id -> its bins
     last_ad: str | None = None
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError(f"{path}: empty file")
-        if tuple(header) != CURVE_CSV_COLUMNS:
-            raise SchemaError(
-                f"{path}: expected header {','.join(CURVE_CSV_COLUMNS)}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                raise SchemaError(f"{path}:{lineno}: expected 4 cells, got {len(row)}")
-            ad_id, ts_s, score_s, count_s = row
-            if not ad_id:
-                raise SchemaError(f"{path}:{lineno}: empty ad_id")
-            if ad_id in groups and ad_id != last_ad:
-                raise SchemaError(
-                    f"{path}:{lineno}: rows for ad {ad_id!r} are not contiguous")
-            try:
-                ts = float(ts_s)
-                score = float(score_s)
-                count = int(count_s)
-            except ValueError as exc:
-                raise SchemaError(f"{path}:{lineno}: {exc}") from exc
-            try:
-                bin_ = CurveBin(timestamp_s=ts, mean_score=score,
-                                participant_count=count)
-            except ValidationError as exc:
-                raise SchemaError(f"{path}:{lineno}: {exc}") from exc
-            groups.setdefault(ad_id, []).append(bin_)
-            last_ad = ad_id
-    curves = []
-    for ad_id, bins in groups.items():
-        step = bins[1].timestamp_s - bins[0].timestamp_s if len(bins) > 1 else DEFAULT_STEP_S
         try:
-            curves.append(AggregateCurve(ad_id=ad_id, step_s=step, values=tuple(bins)))
+            header = next(reader, None)
+            if header is None:
+                raise SchemaError(f"{path}: empty file")
+            if tuple(header) != CURVE_CSV_COLUMNS:
+                raise SchemaError(f"{path}: expected header {','.join(CURVE_CSV_COLUMNS)}")
+            for row in reader:
+                where = f"{path}:{reader.line_num}"
+                if len(row) != 4:
+                    raise SchemaError(f"{where}: expected 4 cells, got {len(row)}")
+                ad_id, ts_s, score_s, count_s = row
+                if not ad_id:
+                    raise SchemaError(f"{where}: empty ad_id")
+                if ad_id in rows and ad_id != last_ad:
+                    raise SchemaError(f"{where}: rows for ad {ad_id!r} are not contiguous")
+                try:
+                    ts, score, count = float(ts_s), float(score_s), int(count_s)
+                except ValueError as exc:
+                    raise SchemaError(f"{where}: {exc}") from exc
+                # also false for NaN; counts are stored as int64
+                if not (0.0 <= ts < math.inf and 0.0 <= score <= 1.0 and 0 <= count < 2 ** 63):
+                    raise SchemaError(f"{where}: timestamp_s must be finite and >= 0, "
+                                      f"mean_score in [0, 1], participant_count in [0, 2**63)")
+                rows.setdefault(ad_id, []).append((ts, score, count))
+                last_ad = ad_id
+        except csv.Error as exc:
+            raise SchemaError(f"{path}:{reader.line_num}: {exc}") from exc
+    curves = []
+    for ad_id, bins in rows.items():
+        stamps, scores, counts = zip(*bins)
+        step = stamps[1] - stamps[0] if len(stamps) > 1 else DEFAULT_STEP_S
+        try:
+            curve = AggregateCurve(ad_id=ad_id, step_s=step, scores=scores, counts=counts)
         except ValidationError as exc:
             raise SchemaError(f"{path}: {exc}") from exc
+        for b, ts in enumerate(stamps):
+            if abs(ts - b * curve.step_s) > 1e-9:
+                raise SchemaError(f"{path}: curve for ad {ad_id!r}: bin {b} timestamp {ts} "
+                                  f"breaks the arithmetic progression with step {curve.step_s}")
+        curves.append(curve)
     return curves
 
 
@@ -245,9 +261,10 @@ def export_curve_svg(
         parts.append(
             f'<text x="{pad_l - 6:.2f}" y="{y + 4:.2f}" font-size="11" '
             f'font-family="sans-serif" text-anchor="end">{frac:.1f}</text>')
+    step = curve.step_s
     pts = " ".join(
-        f"{x_of(v.timestamp_s + curve.step_s / 2):.2f},{y_of(v.mean_score):.2f}"
-        for v in curve.values)
+        f"{x_of(b * step + step / 2):.2f},{y_of(score):.2f}"
+        for b, score in enumerate(curve.scores.tolist()))
     parts.append(
         f'<polyline points="{pts}" fill="none" stroke="#2b6cb0" stroke-width="2"/>')
     parts.append(

@@ -19,7 +19,7 @@ import math
 import re
 import sys
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from .aggregate import (
     DEFAULT_STEP_S,
@@ -27,7 +27,7 @@ from .aggregate import (
     read_curves_csv,
     write_curves_csv,
 )
-from .core import canonical_au_index, strict
+from .core import AggregateCurve, canonical_au_index, strict
 from .errors import (
     ConfigError,
     DegenerateComplement,
@@ -176,6 +176,12 @@ def _prepare_parent(path: str | Path) -> Path:
     return p
 
 
+def _interpolated_bin_frac(curves: Sequence[AggregateCurve]) -> float | None:
+    """Share of the curves' bins filled by interpolation; None without bins."""
+    bins = sum(curve.n_bins for curve in curves)
+    return sum(int((curve.counts == 0).sum()) for curve in curves) / bins if bins else None
+
+
 def _svg_filename(ad_id: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]", "_", ad_id) + ".svg"
 
@@ -283,6 +289,7 @@ def cmd_predict(args: argparse.Namespace) -> dict:
         "ads_without_videos": sorted(set(dataset.ads) - covered),
         "videos_scored": len(dataset.videos),
         "dropped_videos": sorted(dropped),
+        "interpolated_bin_frac": _interpolated_bin_frac(curves),
     }
 
 
@@ -312,6 +319,7 @@ def cmd_evaluate(args: argparse.Namespace) -> dict:
         "roc_sent": report.roc_sent,
         "avg": report.avg,
         "ads": len(curves),
+        "interpolated_bin_frac": _interpolated_bin_frac(curves),
     }
 
 

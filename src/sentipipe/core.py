@@ -100,6 +100,16 @@ FRAME_DTYPE = np.dtype([
 ], align=True)
 
 
+def _read_only(values, dtype) -> np.ndarray:
+    """``values`` as an array of ``dtype`` that nothing can change: a writable
+    array is copied first."""
+    array = np.asarray(values, dtype=dtype)
+    if array.flags.writeable:
+        array = array.copy()
+        array.flags.writeable = False
+    return array
+
+
 def _first_bad(video_id: str, bad: np.ndarray, what: str) -> None:
     """Raise for the first row flagged in ``bad``."""
     if bad.any():
@@ -127,10 +137,7 @@ class VideoRecord:
                 f"video {self.video_id!r}: frames must be a 1-d array of FRAME_DTYPE")
         if frames.size == 0:
             raise ValidationError(f"video {self.video_id!r} has no frames")
-        if frames.flags.writeable:
-            frames = frames.copy()
-            frames.flags.writeable = False
-        frames = frames.view(np.recarray)
+        frames = _read_only(frames, FRAME_DTYPE).view(np.recarray)
         index, ts, face, aus = (frames[name] for name in FRAME_DTYPE.names)
         _first_bad(self.video_id, np.diff(index, prepend=-1) <= 0,
                    "frame_index must be >= 0 and increase strictly")
@@ -249,62 +256,54 @@ class LabeledExample:
         object.__setattr__(self, "source", (str(vid), int(idx)))
 
 
-@dataclass(frozen=True, slots=True)
-class CurveBin:
-    """One time bin of an aggregate curve.
-
-    ``participant_count`` is the number of participants whose frames landed in
-    the bin; it is 0 for bins whose value was filled by interpolation.
-    """
-
-    timestamp_s: float
-    mean_score: float
-    participant_count: int
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.timestamp_s) or self.timestamp_s < 0:
-            raise ValidationError(f"bin timestamp must be finite and >= 0")
-        if not 0.0 <= self.mean_score <= 1.0:
-            raise ValidationError(
-                f"bin mean_score {self.mean_score} outside [0, 1]")
-        if self.participant_count < 0:
-            raise ValidationError("participant_count must be >= 0")
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class AggregateCurve:
     """Per-ad sentimentality curve: one mean score per fixed-width time bin.
 
-    Bin k covers [k * step_s, (k + 1) * step_s); together the bins cover
-    [0, duration) of the ad.
+    Bin b covers [b * step_s, (b + 1) * step_s); together the bins cover
+    [0, duration) of the ad. ``scores`` holds each bin's value in [0, 1] and
+    ``counts`` the number of participants whose frames landed in the bin, 0
+    for a bin filled by interpolation. Both are read-only arrays of one
+    length; a writable input array is copied.
     """
 
     ad_id: str
     step_s: float
-    values: tuple[CurveBin, ...]
+    scores: np.ndarray
+    counts: np.ndarray
 
     def __post_init__(self) -> None:
         step = float(self.step_s)
         if not math.isfinite(step) or step <= 0:
             raise ValidationError(f"step_s must be finite and > 0, got {step}")
-        values = tuple(self.values)
-        if not values:
-            raise ValidationError(f"curve for ad {self.ad_id!r} has no bins")
-        for i, v in enumerate(values):
-            if abs(v.timestamp_s - i * step) > 1e-9:
-                raise ValidationError(
-                    f"curve for ad {self.ad_id!r}: bin {i} timestamp {v.timestamp_s} "
-                    f"breaks the arithmetic progression with step {step}")
+        scores, counts = np.asarray(self.scores), np.asarray(self.counts)
+        if scores.ndim != 1 or not scores.size or counts.shape != scores.shape \
+                or scores.dtype.kind not in "fiu" or counts.dtype.kind not in "iu":
+            raise ValidationError(f"curve for ad {self.ad_id!r} needs at least one bin, "
+                                  f"each with a numeric score and an integer count")
+        scores, counts = _read_only(scores, np.float64), _read_only(counts, np.int64)
+        # the comparisons are False for NaN, so NaN scores fail here too
+        if not (((scores >= 0.0) & (scores <= 1.0)).all() and (counts >= 0).all()):
+            raise ValidationError(
+                f"curve for ad {self.ad_id!r}: scores must lie in [0, 1], counts >= 0")
         object.__setattr__(self, "step_s", step)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "scores", scores)
+        object.__setattr__(self, "counts", counts)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AggregateCurve):
+            return NotImplemented
+        return (self.ad_id == other.ad_id and self.step_s == other.step_s
+                and np.array_equal(self.scores, other.scores)
+                and np.array_equal(self.counts, other.counts))
 
     @property
     def n_bins(self) -> int:
-        return len(self.values)
+        return len(self.scores)
 
     @property
     def domain_end_s(self) -> float:
-        return len(self.values) * self.step_s
+        return len(self.scores) * self.step_s
 
     def bin_scores(self) -> tuple[float, ...]:
-        return tuple(v.mean_score for v in self.values)
+        return tuple(self.scores.tolist())

@@ -13,15 +13,17 @@ import csv
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .aggregate import DEFAULT_STEP_S, aggregate_scores, face_frames, max_over_interval
+from .aggregate import (DEFAULT_STEP_S, aggregate_columns, aggregate_scores, face_frames,
+                        max_over_interval)
 from .core import (
     CANONICAL_AU_NAMES,
+    N_AUS,
     AdSpec,
     AggregateCurve,
     Interval,
@@ -70,7 +72,7 @@ def roc_auc(pos_scores: Sequence[float], neg_scores: Sequence[float]) -> float:
 
 
 def curve_max(curve: AggregateCurve) -> float:
-    return max(curve.bin_scores())
+    return float(curve.scores.max())
 
 
 def complement_intervals(
@@ -229,22 +231,15 @@ def single_au_baselines(
     """KPIs obtained by using each raw AU activation as the score.
 
     Returns one report per AU in canonical order. These are the single-marker
-    reference points the trained model has to beat.
+    reference points the trained model has to beat. Each ad's frames are
+    binned once, for all twenty AU columns together.
     """
-    extracted = {
-        ad_id: [face_frames(v) for v in videos]
-        for ad_id, videos in videos_by_ad.items()
-    }
-    reports = []
-    for k in range(len(CANONICAL_AU_NAMES)):
-        curves = []
-        for ad_id in videos_by_ad:
-            per_participant = [(ts, aus[:, k]) for ts, aus in extracted[ad_id]]
-            curves.append(
-                aggregate_scores(ad_id, per_participant, ads[ad_id].duration_s,
-                                 step_s))
-        reports.append(evaluate_kpis(curves, ads, guard_s))
-    return reports
+    per_ad = [
+        aggregate_columns(ad_id, [face_frames(v) for v in videos],
+                          ads[ad_id].duration_s, step_s)
+        for ad_id, videos in videos_by_ad.items()]
+    return [evaluate_kpis([curves[k] for curves in per_ad], ads, guard_s)
+            for k in range(N_AUS)]
 
 
 def chance_baseline(
@@ -255,36 +250,24 @@ def chance_baseline(
 ) -> KpiReport:
     """KPIs with every frame scored a constant 0.5: all-ties, so both land
     at 0.5 exactly. Kept as an explicit column to anchor the table."""
-    curves = []
-    for ad_id, videos in videos_by_ad.items():
-        per_participant = []
-        for v in videos:
-            ts, _ = face_frames(v)
-            per_participant.append((ts, np.full(ts.shape, 0.5)))
-        curves.append(
-            aggregate_scores(ad_id, per_participant, ads[ad_id].duration_s,
-                             step_s))
+    curves = [
+        aggregate_scores(ad_id, [(ts, np.full(ts.shape, 0.5))
+                                 for ts, _ in map(face_frames, videos)],
+                         ads[ad_id].duration_s, step_s)
+        for ad_id, videos in videos_by_ad.items()]
     return evaluate_kpis(curves, ads, guard_s)
 
 
 def write_kpi_report(
     report: KpiReport, path: str | Path, metadata: Mapping[str, object] | None = None
 ) -> None:
-    per_ad = []
-    for ad_id in sorted(report.per_ad_scores):
-        d = report.per_ad_scores[ad_id]
-        per_ad.append({
-            "ad_id": ad_id,
-            "label": d.label,
-            "curve_max": d.curve_max,
-            "moment_max": d.moment_max,
-            "complement_max": d.complement_max,
-        })
     payload: dict[str, object] = {
         "roc_ad": report.roc_ad,
         "roc_sent": report.roc_sent,
         "avg": report.avg,
-        "per_ad": per_ad,
+        # AdScore's fields in declaration order: label, then the three maxima
+        "per_ad": [{"ad_id": ad_id, **asdict(d)}
+                   for ad_id, d in sorted(report.per_ad_scores.items())],
     }
     if metadata is not None:
         payload["metadata"] = dict(metadata)
@@ -303,9 +286,7 @@ def write_kpi_table_csv(
     if len(per_au) != len(CANONICAL_AU_NAMES):
         raise ValidationError(
             f"expected {len(CANONICAL_AU_NAMES)} per-AU reports, got {len(per_au)}")
-    columns = [("chance", chance)]
-    columns += list(zip(CANONICAL_AU_NAMES, per_au))
-    columns.append(("model", model))
+    columns = [("chance", chance), *zip(CANONICAL_AU_NAMES, per_au), ("model", model)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["metric"] + [name for name, _ in columns])

@@ -263,10 +263,7 @@ def evaluate_accuracy(
 def save_model(params: MlpParams, path: str | Path) -> None:
     payload = {
         "format": MODEL_FORMAT,
-        "w1": params.w1.tolist(),
-        "b1": params.b1.tolist(),
-        "w2": params.w2.tolist(),
-        "b2": params.b2.tolist(),
+        **{name: layer.tolist() for name, layer in zip(_SHAPES, params)},
         "au_order": list(CANONICAL_AU_NAMES),
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -290,17 +287,12 @@ def load_model(path: str | Path) -> MlpParams:
         raise SchemaError(f"{path}: missing keys {sorted(missing)}")
     if payload["au_order"] != list(CANONICAL_AU_NAMES):
         raise SchemaError(f"{path}: au_order does not match the canonical AU order")
-    arrays = {}
-    for name, shape in _SHAPES.items():
+    for name in _SHAPES:
         try:
-            arr = np.array(payload[name], dtype=np.float64)
+            payload[name] = np.array(payload[name], dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"{path}: {name} is not a numeric array ({exc})") from exc
-        if arr.shape != shape:
-            raise SchemaError(
-                f"{path}: {name} must have shape {shape}, got {arr.shape}")
-        arrays[name] = arr
-    try:
-        return MlpParams(**arrays)
+    try:  # MlpParams checks the shapes and that every value is finite
+        return MlpParams(*(payload[name] for name in _SHAPES))
     except ValidationError as exc:
         raise SchemaError(f"{path}: {exc}") from exc

@@ -8,7 +8,6 @@ from sentipipe.core import (
     AdSpec,
     AggregateCurve,
     AuVector,
-    CurveBin,
     Interval,
     VideoRecord,
 )
@@ -20,9 +19,8 @@ N_SEEDS = 5
 def curve_of(values, step=0.5, ad_id="ad", counts=None):
     """AggregateCurve from bare bin values, count 1 per bin unless given."""
     counts = counts or [1] * len(values)
-    return AggregateCurve(ad_id=ad_id, step_s=step, values=tuple(
-        CurveBin(timestamp_s=i * step, mean_score=v, participant_count=c)
-        for i, (v, c) in enumerate(zip(values, counts))))
+    return AggregateCurve(ad_id=ad_id, step_s=step, scores=np.array(values, dtype=np.float64),
+                          counts=np.array(counts, dtype=np.int64))
 
 
 def au_vec(**overrides) -> AuVector:

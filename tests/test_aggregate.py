@@ -8,6 +8,7 @@ from sentipipe.aggregate import (
     CURVE_CSV_COLUMNS,
     DEFAULT_STEP_S,
     aggregate_ad,
+    aggregate_columns,
     aggregate_scores,
     export_curve_svg,
     max_over_interval,
@@ -73,14 +74,14 @@ class TestAggregateScores:
         assert curve.bin_scores()[0] == b0
         assert curve.bin_scores()[1] == 0.6
         assert curve.bin_scores()[3] == 1.0
-        assert [v.participant_count for v in curve.values] == [2, 1, 0, 1]
+        assert curve.counts.tolist() == [2, 1, 0, 1]
 
     def test_gap_is_linearly_interpolated(self):
         p1 = (np.array([0.6, 1.6]), np.array([0.6, 1.0]))
         curve = aggregate_scores("ad", [p1], duration_s=2.0, step_s=0.5)
         # bin 2 sits midway between the knots at bins 1 and 3
         assert curve.bin_scores()[2] == pytest.approx(0.8, abs=1e-12)
-        assert curve.values[2].participant_count == 0
+        assert curve.counts[2] == 0
 
     def test_participants_weigh_equally_not_by_frame_count(self):
         many = (np.array([0.0, 0.1, 0.2, 0.3]), np.array([0.3, 0.3, 0.3, 0.3]))
@@ -93,7 +94,7 @@ class TestAggregateScores:
         curve = aggregate_scores("ad", [p], duration_s=2.5, step_s=0.5)
         # populated bins are 1 and 2; 0 copies bin 1, bins 3 and 4 copy bin 2
         assert curve.bin_scores() == (0.4, 0.4, 0.8, 0.8, 0.8)
-        assert [v.participant_count for v in curve.values] == [0, 1, 1, 0, 0]
+        assert curve.counts.tolist() == [0, 1, 1, 0, 0]
 
     def test_single_populated_bin_fills_whole_curve(self):
         p = (np.array([1.0]), np.array([0.7]))
@@ -132,7 +133,7 @@ class TestAggregateAd:
         curve = aggregate_ad(MlpParams.zeros(), "a", videos, duration_s=10.0)
         assert curve.n_bins == 20
         assert set(curve.bin_scores()) == {0.5}
-        assert all(v.participant_count == 3 for v in curve.values)
+        assert curve.counts.tolist() == [3] * 20
 
 
 @st.composite
@@ -158,6 +159,70 @@ def test_participant_order_never_changes_the_curve(parts_and_perm):
     shuffled = aggregate_scores("ad", [parts[i] for i in perm],
                                 duration_s=10.0, step_s=0.5)
     assert base == shuffled  # bit-identical, not just close
+
+
+score_values = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0, 1.0]))
+
+
+@st.composite
+def score_columns(draw):
+    """2-5 participants with uneven (possibly zero) frame counts, some frames
+    outside [0, 10), few enough frames that gaps need interpolation, and
+    k score columns; plus a permutation of the participants."""
+    n, k = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+    parts = []
+    for _ in range(n):
+        m = draw(st.integers(0, 8))
+        ts = draw(st.lists(st.floats(-2.0, 12.0), min_size=m, max_size=m))
+        sc = draw(st.lists(score_values, min_size=m * k, max_size=m * k))
+        parts.append((np.array(ts, dtype=np.float64),
+                      np.array(sc, dtype=np.float64).reshape(m, k)))
+    return parts, draw(st.permutations(list(range(n))))
+
+
+def _curves_or_error(ad_id, parts):
+    try:
+        return aggregate_columns(ad_id, parts, duration_s=10.0, step_s=0.5)
+    except NoPredictions:
+        return NoPredictions
+
+
+@settings(max_examples=100, deadline=None)
+@given(score_columns())
+def test_columns_match_single_column_binning(parts_and_perm):
+    parts, perm = parts_and_perm
+    curves = _curves_or_error("ad", parts)
+    k = parts[0][1].shape[1]
+    for j in range(k):
+        single = [(ts, sc[:, j]) for ts, sc in parts]
+        if curves is NoPredictions:
+            with pytest.raises(NoPredictions):
+                aggregate_scores("ad", single, duration_s=10.0, step_s=0.5)
+            continue
+        curve = aggregate_scores("ad", single, duration_s=10.0, step_s=0.5)
+        assert curves[j] == curve
+        assert curves[j].scores.tobytes() == curve.scores.tobytes()  # bit-equal
+    assert _curves_or_error("ad", [parts[i] for i in perm]) == curves
+
+
+class TestAggregateColumns:
+    def test_one_curve_per_column_sharing_counts(self):
+        p1 = (np.array([0.0, 0.6]), np.array([[0.2, 0.9], [0.4, 0.1]]))
+        p2 = (np.array([0.1]), np.array([[0.6, 0.3]]))
+        a, b = aggregate_columns("ad", [p1, p2], duration_s=1.5, step_s=0.5)
+        assert a.bin_scores() == (math.fsum([0.2, 0.6]) / 2, 0.4, 0.4)
+        assert b.bin_scores() == (math.fsum([0.9, 0.3]) / 2, 0.1, 0.1)
+        assert a.counts.tolist() == b.counts.tolist() == [2, 1, 0]
+
+    def test_columns_must_agree(self):
+        p1 = (np.array([0.0]), np.array([[0.2, 0.9]]))
+        p2 = (np.array([0.1]), np.array([[0.6]]))
+        with pytest.raises(ValidationError):
+            aggregate_columns("ad", [p1, p2], duration_s=1.0, step_s=0.5)
+
+    def test_scores_need_a_column_axis(self):
+        with pytest.raises(ValidationError):
+            aggregate_columns("ad", [(np.array([0.0]), np.array([0.2]))], duration_s=1.0)
 
 
 class TestMaxOverInterval:

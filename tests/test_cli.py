@@ -6,9 +6,13 @@ import pytest
 
 from sentipipe.aggregate import read_curves_csv
 from sentipipe.cli import main
+from sentipipe.core import AdLabel, AdSpec, Interval
+from sentipipe.ingest import Dataset, write_dataset
 from sentipipe.metrics import read_kpi_report
-from sentipipe.mlp import load_model
+from sentipipe.mlp import MlpParams, load_model, save_model
 from sentipipe.weak_label import read_examples_jsonl
+
+from conftest import make_video
 
 TINY = {
     "n_train_sent_ads": 1,
@@ -324,6 +328,20 @@ class TestExitCodes:
         assert code == 4
         assert "ghost" in capsys.readouterr().err
 
+    def test_export_curves_oversized_cell(self, tmp_path, capsys):
+        # the csv module refuses fields over its 128 KiB limit
+        curves = tmp_path / "curves.csv"
+        curves.write_text(
+            "ad_id,timestamp_s,mean_score,participant_count\n"
+            + "a" * 200_000 + ",0.0,0.5,1\n")
+        ann = tmp_path / "annotations.json"
+        ann.write_text("[]")
+        code = main(["export-curves", "--curves", str(curves),
+                     "--annotations", str(ann),
+                     "--out-dir", str(tmp_path / "svg")])
+        assert code == 4
+        assert f"{curves}:2:" in capsys.readouterr().err
+
     def test_evaluate_single_class_test_set(self, tmp_path, capsys):
         config = tmp_path / "synth.json"
         config.write_text(json.dumps({**TINY, "n_test_nonsent_ads": 0}))
@@ -357,3 +375,32 @@ class TestNullFlag:
         assert code == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["null"] is True
+
+
+class TestInterpolatedBins:
+    def test_fraction_counts_the_empty_bins(self, tmp_path, capsys):
+        # two 2 s ads at 0.5 s bins: 8 bins, of which only bin 2 of ad_s
+        # (1.0-1.5 s) holds no frame
+        ads = {
+            "ad_s": AdSpec("ad_s", AdLabel.SENTIMENTAL, 2.0, (Interval(0.5, 1.0),)),
+            "ad_n": AdSpec("ad_n", AdLabel.NON_SENTIMENTAL, 2.0),
+        }
+        videos = [
+            make_video("v_s", "ad_s", [(t, True, [0.3] * 20) for t in (0.0, 0.5, 1.5)]),
+            make_video("v_n", "ad_n", [(t, True, [0.3] * 20) for t in (0.0, 0.5, 1.0, 1.5)]),
+        ]
+        ann, streams = tmp_path / "annotations.json", tmp_path / "au_streams.csv"
+        write_dataset(Dataset(ads=ads, videos=tuple(videos)), ann, streams)
+        model = tmp_path / "model.json"
+        save_model(MlpParams.zeros(), model)
+        inputs = ["--annotations", str(ann), "--streams", str(streams),
+                  "--model", str(model)]
+        assert main(["predict", *inputs, "--out", str(tmp_path / "c.csv")]) == 0
+        predicted = json.loads(capsys.readouterr().out)
+        assert main(["evaluate", *inputs, "--report-out", str(tmp_path / "r.json")]) == 0
+        evaluated = json.loads(capsys.readouterr().out)
+        assert predicted["interpolated_bin_frac"] == 1 / 8
+        assert evaluated["interpolated_bin_frac"] == 1 / 8
+        counts = [c.counts.tolist() for c in read_curves_csv(tmp_path / "c.csv")]
+        assert counts == [[1, 1, 0, 1], [1, 1, 1, 1]]
+        assert "interpolated_bin_frac" not in read_kpi_report(tmp_path / "r.json")["metadata"]

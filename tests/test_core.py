@@ -12,14 +12,14 @@ from sentipipe.core import (
     AdSpec,
     AggregateCurve,
     AuVector,
-    CurveBin,
     Interval,
     LabeledExample,
     VideoRecord,
     active_au_count,
     canonical_au_index,
 )
-from sentipipe.errors import ConfigError, UnknownAuName, ValidationError
+from sentipipe.aggregate import read_curves_csv
+from sentipipe.errors import ConfigError, SchemaError, UnknownAuName, ValidationError
 
 from conftest import au_vec
 
@@ -235,26 +235,61 @@ class TestLabeledExample:
 
 
 class TestCurves:
-    def test_curve_bin_ranges(self):
-        with pytest.raises(ValidationError):
-            CurveBin(timestamp_s=-0.5, mean_score=0.5, participant_count=1)
-        with pytest.raises(ValidationError):
-            CurveBin(timestamp_s=0.0, mean_score=1.5, participant_count=1)
-        with pytest.raises(ValidationError):
-            CurveBin(timestamp_s=0.0, mean_score=0.5, participant_count=-1)
+    @staticmethod
+    def curve(step_s=0.5, scores=(0.5,), counts=(1,)):
+        return AggregateCurve(ad_id="a", step_s=step_s, scores=np.array(scores),
+                              counts=np.array(counts, dtype=np.int64))
 
-    def test_progression_enforced(self):
-        bins = (CurveBin(0.0, 0.1, 1), CurveBin(0.7, 0.2, 1))
+    def test_curve_bin_ranges(self):
+        # timestamps are b * step_s, so the step carries the timestamp rule
+        for step in (0.0, -0.5, math.nan):
+            with pytest.raises(ValidationError):
+                self.curve(step_s=step)
         with pytest.raises(ValidationError):
-            AggregateCurve(ad_id="a", step_s=0.5, values=bins)
+            self.curve(scores=(1.5,))
+        with pytest.raises(ValidationError):
+            self.curve(scores=(math.nan,))
+        with pytest.raises(ValidationError):
+            self.curve(counts=(-1,))
+
+    def test_progression_enforced(self, tmp_path):
+        path = tmp_path / "curves.csv"
+        # the first two bins set the step to 0.7, which the third one breaks
+        path.write_text("ad_id,timestamp_s,mean_score,participant_count\n"
+                        "a,0.0,0.1,1\na,0.7,0.2,1\na,1.0,0.3,1\n")
+        with pytest.raises(SchemaError, match="progression"):
+            read_curves_csv(path)
 
     def test_helpers(self):
-        bins = tuple(CurveBin(i * 0.5, 0.1 * i, 1) for i in range(4))
-        curve = AggregateCurve(ad_id="a", step_s=0.5, values=bins)
+        curve = self.curve(scores=[0.1 * i for i in range(4)], counts=[1] * 4)
         assert curve.n_bins == 4
         assert curve.domain_end_s == 2.0
         assert curve.bin_scores() == (0.0, 0.1, 0.2, 0.30000000000000004)
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
-            AggregateCurve(ad_id="a", step_s=0.5, values=())
+            self.curve(scores=[], counts=[])
+
+    def test_arrays_are_read_only_copies(self):
+        scores, counts = np.array([0.2, 0.4]), np.array([1, 0])
+        curve = self.curve(scores=scores, counts=counts)
+        scores[0], counts[0] = 0.9, 5
+        assert curve.scores.tolist() == [0.2, 0.4] and curve.counts.tolist() == [1, 0]
+        assert curve.scores.dtype == np.float64 and curve.counts.dtype == np.int64
+        with pytest.raises(ValueError):
+            curve.scores[0] = 0.5
+
+    def test_numeric_scores_and_integer_counts_one_per_bin(self):
+        with pytest.raises(ValidationError):
+            AggregateCurve("a", 0.5, np.array([0.5]), np.array([1.0]))
+        with pytest.raises(ValidationError):
+            AggregateCurve("a", 0.5, np.array([0.5, 0.5]), np.array([1]))
+        with pytest.raises(ValidationError):
+            AggregateCurve("a", 0.5, np.array(["0.5"]), np.array([1]))
+
+    def test_equality_by_value(self):
+        assert self.curve(scores=[0.0, 0.5], counts=[1, 2]) == \
+            self.curve(scores=[-0.0, 0.5], counts=[1, 2])
+        assert self.curve(scores=[0.1]) != self.curve(scores=[0.2])
+        assert self.curve(counts=[1]) != self.curve(counts=[2])
+        assert self.curve(step_s=0.5) != self.curve(step_s=1.0)

@@ -1,4 +1,4 @@
-"""Fuzz the three parsers with one drawn value spliced into a valid file.
+"""Fuzz the four parsers with one drawn value spliced into a valid file.
 
 Each case starts from what the matching writer produced and replaces one JSON
 value or one CSV cell. The parser must then either parse the file, and the
@@ -12,6 +12,7 @@ import json
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from sentipipe.aggregate import read_curves_csv, write_curves_csv
 from sentipipe.core import AdLabel, AdSpec, Interval, LabeledExample
 from sentipipe.errors import SentiPipeError
 from sentipipe.ingest import (
@@ -22,7 +23,7 @@ from sentipipe.ingest import (
 )
 from sentipipe.weak_label import read_examples_jsonl, write_examples_jsonl
 
-from conftest import au_vec, constant_video, make_video
+from conftest import au_vec, constant_video, curve_of, make_video
 
 FUZZ = settings(max_examples=50, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -92,6 +93,12 @@ VIDEOS = [
     constant_video("v2", "a2", [0.5] * 20, n_frames=3, fps=2.0),
 ]
 
+CURVES = [
+    curve_of([0.25, 1 / 3, 0.5, 1.0], ad_id="a1", counts=[2, 0, 1, 3]),
+    curve_of([0.7], ad_id="a2"),
+    curve_of([0.0, 0.125], step=1.5, ad_id="a3", counts=[1, 1]),
+]
+
 EXAMPLES = [
     LabeledExample(au_vec(i0=0.1), 0, ("v1", 0)),
     LabeledExample(au_vec(i0=0.5, i4=0.9), 1, ("v1", 4)),
@@ -137,3 +144,18 @@ def test_examples_parser(tmp_path, data):
     lines[i] = json.dumps(replaced(obj, where, data.draw(json_values)))
     path.write_text("\n".join(lines) + "\n")
     parses_or_raises_typed(read_examples_jsonl, write_examples_jsonl, path)
+
+
+@FUZZ
+@given(data=st.data())
+def test_curves_parser(tmp_path, data):
+    path = tmp_path / "curves.csv"
+    write_curves_csv(CURVES, path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    r = data.draw(st.integers(0, len(rows) - 1))
+    c = data.draw(st.integers(0, len(rows[r]) - 1))
+    rows[r][c] = data.draw(cell_texts)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    parses_or_raises_typed(read_curves_csv, write_curves_csv, path)
