@@ -2,8 +2,9 @@
 
 Each stage reads and writes plain files so intermediate artifacts can be
 inspected and re-run in isolation. Every command finishes by printing one
-JSON object on its last stdout line; given identical inputs and seeds,
-re-running a command rewrites byte-identical outputs.
+JSON object on its last stdout line, which ends with ``elapsed_s``, the
+command's wall time; given identical inputs and seeds, re-running a command
+rewrites byte-identical outputs.
 
 Exit codes: 2 bad flags or config, 3 I/O failure, 4 malformed or inconsistent
 input data, 5 data that is structurally valid but degenerate for the stage
@@ -18,6 +19,7 @@ import json
 import math
 import re
 import sys
+import time
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -55,7 +57,7 @@ from .metrics import (
     write_kpi_report,
     write_kpi_table_csv,
 )
-from .mlp import TrainConfig, load_model, save_model, train
+from .mlp import TrainConfig, adam_steps, load_model, save_model, train
 from .pipeline import grouped_by_ad, predict_curves
 from .synth import SynthConfig, generate, generate_null
 from .weak_label import (
@@ -265,6 +267,7 @@ def cmd_train(args: argparse.Namespace) -> dict:
         "positives": summary.positives,
         "negatives": summary.negatives,
         "epochs": config.epochs,
+        "adam_steps": adam_steps(summary.positives, summary.negatives, config),
         "seed": config.rng_seed,
         "final_loss": losses[-1],
     }
@@ -416,6 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    start = time.perf_counter()
     try:
         summary = args.func(args)
     except _USAGE_ERRORS as exc:
@@ -430,6 +434,7 @@ def main(argv: list[str] | None = None) -> int:
     except _DEGENERATE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
+    summary["elapsed_s"] = time.perf_counter() - start
     print(json.dumps(summary))
     return 0
 

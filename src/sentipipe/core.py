@@ -9,6 +9,7 @@ an instance that is well formed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -45,6 +46,14 @@ def strict(kind: type) -> Callable[[object], object]:
         except OverflowError as exc:  # an integer too large for a float
             raise ValueError(f"{value!r} is out of range ({exc})") from None
     return coerce
+
+
+def require_int(name: str, value: object, minimum: int) -> None:
+    """Raise ConfigError unless value is an integer (never a bool) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
 
 
 def canonical_au_index(name: str) -> int:

@@ -9,6 +9,7 @@ float precision, so a parse -> write -> parse cycle is lossless.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -236,20 +237,30 @@ def parse_au_stream(path: str | Path) -> list[VideoRecord]:
 
 
 def write_au_stream(videos: Iterable[VideoRecord], path: str | Path) -> None:
-    """Serialize videos to the AU stream CSV format with full float precision."""
+    """Serialize videos to the AU stream CSV format with full float precision.
+
+    Numbers never need CSV quoting, so rows are built as strings; only the two
+    ids go through csv.writer, once per video, which quotes them as it would
+    in a whole row. Each video's lines are written in one call.
+    """
     header = list(STREAM_META_COLUMNS) + list(STREAM_AU_COLUMNS)
-    empty_aus = [""] * N_AUS
+    empty_aus = "," * (N_AUS - 1)
+    ids = io.StringIO()
+    ids_writer = csv.writer(ids, lineterminator="\n")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        csv.writer(fh, lineterminator="\n").writerow(header)
         for video in videos:
+            ids.seek(0)
+            ids.truncate()
+            ids_writer.writerow([video.video_id, video.ad_id])
+            prefix = ids.getvalue()[:-1]
             f = video.frames
-            writer.writerows(
-                [video.video_id, video.ad_id, index, repr(ts), "1" if face else "0"]
-                + ([repr(s) for s in aus] if face else empty_aus)
+            fh.write("".join(
+                f"{prefix},{index},{ts!r},1,{','.join(map(repr, aus))}\n" if face
+                else f"{prefix},{index},{ts!r},0,{empty_aus}\n"
                 for index, ts, face, aus in zip(
                     f.frame_index.tolist(), f.timestamp_s.tolist(),
-                    f.face_detected.tolist(), f.aus.tolist()))
+                    f.face_detected.tolist(), f.aus.tolist())))
 
 
 def face_coverage(video: VideoRecord) -> float:

@@ -13,11 +13,11 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import CANONICAL_AU_NAMES, LabeledExample, N_AUS
+from .core import CANONICAL_AU_NAMES, LabeledExample, N_AUS, require_int
 from .errors import ConfigError, DegenerateTrainingSet, SchemaError, ValidationError
 
 N_INPUT = N_AUS
@@ -65,11 +65,6 @@ def _unpack(theta: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(part.reshape(shape) for part, shape in zip(parts, _SHAPES.values()))
 
 
-def _flatten(layers) -> np.ndarray:
-    """Inverse of _unpack: (w1, b1, w2, b2) copied into one flat vector."""
-    return np.concatenate([np.ravel(a) for a in layers])
-
-
 @dataclass(frozen=True, slots=True)
 class TrainConfig:
     epochs: int = 100
@@ -82,14 +77,17 @@ class TrainConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        # batch_size also sizes the trainer's buffers, so integers only
+        require_int("epochs", self.epochs, 1)
+        require_int("batch_size", self.batch_size, 1)
+        require_int("rng_seed", self.rng_seed, 0)
+        if not isinstance(self.oversample_positives, bool):
+            raise ConfigError(
+                f"oversample_positives must be a bool, got {self.oversample_positives!r}")
         # an infinite rate would only show up as non-finite weights after training
         if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
             raise ConfigError(
                 f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         for name in ("adam_beta1", "adam_beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1)")
@@ -97,9 +95,19 @@ class TrainConfig:
             raise ConfigError("adam_epsilon must be > 0")
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # clip keeps exp() finite; sigmoid is saturated far before +-700 anyway
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -700.0, 700.0)))
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-clip(z, -700, 700))) into out, which may be z itself.
+
+    maximum then minimum is what np.clip computes, without its Python-level
+    wrapper; the clip keeps exp() finite, and the sigmoid is saturated far
+    before +-700 anyway.
+    """
+    out = np.maximum(z, -700.0, out=out)
+    np.minimum(out, 700.0, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.add(1.0, out, out=out)
+    return np.divide(1.0, out, out=out)
 
 
 def _as_input_row(aus) -> np.ndarray:
@@ -110,15 +118,21 @@ def _as_input_row(aus) -> np.ndarray:
     return x.reshape(1, N_INPUT)
 
 
-def _forward_batch(params, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _forward_batch(params, x: np.ndarray, z: np.ndarray | None = None,
+                   h: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Batched forward pass over an MlpParams or a (w1, b1, w2, b2) tuple.
 
-    x: (n, 20). Returns (scores (n,), hidden (n, 8)).
+    x: (n, 20). Returns (scores (n,), hidden (n, 8)). Given buffers z (n, 1)
+    and h (n, 8), both layers are computed in place there and the scores are
+    z[:, 0]; otherwise they are allocated.
     """
     w1, b1, w2, b2 = params
-    h = _sigmoid(x @ w1.T + b1)
-    p = _sigmoid(h @ w2.T + b2)[:, 0]
-    return p, h
+    h = np.matmul(x, w1.T, out=h)
+    np.add(h, b1, out=h)
+    _sigmoid(h, out=h)
+    z = np.matmul(h, w2.T, out=z)
+    np.add(z, b2, out=z)
+    return _sigmoid(z, out=z)[:, 0], h
 
 
 def forward(params: MlpParams, aus) -> float:
@@ -139,16 +153,47 @@ def _bce_batch(p: np.ndarray, y: np.ndarray) -> np.ndarray:
     return -(y * np.log(p) + (1.0 - y) * np.log1p(-p))
 
 
+class _BackwardWork(NamedTuple):
+    """What a backward pass over n rows writes: the flat gradient, its
+    (w1, b1, w2, b2) views, and per-row scratch."""
+
+    grad: np.ndarray
+    grad_layers: tuple[np.ndarray, ...]
+    delta2: np.ndarray  # (n,)
+    delta1: np.ndarray  # (n, 8)
+    one_minus_h: np.ndarray  # (n, 8)
+
+
+def _backward_work(n: int, grad: np.ndarray | None = None) -> _BackwardWork:
+    """Buffers for backward passes over n rows, writing into grad if given."""
+    grad = np.empty(N_PARAMS) if grad is None else grad
+    return _BackwardWork(grad, _unpack(grad), np.empty(n),
+                         np.empty((n, N_HIDDEN)), np.empty((n, N_HIDDEN)))
+
+
 def _backward_batch(params, x: np.ndarray, h: np.ndarray, p: np.ndarray,
-                    y: np.ndarray) -> np.ndarray:
-    """Flat gradient of the mean BCE over the batch, via the sigmoid + BCE shortcut."""
+                    y: np.ndarray, work: _BackwardWork | None = None) -> np.ndarray:
+    """Flat gradient of the mean BCE over the batch, via the sigmoid + BCE shortcut.
+
+    Computed in place in work (sized for x's rows) when given; returns work.grad.
+    """
     _, _, w2, _ = params
     n = x.shape[0]
-    delta2 = (p - y) / n                      # (n,)
-    dh = np.outer(delta2, w2[0])              # (n, 8)
-    delta1 = dh * h * (1.0 - h)
-    # gradients of w1 (8, 20), b1, w2 and b2
-    return _flatten((delta1.T @ x, delta1.sum(axis=0), delta2 @ h, [delta2.sum()]))
+    if work is None:
+        work = _backward_work(n)
+    gw1, gb1, gw2, gb2 = work.grad_layers
+    delta2 = np.subtract(p, y, out=work.delta2)
+    np.divide(delta2, n, out=delta2)
+    # dh = outer(delta2, w2[0]); delta1 = dh * h * (1 - h)
+    delta1 = np.multiply(delta2[:, None], w2, out=work.delta1)
+    np.multiply(delta1, h, out=delta1)
+    np.multiply(delta1, np.subtract(1.0, h, out=work.one_minus_h), out=delta1)
+    np.matmul(delta1.T, x, out=gw1)
+    # np.add.reduce is np.sum without its Python-level wrapper
+    np.add.reduce(delta1, axis=0, out=gb1)
+    np.matmul(delta2, h, out=gw2[0])
+    np.add.reduce(delta2, keepdims=True, out=gb2)
+    return work.grad
 
 
 def backward(params: MlpParams, aus, label: float) -> MlpParams:
@@ -208,6 +253,17 @@ def _balanced_epoch_order(
     return rng.permutation(np.concatenate([pos, neg, extra]))
 
 
+def _epoch_length(n_pos: int, n_neg: int, oversample: bool) -> int:
+    """Rows per epoch: the index stream of _balanced_epoch_order is this long."""
+    return 2 * max(n_pos, n_neg) if oversample else n_pos + n_neg
+
+
+def adam_steps(n_pos: int, n_neg: int, config: TrainConfig) -> int:
+    """Adam steps a train call takes: one per batch, the last one maybe partial."""
+    rows = _epoch_length(n_pos, n_neg, config.oversample_positives)
+    return -(-rows // config.batch_size) * config.epochs
+
+
 def train(
     examples: Sequence[LabeledExample],
     config: TrainConfig = TrainConfig(),
@@ -217,6 +273,11 @@ def train(
     The reported loss is the running training loss: each batch is scored
     before the update that it triggers. Weights that went non-finite raise
     ValidationError once training ends, when the returned MlpParams is built.
+
+    The passes write into arrays allocated once per call: each epoch's rows
+    are gathered into one buffer so that batches are contiguous slices, both
+    passes run in place, and the loss is taken over the epoch's stored scores
+    after its last step.
     """
     if not examples:
         raise DegenerateTrainingSet("no training examples")
@@ -233,18 +294,38 @@ def train(
     m = np.zeros(N_PARAMS)
     v = np.zeros(N_PARAMS)
     t = 0
+    rows = _epoch_length(n_pos, n_neg, config.oversample_positives)
+    batch = min(config.batch_size, rows)
+    n_full, n_tail = divmod(rows, batch)
+    x_epoch = np.empty((rows, N_INPUT))
+    y_epoch = np.empty(rows)
+    z_epoch = np.empty((rows, 1))  # output layer; holds the epoch's scores
+    grad = np.empty(N_PARAMS)
+    hidden = np.empty((batch, N_HIDDEN))
+    full = (hidden, _backward_work(batch, grad))
+    tail = (hidden[:n_tail], _backward_work(n_tail, grad))
     losses: list[float] = []
     for _ in range(config.epochs):
         order = _balanced_epoch_order(rng, y, config.oversample_positives)
-        loss_total = 0.0
-        for start in range(0, len(order), config.batch_size):
-            idx = order[start:start + config.batch_size]
-            xb, yb = x[idx], y[idx]
-            p, h = _forward_batch(layers, xb)
-            loss_total += float(_bce_batch(p, yb).sum())
-            grad = _backward_batch(layers, xb, h, p, yb)
+        np.take(x, order, axis=0, out=x_epoch)
+        np.take(y, order, out=y_epoch)
+        for start in range(0, rows, batch):
+            stop = start + batch
+            h, work = full if stop <= rows else tail
+            xb, yb = x_epoch[start:stop], y_epoch[start:stop]
+            p, h = _forward_batch(layers, xb, z_epoch[start:stop], h)
+            _backward_batch(layers, xb, h, p, yb, work)
             t = adam_step(theta, grad, m, v, t, config)
-        losses.append(loss_total / len(order))
+        # the same per-batch sums as summing each batch's losses on its own,
+        # added in batch order as Python floats
+        bce = _bce_batch(z_epoch[:, 0], y_epoch)
+        batch_sums = bce[:n_full * batch].reshape(n_full, batch).sum(axis=1).tolist()
+        if n_tail:
+            batch_sums.append(float(bce[n_full * batch:].sum()))
+        loss_total = 0.0
+        for batch_sum in batch_sums:
+            loss_total += batch_sum
+        losses.append(loss_total / rows)
     return MlpParams(*layers), losses
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import AdLabel, AdSpec, Interval, N_AUS, VideoRecord
+from .core import AdLabel, AdSpec, Interval, N_AUS, VideoRecord, require_int
 from .errors import ConfigError
 from .ingest import Dataset
 from .weak_label import frame_in_moments
@@ -55,6 +55,7 @@ class SynthConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        require_int("rng_seed", self.rng_seed, 0)
         for name in ("n_train_sent_ads", "n_test_sent_ads", "n_test_nonsent_ads"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")

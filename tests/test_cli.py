@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -124,6 +125,14 @@ class TestChain:
         assert s["epochs"] == 40
         assert s["final_loss"] == float(lines[-1].split(",")[1])
 
+    def test_summaries_report_time_and_steps(self, chain):
+        summaries = chain["summaries"]
+        for s in summaries.values():
+            assert isinstance(s["elapsed_s"], float) and s["elapsed_s"] > 0
+        label = summaries["label"]
+        rows = 2 * max(label["positives"], label["negatives"])  # oversampled
+        assert summaries["train"]["adam_steps"] == math.ceil(rows / 64) * 40
+
     def test_predict_outputs(self, chain):
         curves = read_curves_csv(chain["curves"])
         assert {c.ad_id for c in curves} == {
@@ -232,6 +241,17 @@ class TestExitCodes:
         code = main([command, *inputs, "--config", str(config)])
         assert code == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "train"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command):
+        inputs = {
+            "simulate": ["--out", str(tmp_path / "x")],
+            "train": ["--examples", str(tmp_path / "ex.jsonl"),
+                      "--model-out", str(tmp_path / "m.json")],
+        }[command]
+        code = main([command, *inputs, "--seed", "-1"])
+        assert code == 2
+        assert "rng_seed" in capsys.readouterr().err
 
     def test_label_missing_streams(self, tmp_path, capsys):
         ann = tmp_path / "annotations.json"

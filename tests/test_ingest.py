@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -7,6 +9,8 @@ from sentipipe.core import AdLabel, AdSpec, Interval
 from sentipipe.errors import ConfigError, SchemaError, ValidationError
 from sentipipe.ingest import (
     DEFAULT_MIN_COVERAGE,
+    STREAM_AU_COLUMNS,
+    STREAM_META_COLUMNS,
     Dataset,
     face_coverage,
     filter_by_coverage,
@@ -137,6 +141,27 @@ class TestAuStream:
         write_au_stream(sample_videos(), p1)
         write_au_stream(parse_au_stream(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_bytes_match_csv_writer_rows(self, tmp_path):
+        # ids that csv.writer must quote or leaves empty, and floats whose
+        # repr is long or in exponent form
+        scores = [1 / 3, 1e-05, 0.0, 1.0] + [0.1 + 0.2] * 16
+        videos = [make_video(video_id, ad_id, [(0.0, True, scores),
+                                               (1e-07, False, None),
+                                               (0.1 + 0.2, True, scores)])
+                  for video_id, ad_id in [("v,1", 'a"1'), ("v\n2", "a 2"), ("v3", "")]]
+        path = tmp_path / "s.csv"
+        write_au_stream(videos, path)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(STREAM_META_COLUMNS + STREAM_AU_COLUMNS)
+        for v in videos:
+            for row in v.frames:
+                face = bool(row.face_detected)
+                writer.writerow([v.video_id, v.ad_id, int(row.frame_index),
+                                 repr(float(row.timestamp_s)), "1" if face else "0"]
+                                + [repr(float(s)) if face else "" for s in row.aus])
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
     def test_full_precision_floats_survive(self, tmp_path):
         scores = [0.1234567890123456789 % 1.0, 1 / 3, 2 / 3] + [0.0] * 17

@@ -19,6 +19,7 @@ from sentipipe.mlp import (
     MlpParams,
     TrainConfig,
     adam_step,
+    adam_steps,
     backward,
     bce_loss,
     evaluate_accuracy,
@@ -28,7 +29,10 @@ from sentipipe.mlp import (
     train,
     _backward_batch,
     _balanced_epoch_order,
+    _bce_batch,
     _forward_batch,
+    _glorot_init,
+    _unpack,
 )
 
 from conftest import au_vec
@@ -100,6 +104,16 @@ class TestTrainConfig:
         {"adam_beta1": 1.0},
         {"adam_beta2": -0.1},
         {"adam_epsilon": 0.0},
+        {"epochs": 2.5},
+        {"epochs": True},
+        {"epochs": "3"},
+        {"batch_size": 2.5},
+        {"batch_size": True},
+        {"rng_seed": -1},
+        {"rng_seed": 1.5},
+        {"rng_seed": True},
+        {"oversample_positives": "no"},
+        {"oversample_positives": 1},
     ])
     def test_rejects(self, bad):
         with pytest.raises(ConfigError):
@@ -344,6 +358,59 @@ class TestTrain:
         only_neg = [ex for ex in toy_examples() if ex.label == 0]
         with pytest.raises(DegenerateTrainingSet, match="0 positives"):
             train(only_neg, FAST)
+
+
+def reference_train(examples, config):
+    """train as a plain per-batch loop: fancy-indexed batches, each batch's
+    loss summed on its own, every array allocated by the step that uses it.
+    Returns (flat params, per-epoch losses, Adam steps taken)."""
+    x = np.array([ex.aus.scores for ex in examples], dtype=np.float64)
+    y = np.array([ex.label for ex in examples], dtype=np.float64)
+    rng = np.random.default_rng(config.rng_seed)
+    theta = _glorot_init(rng)
+    layers = _unpack(theta)
+    m, v, t = np.zeros(N_PARAMS), np.zeros(N_PARAMS), 0
+    losses = []
+    for _ in range(config.epochs):
+        order = _balanced_epoch_order(rng, y, config.oversample_positives)
+        loss_total = 0.0
+        for start in range(0, len(order), config.batch_size):
+            idx = order[start:start + config.batch_size]
+            xb, yb = x[idx], y[idx]
+            p, h = _forward_batch(layers, xb)
+            loss_total += float(_bce_batch(p, yb).sum())
+            grad = _backward_batch(layers, xb, h, p, yb)
+            t = adam_step(theta, grad, m, v, t, config)
+        losses.append(loss_total / len(order))
+    return theta, losses, t
+
+
+def imbalanced_examples(n_pos=30, n_neg=170, seed=4):
+    rng = np.random.default_rng(seed)
+    return [LabeledExample(au_vec(**{f"i{j}": v for j, v in
+                                     enumerate(rng.uniform(0, 1, size=N_INPUT))}),
+                           label, ("v", i))
+            for i, label in enumerate([1] * n_pos + [0] * n_neg)]
+
+
+class TestTrainMatchesReferenceLoop:
+    @pytest.mark.parametrize("config", [
+        # 340 rows per epoch: 5 full batches and one of 20
+        TrainConfig(epochs=4, batch_size=64, rng_seed=0),
+        # 200 rows per epoch: 28 full batches and one of 4
+        TrainConfig(epochs=3, batch_size=7, oversample_positives=False, rng_seed=1),
+        TrainConfig(epochs=2, batch_size=1, rng_seed=2),
+        TrainConfig(epochs=5, batch_size=341, rng_seed=3),
+        # buffers are capped at the epoch length, so this allocates nothing large
+        TrainConfig(epochs=5, batch_size=10 ** 11, rng_seed=3),
+    ], ids=["b64-oversampled", "b7-plain-tail", "b1", "b341-over-epoch", "b1e11"])
+    def test_bit_equal(self, config):
+        examples = imbalanced_examples()
+        params, losses = train(examples, config)
+        theta, ref_losses, steps = reference_train(examples, config)
+        assert flatten(params).tobytes() == theta.tobytes()
+        assert np.array(losses).tobytes() == np.array(ref_losses).tobytes()
+        assert steps == adam_steps(30, 170, config)
 
 
 class TestEvaluateAccuracy:

@@ -49,6 +49,9 @@ class TestSynthConfig:
         {"noise_level": 1.0},
         {"face_dropout_prob": 1.0},
         {"distracted_fraction": 1.5},
+        {"rng_seed": -1},
+        {"rng_seed": 1.5},
+        {"rng_seed": True},
     ])
     def test_rejects(self, bad):
         with pytest.raises(ConfigError):
