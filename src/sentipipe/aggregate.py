@@ -57,6 +57,39 @@ def score_video(params: MlpParams, video: VideoRecord) -> tuple[np.ndarray, np.n
     return ts, p
 
 
+def _frame_bins(ts: np.ndarray, n: int, step_s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each frame's bin index, and which frames fall inside the n bins."""
+    b = np.floor(ts / step_s).astype(np.int64)
+    return b, (b >= 0) & (b < n)
+
+
+def _populated_bins(ad_id: str, counts: np.ndarray, step_s: float) -> np.ndarray:
+    """Indices of the bins some participant has frames in; NoPredictions if none."""
+    populated = np.flatnonzero(counts)
+    if populated.size == 0:
+        raise NoPredictions(
+            f"ad {ad_id!r}: no scored frames fall inside [0, {len(counts) * step_s})")
+    return populated
+
+
+def participant_counts(
+    ad_id: str,
+    per_participant: Sequence[np.ndarray],
+    duration_s: float,
+    step_s: float = DEFAULT_STEP_S,
+) -> np.ndarray:
+    """Per bin of one ad's curve, the number of participants with a frame in
+    it: the ``counts`` that ``aggregate_columns`` gives for these frame
+    timestamps, whatever the scores. Raises NoPredictions when all are 0."""
+    n = n_bins_for(duration_s, step_s)
+    counts = np.zeros(n, dtype=np.int64)
+    for ts in per_participant:
+        b, keep = _frame_bins(np.asarray(ts, dtype=np.float64), n, step_s)
+        counts += np.bincount(b[keep], minlength=n) > 0
+    _populated_bins(ad_id, counts, step_s)
+    return counts
+
+
 def aggregate_columns(
     ad_id: str,
     per_participant: Sequence[tuple[np.ndarray, np.ndarray]],
@@ -81,8 +114,7 @@ def aggregate_columns(
             raise ValidationError("timestamps and scores must have equal length, "
                                   "and every participant the same score columns")
         k = scores.shape[1]
-        b = np.floor(ts / step_s).astype(np.int64)
-        keep = (b >= 0) & (b < n)
+        b, keep = _frame_bins(ts, n, step_s)
         b, scores = b[keep], scores[keep]
         frames = np.bincount(b, minlength=n)
         # bincount adds in frame order, so each (bin, column) sum is the one a
@@ -91,9 +123,7 @@ def aggregate_columns(
                            weights=scores.ravel(), minlength=n * k)
         means.append(sums.reshape(n, k) / np.maximum(frames, 1)[:, None])
         counts += frames > 0
-    populated = np.flatnonzero(counts)
-    if populated.size == 0:
-        raise NoPredictions(f"ad {ad_id!r}: no scored frames fall inside [0, {n * step_s})")
+    populated = _populated_bins(ad_id, counts, step_s)
     # fsum is exactly rounded, so a bin's mean does not depend on the order
     # participants were listed in, and an absent one's 0.0 changes nothing
     rows = np.stack(means)[:, populated].reshape(len(means), -1).T.tolist()

@@ -12,9 +12,11 @@ import csv
 import io
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from itertools import groupby, repeat
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -22,13 +24,14 @@ from .core import (
     AdLabel,
     AdSpec,
     CANONICAL_AU_NAMES,
+    FRAME_DTYPE,
     Interval,
     N_AUS,
     VideoRecord,
     canonical_au_index,
     strict,
 )
-from .errors import ConfigError, SchemaError, ValidationError
+from .errors import ConfigError, SchemaError, UnknownAuName, ValidationError
 
 DEFAULT_MIN_COVERAGE = 0.90
 
@@ -40,6 +43,18 @@ STREAM_AU_COLUMNS = (
     "au_15", "au_17", "au_18", "au_20", "au_24", "au_25", "au_26", "au_28",
     "au_eye_closure", "au_smile", "au_smirk",
 )
+
+# The stream's number cells: frame_index is an _INTEGER, every other number a
+# _DECIMAL. int() and float() also take "1_0", " 5", "+0.5", non-ASCII digits,
+# "nan" and "inf"; none of those is a number of the stream format.
+_INTEGER = re.compile(r"-?[0-9]+")
+_DECIMAL = re.compile(r"-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+_DECIMALS = re.compile(rf"{_DECIMAL.pattern}(?:,{_DECIMAL.pattern})*")
+# The bytes the number cells of a block may consist of, separators included.
+_NUMBER_BYTES = b"0123456789.eE+-,\n"
+# The array path parses a stream in blocks of about this many bytes, so that
+# it never holds more of the file's text than one block.
+_BLOCK_BYTES = 1 << 20
 
 _ANNOTATION_KEYS = {"ad_id", "label", "duration_s", "moments"}
 _LABEL_BY_STRING = {label.value: label for label in AdLabel}
@@ -148,7 +163,7 @@ def _resolve_stream_header(header: Sequence[str], path) -> tuple[dict[str, int],
             continue
         try:
             index = _au_column_to_index(column)
-        except Exception:
+        except UnknownAuName:
             index = None
         if index is None:
             raise SchemaError(f"{path}: unrecognized column {column!r}")
@@ -166,9 +181,21 @@ def parse_au_stream(path: str | Path) -> list[VideoRecord]:
     """Read an AU stream CSV into VideoRecords, in first-appearance order.
 
     Rows belonging to one video must appear in strictly increasing frame_index
-    order with non-decreasing timestamps and must all name the same ad. Each
-    row is checked as it is read, so an error names its ``file:line``.
+    order with non-decreasing timestamps and must all name the same ad. A
+    frame_index cell must match ``-?[0-9]+`` and every other number cell
+    ``-?([0-9]+(\\.[0-9]*)?|\\.[0-9]+)([eE][+-]?[0-9]+)?``, in ASCII.
+
+    A file with no quote, carriage return or NUL, no blank line and no line
+    over the csv field limit is checked as arrays, one block of about 1 MB at
+    a time. Any other file, and any file that fails a check there, is read
+    again row by row from the top, so that an error names its ``file:line``.
     """
+    videos = _parse_stream_blocks(path)
+    return _parse_stream_rows(path) if videos is None else videos
+
+
+def _parse_stream_rows(path: str | Path) -> list[VideoRecord]:
+    """parse_au_stream with each row checked as it is read."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -177,6 +204,7 @@ def parse_au_stream(path: str | Path) -> list[VideoRecord]:
                 raise SchemaError(f"{path}: empty AU stream file")
             meta_pos, au_pos = _resolve_stream_header(header, path)
             n_cols = len(header)
+            decimal_pos = [meta_pos["timestamp_s"], *au_pos]
             no_face = [0.0] * N_AUS
             # video_id -> [ad_id, indices, timestamps, faces, flat AU scores]
             columns: dict[str, list] = {}
@@ -197,16 +225,23 @@ def parse_au_stream(path: str | Path) -> list[VideoRecord]:
                 if face == "0" and any(cells):
                     raise ValidationError(
                         f"{where}: AU cells must be empty when no face was detected")
-                try:
-                    index, ts = int(index), float(ts)
-                    scores = [float(c) for c in cells] if face == "1" else no_face
-                except ValueError as exc:
-                    raise SchemaError(f"{where}: {exc}") from exc
-                if not 0 <= index < 2 ** 63:  # stored as int64
+                if not _INTEGER.fullmatch(index):
+                    raise SchemaError(
+                        f"{where}: column 'frame_index' holds {index!r}, not an integer")
+                decimals = [ts, *cells] if face == "1" else [ts]
+                joined = ",".join(decimals)  # one match per row; a quoted cell may hold a comma
+                if joined.count(",") >= len(decimals) or not _DECIMALS.fullmatch(joined):
+                    k = next(k for k, cell in enumerate(decimals) if not _DECIMAL.fullmatch(cell))
+                    raise SchemaError(f"{where}: column {header[decimal_pos[k]]!r} holds "
+                                      f"{decimals[k]!r}, not a decimal number")
+                value = _frame_index_value(index)
+                if value is None:
                     raise ValidationError(f"{where}: frame_index {index} out of range")
-                if not 0.0 <= ts < math.inf:  # also rejects NaN
+                index, ts = value, float(ts)
+                scores = [float(c) for c in cells] if face == "1" else no_face
+                if not 0.0 <= ts < math.inf:
                     raise ValidationError(f"{where}: timestamp_s must be finite and >= 0")
-                if not all(0.0 <= s <= 1.0 for s in scores):  # also rejects NaN
+                if not all(0.0 <= s <= 1.0 for s in scores):
                     raise ValidationError(f"{where}: AU scores must lie in [0, 1]")
 
                 known_ad, indices, stamps, faces, aus = columns.setdefault(
@@ -236,6 +271,163 @@ def parse_au_stream(path: str | Path) -> list[VideoRecord]:
     ]
 
 
+def _frame_index_value(cell: str) -> int | None:
+    """The value of an _INTEGER cell if it fits the int64 column and is not
+    negative, else None. Leading zeros go first: int() refuses a cell of more
+    than 4300 digits, and np.loadtxt does not."""
+    digits = cell.lstrip("-").lstrip("0") or "0"
+    if len(digits) > 19 or (cell.startswith("-") and digits != "0"):
+        return None
+    value = int(digits)
+    return value if value < 2 ** 63 else None
+
+
+def _parse_stream_blocks(path: str | Path) -> list[VideoRecord] | None:
+    """parse_au_stream with every row check run as array operations, one block
+    of about _BLOCK_BYTES at a time. Returns None, raising nothing, for a file
+    it does not take or one that fails a check.
+
+    What it keeps between blocks is each block's frames and one (video_id,
+    ad_id) pair per run of rows, so memory grows with the frames returned and
+    not with the file's text.
+    """
+    with open(path, "rb") as fh:
+        lines = _plain_lines(fh.readline().removesuffix(b"\n"))
+        if lines is None:
+            return None
+        header = lines[0].split(",")
+        try:
+            meta_pos, au_pos = _resolve_stream_header(header, path)
+        except SchemaError:
+            return None
+        id_pos = meta_pos["video_id"], meta_pos["ad_id"]
+        row_dtypes = _numeric_row_dtypes(meta_pos, au_pos)
+        runs: list[tuple[tuple[str, str], np.ndarray]] = []
+        for block in _line_blocks(fh):
+            lines = _plain_lines(block)
+            parsed = None if lines is None else _parse_block(lines, id_pos, row_dtypes)
+            if parsed is None:
+                return None
+            frames, ids = parsed
+            start = 0
+            for key, rows in groupby(ids):
+                stop = start + len(list(rows))
+                runs.append((key, frames[start:stop]))
+                start = stop
+
+    ads: dict[str, str] = {}
+    pieces: dict[str, list[np.ndarray]] = {}
+    for (video_id, ad_id), frames in runs:
+        if not video_id or not ad_id or ads.setdefault(video_id, ad_id) != ad_id:
+            return None
+        pieces.setdefault(video_id, []).append(frames)
+    try:  # VideoRecord checks frame_index, timestamps and AU ranges per video
+        return [VideoRecord(video_id, ads[video_id],
+                            parts[0] if len(parts) == 1 else np.concatenate(parts))
+                for video_id, parts in pieces.items()]
+    except ValidationError:
+        return None
+
+
+def _line_blocks(fh: BinaryIO) -> Iterator[bytes]:
+    """The rest of a binary file in pieces of about _BLOCK_BYTES that each end
+    at a line end, the final newline of each piece cut off."""
+    pending = b""
+    while chunk := fh.read(_BLOCK_BYTES):
+        chunk = pending + chunk
+        end = chunk.rfind(b"\n")
+        pending = chunk[end + 1:]
+        if end >= 0:
+            yield chunk[:end]
+    if pending:
+        yield pending
+
+
+def _plain_lines(data: bytes) -> list[str] | None:
+    """The lines of UTF-8 text in which every CSV row is ``line.split(",")``:
+    no quote, carriage return or NUL (which the csv module rejects before
+    Python 3.11), no blank line, and no line longer than the csv module's
+    field limit. None for any other text."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    lines = text.split("\n")
+    if "" in lines or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    return lines
+
+
+def _numeric_row_dtypes(meta_pos: dict[str, int],
+                        au_pos: list[int]) -> tuple[np.dtype, np.dtype]:
+    """np.loadtxt dtypes for the number cells of a row in column order, the
+    two id cells cut out: one for a face row, with AU k in field "au{k}", and
+    one that reads the AU cells as text. The face flag is read as text too,
+    as only the exact cells 0 and 1 are flags."""
+    meta = {"frame_index": np.int64, "timestamp_s": np.float64, "face_detected": "U2"}
+    names = {meta_pos[name]: name for name in meta}
+    names.update((p, f"au{k}") for k, p in enumerate(au_pos))
+    ordered = [names[p] for p in sorted(names)]
+    return tuple(np.dtype({"names": ordered, "formats": [meta.get(name, au) for name in ordered]})
+                 for au in (np.float64, "U1"))
+
+
+def _parse_block(lines: list[str], id_pos: tuple[int, int],
+                 row_dtypes: tuple[np.dtype, np.dtype]
+                 ) -> tuple[np.ndarray, list[tuple[str, str]]] | None:
+    """One block's rows as a read-only FRAME_DTYPE array plus each row's
+    (video_id, ad_id), or None when a row fails a check."""
+    lo, hi = sorted(id_pos)
+    try:
+        cells = [line.split(",", hi + 1) for line in lines]
+        ids = [(c[id_pos[0]], c[id_pos[1]]) for c in cells]
+        if hi == 1:  # the ids lead each row, as write_au_stream puts them
+            numbers = [c[2] for c in cells]
+        else:
+            numbers = [",".join(c[:lo] + c[lo + 1:hi] + c[hi + 1:]) for c in cells]
+    except IndexError:  # a row with too few cells
+        return None
+    del cells
+    # Every number cell is ASCII out of these bytes, with a "+" only right
+    # after the exponent's e. np.loadtxt then takes such a cell exactly when
+    # it is an _INTEGER or a _DECIMAL, and it checks the cell count of each
+    # row because it is given no usecols.
+    text = "\n".join(numbers)
+    if not text.isascii():
+        return None
+    text = text.encode("ascii")
+    if text.translate(None, _NUMBER_BYTES) or (
+            b"+" in text and text.count(b"+") != text.count(b"e+") + text.count(b"E+")):
+        return None
+    del text
+    # A row with no face leaves 20 of its 23 number cells empty, so two empty
+    # cells are next to each other; a face row with ",," fails either way.
+    has_empty = np.fromiter(map(str.__contains__, numbers, repeat(",,")), bool, len(numbers))
+    frames = np.zeros(len(numbers), dtype=FRAME_DTYPE)
+    for face, dtype in zip((True, False), row_dtypes):
+        rows = np.flatnonzero(has_empty != face)
+        if not rows.size:
+            continue
+        try:
+            got = np.loadtxt([numbers[i] for i in rows.tolist()], delimiter=",",
+                             comments=None, dtype=dtype, ndmin=1)
+        except ValueError:
+            return None
+        aus = [got[f"au{k}"] for k in range(N_AUS)]
+        if (got["face_detected"] != ("1" if face else "0")).any() or (
+                not face and any((cells != "").any() for cells in aus)):
+            return None
+        frames["frame_index"][rows] = got["frame_index"]
+        frames["timestamp_s"][rows] = got["timestamp_s"]
+        frames["face_detected"][rows] = face
+        if face:
+            frames["aus"][rows] = np.stack(aus, axis=1)
+    frames.flags.writeable = False
+    return frames, ids
+
+
 def write_au_stream(videos: Iterable[VideoRecord], path: str | Path) -> None:
     """Serialize videos to the AU stream CSV format with full float precision.
 
@@ -246,14 +438,16 @@ def write_au_stream(videos: Iterable[VideoRecord], path: str | Path) -> None:
     header = list(STREAM_META_COLUMNS) + list(STREAM_AU_COLUMNS)
     empty_aus = "," * (N_AUS - 1)
     ids = io.StringIO()
-    ids_writer = csv.writer(ids, lineterminator="\n")
+    # with "\r\n" as its terminator csv.writer quotes an id holding either
+    # character; with "\n" it leaves a "\r" bare, which reads as a line end
+    ids_writer = csv.writer(ids, lineterminator="\r\n")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
         for video in videos:
             ids.seek(0)
             ids.truncate()
             ids_writer.writerow([video.video_id, video.ad_id])
-            prefix = ids.getvalue()[:-1]
+            prefix = ids.getvalue()[:-2]
             f = video.frames
             fh.write("".join(
                 f"{prefix},{index},{ts!r},1,{','.join(map(repr, aus))}\n" if face

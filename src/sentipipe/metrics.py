@@ -19,8 +19,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .aggregate import (DEFAULT_STEP_S, aggregate_columns, aggregate_scores, face_frames,
-                        max_over_interval)
+from .aggregate import (DEFAULT_STEP_S, aggregate_columns, face_frames, max_over_interval,
+                        participant_counts)
 from .core import (
     CANONICAL_AU_NAMES,
     N_AUS,
@@ -249,12 +249,16 @@ def chance_baseline(
     guard_s: float = 0.0,
 ) -> KpiReport:
     """KPIs with every frame scored a constant 0.5: all-ties, so both land
-    at 0.5 exactly. Kept as an explicit column to anchor the table."""
-    curves = [
-        aggregate_scores(ad_id, [(ts, np.full(ts.shape, 0.5))
-                                 for ts, _ in map(face_frames, videos)],
-                         ads[ad_id].duration_s, step_s)
-        for ad_id, videos in videos_by_ad.items()]
+    at 0.5 exactly. Kept as an explicit column to anchor the table.
+
+    Binning those scores gives 0.5 in every bin: a populated bin's mean of
+    0.5 per participant is exactly 0.5, and interpolating between 0.5 knots
+    stays 0.5. So each curve is built from its participant counts alone."""
+    curves = []
+    for ad_id, videos in videos_by_ad.items():
+        counts = participant_counts(ad_id, [face_frames(v)[0] for v in videos],
+                                    ads[ad_id].duration_s, step_s)
+        curves.append(AggregateCurve(ad_id, step_s, np.full(len(counts), 0.5), counts))
     return evaluate_kpis(curves, ads, guard_s)
 
 

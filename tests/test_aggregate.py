@@ -13,6 +13,7 @@ from sentipipe.aggregate import (
     export_curve_svg,
     max_over_interval,
     n_bins_for,
+    participant_counts,
     read_curves_csv,
     score_video,
     write_curves_csv,
@@ -203,6 +204,14 @@ def test_columns_match_single_column_binning(parts_and_perm):
         assert curves[j] == curve
         assert curves[j].scores.tobytes() == curve.scores.tobytes()  # bit-equal
     assert _curves_or_error("ad", [parts[i] for i in perm]) == curves
+    # the counts alone, from the timestamps alone
+    stamps = [ts for ts, _ in parts]
+    if curves is NoPredictions:
+        with pytest.raises(NoPredictions):
+            participant_counts("ad", stamps, duration_s=10.0, step_s=0.5)
+    else:
+        assert participant_counts("ad", stamps, duration_s=10.0, step_s=0.5).tolist() \
+            == curves[0].counts.tolist()
 
 
 class TestAggregateColumns:

@@ -1,10 +1,12 @@
 import csv
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sentipipe import ingest
 from sentipipe.core import AdLabel, AdSpec, Interval
 from sentipipe.errors import ConfigError, SchemaError, ValidationError
 from sentipipe.ingest import (
@@ -21,6 +23,7 @@ from sentipipe.ingest import (
     write_au_stream,
     write_dataset,
 )
+from sentipipe.ingest import _parse_stream_blocks, _parse_stream_rows
 from sentipipe.pipeline import grouped_by_ad
 
 from conftest import constant_video, make_video
@@ -162,6 +165,12 @@ class TestAuStream:
                                  repr(float(row.timestamp_s)), "1" if face else "0"]
                                 + [repr(float(s)) if face else "" for s in row.aus])
         assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+    def test_carriage_return_in_ids_round_trips(self, tmp_path):
+        videos = [make_video("v\r1", "a\r", [(0.0, True, [0.5] * 20)])]
+        path = tmp_path / "s.csv"
+        write_au_stream(videos, path)
+        assert parse_au_stream(path) == videos
 
     def test_full_precision_floats_survive(self, tmp_path):
         scores = [0.1234567890123456789 % 1.0, 1 / 3, 2 / 3] + [0.0] * 17
@@ -307,6 +316,125 @@ class TestAuStream:
             2, "v" * 200_000 + ls[2][2:]))
         with pytest.raises(SchemaError, match=":3:"):
             parse_au_stream(path)
+
+
+
+def stream_with_cell(tmp_path, line, column, cell):
+    """sample_videos() written out, with one cell replaced."""
+    path = tmp_path / "s.csv"
+    write_au_stream(sample_videos(), path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    rows[line - 1][rows[0].index(column)] = cell
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    return path
+
+
+class TestStreamArrayPath:
+    """A file with no quote, carriage return or NUL and no blank line is
+    checked as arrays; any other file, and one that fails a check, is read
+    again row by row, which names the failing file:line."""
+
+    def test_plain_file_takes_array_path(self, tmp_path):
+        path = tmp_path / "s.csv"
+        write_au_stream(sample_videos(), path)
+        assert _parse_stream_blocks(path) == sample_videos()
+
+    @pytest.mark.parametrize("ids", [("#v 1", " a#1 "), (" v", "a # 2 ")])
+    def test_hash_and_spaces_in_ids(self, tmp_path, ids):
+        videos = [make_video(*ids, [(0.0, True, [0.5] * 20), (0.5, False, None)])]
+        path = tmp_path / "s.csv"
+        write_au_stream(videos, path)
+        assert _parse_stream_blocks(path) == videos
+        assert parse_au_stream(path) == videos
+
+    def test_ids_after_the_numbers(self, tmp_path):
+        path = tmp_path / "s.csv"
+        write_au_stream(sample_videos(), path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [row[2:] + row[1::-1] for row in csv.reader(fh)]
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        assert _parse_stream_blocks(path) == sample_videos()
+
+    def test_rows_spread_over_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", 100)
+        path = tmp_path / "s.csv"
+        write_au_stream(sample_videos(), path)
+        lines = path.read_text().splitlines()
+        # v1 row, v2 rows, remaining v1 rows: v1 is two runs in other blocks
+        path.write_text("\n".join([lines[0], lines[1], *lines[4:], *lines[2:4]]))
+        assert _parse_stream_blocks(path) == sample_videos()
+
+    @pytest.mark.parametrize("edit", ["quoted ids", "crlf"])
+    def test_other_files_are_read_by_rows(self, tmp_path, edit):
+        videos = sample_videos()
+        if edit == "quoted ids":
+            videos = [make_video('v,"1"', "a 1", [(0.0, True, [0.25] * 20)])]
+        path = tmp_path / "s.csv"
+        write_au_stream(videos, path)
+        if edit == "crlf":
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert _parse_stream_blocks(path) is None
+        assert parse_au_stream(path) == videos
+
+    @pytest.mark.parametrize("edit, error", [
+        ("blank line", "expected 25 cells, got 0"),
+        ("wrong cell count", "expected 25 cells, got 26"),
+        ("cell over 128 KiB", "field larger than field limit"),
+    ])
+    def test_errors_are_named_by_rows(self, tmp_path, edit, error):
+        path = tmp_path / "s.csv"
+        write_au_stream(sample_videos(), path)
+        lines = path.read_text().splitlines()
+        if edit == "blank line":
+            lines.insert(2, "")
+        elif edit == "wrong cell count":
+            lines[2] += ","
+        else:
+            lines[2] = "v" * 200_000 + lines[2][2:]
+        path.write_text("\n".join(lines) + "\n")
+        assert _parse_stream_blocks(path) is None
+        with pytest.raises(SchemaError, match=f":3: {error}"):
+            parse_au_stream(path)
+
+    @pytest.mark.parametrize("cell", ["1_0", " 5", "0.5 ", "+0.5", "\u0665", "nan", "inf"])
+    @pytest.mark.parametrize("column", ["frame_index", "timestamp_s", "au_smirk"])
+    def test_number_grammar_rejects(self, tmp_path, column, cell):
+        path = stream_with_cell(tmp_path, 2, column, cell)
+        assert _parse_stream_blocks(path) is None
+        with pytest.raises(SchemaError, match=re.escape(f":2: column '{column}' holds {cell!r}, not a")):
+            parse_au_stream(path)
+
+    @pytest.mark.parametrize("cell", ["0.", ".5", "5e-1", "5.E-1", "0.05e+1", "-0.0", "1e-400"])
+    @pytest.mark.parametrize("column", ["timestamp_s", "au_smirk"])
+    def test_number_grammar_accepts(self, tmp_path, column, cell):
+        path = stream_with_cell(tmp_path, 2, column, cell)
+        videos = _parse_stream_blocks(path)
+        assert videos == _parse_stream_rows(path)
+        frame = videos[0].frames[0]
+        value = frame.timestamp_s if column == "timestamp_s" else frame.aus[-1]
+        assert value == float(cell)
+
+    @pytest.mark.parametrize("column, cell, error", [
+        ("frame_index", "-1", "frame_index -1 out of range"),
+        ("frame_index", "9" * 19, "frame_index 9{19} out of range"),
+        ("timestamp_s", "-0.5", "timestamp_s must be finite"),
+        ("timestamp_s", "1e400", "timestamp_s must be finite"),
+        ("au_smirk", "-0.25", r"AU scores must lie in \[0, 1\]"),
+    ])
+    def test_out_of_range_numbers(self, tmp_path, column, cell, error):
+        path = stream_with_cell(tmp_path, 2, column, cell)
+        assert _parse_stream_blocks(path) is None
+        with pytest.raises(ValidationError, match=f":2: {error}"):
+            parse_au_stream(path)
+
+    def test_frame_index_with_many_leading_zeros(self, tmp_path):
+        # int() refuses strings of over 4300 digits, np.loadtxt does not
+        path = stream_with_cell(tmp_path, 3, "frame_index", "0" * 5000 + "1")
+        assert _parse_stream_blocks(path) == sample_videos()
+        assert _parse_stream_rows(path) == sample_videos()
 
 
 class TestCoverage:

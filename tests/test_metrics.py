@@ -11,6 +11,7 @@ from sentipipe.errors import (
     EmptyScoreList,
     InsufficientAds,
     NoMoments,
+    NoPredictions,
     UnknownAdId,
     ValidationError,
 )
@@ -279,6 +280,12 @@ class TestBaselines:
         assert report.roc_ad == 0.5
         assert report.roc_sent == 0.5
         assert report.avg == 0.5
+
+    def test_chance_needs_a_scored_frame_per_ad(self):
+        ads, videos_by_ad = marker_fixture()
+        videos_by_ad["n"] = [make_video("vn", "n", [(0.0, False, None), (2.0, True, [0.5] * 20)])]
+        with pytest.raises(NoPredictions, match=r"ad 'n': no scored frames fall inside \[0, 1.0\)"):
+            chance_baseline(videos_by_ad, ads)
 
 
 class TestReportFiles:

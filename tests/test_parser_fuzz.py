@@ -4,6 +4,10 @@ Each case starts from what the matching writer produced and replaces one JSON
 value or one CSV cell. The parser must then either parse the file, and the
 result must survive a write -> parse round trip unchanged, or raise a
 SentiPipeError subclass. Any other exception fails the test.
+
+The AU stream parser has two paths, an array path over blocks and a row
+parser that names the failing file:line. Differential cases run both on every
+drawn file.
 """
 
 import copy
@@ -16,6 +20,9 @@ from sentipipe.aggregate import read_curves_csv, write_curves_csv
 from sentipipe.core import AdLabel, AdSpec, Interval, LabeledExample
 from sentipipe.errors import SentiPipeError
 from sentipipe.ingest import (
+    _DECIMAL,
+    _parse_stream_blocks,
+    _parse_stream_rows,
     parse_ad_annotations,
     parse_au_stream,
     write_ad_annotations,
@@ -49,6 +56,19 @@ cell_texts = st.one_of(
 )
 
 
+# numbers in and out of the stream grammar, and near misses
+number_texts = st.one_of(
+    st.from_regex(_DECIMAL, fullmatch=True),
+    st.from_regex(r"[-+ ]?[0-9._eE+\u0665]{0,6}[ \t]?", fullmatch=True),
+    st.sampled_from(["1_0", " 5", "0.5 ", "+0.5", "\u0665", "nan", "inf", "-0", "1e-400",
+                     "0" * 30 + "1", "9" * 19, "2", "01", "1.0"]),
+)
+
+# whole-line edits: some break the file, some only keep it from the array path
+line_edits = st.sampled_from(["blank line", "crlf", "quote", "nul", "duplicate", "swap",
+                              "drop final newline", "extra cell"])
+
+
 def json_paths(value, prefix=()):
     """Every key/index path into a JSON value, the root included."""
     yield prefix
@@ -79,6 +99,36 @@ def parses_or_raises_typed(parse, write, path):
     again = path.with_name("again" + path.suffix)
     write(parsed, again)
     assert parse(again) == parsed
+
+
+def stream_outcome(parse, path):
+    """A parse's records, or the type and message of its SentiPipeError."""
+    try:
+        return parse(path)
+    except SentiPipeError as exc:
+        return type(exc), str(exc)
+
+
+def array_path_takes(path):
+    """Whether the array path takes the file: no quote, carriage return or
+    NUL, no blank line and no line over the csv field limit."""
+    text = path.read_bytes().decode("utf-8")
+    lines = text.removesuffix("\n").split("\n")
+    return (not any(c in text for c in '"\r\0') and "" not in lines
+            and max(map(len, lines)) <= csv.field_size_limit())
+
+
+def assert_stream_paths_agree(path):
+    """parse_au_stream gives what the row parser gives. The array path gives
+    the same records, or declines a file that the row parser rejects or that
+    it does not take."""
+    by_rows = stream_outcome(_parse_stream_rows, path)
+    assert stream_outcome(parse_au_stream, path) == by_rows
+    by_blocks = _parse_stream_blocks(path)
+    if by_blocks is None:
+        assert isinstance(by_rows, tuple) or not array_path_takes(path)
+    else:
+        assert by_blocks == by_rows
 
 
 ADS = {
@@ -159,3 +209,70 @@ def test_curves_parser(tmp_path, data):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
     parses_or_raises_typed(read_curves_csv, write_curves_csv, path)
+
+
+def edited_lines(text, edit, i, j):
+    lines = text.removesuffix("\n").split("\n")
+    if edit == "blank line":
+        lines.insert(i, "")
+    elif edit == "crlf":
+        return text.replace("\n", "\r\n")
+    elif edit in ("quote", "nul"):
+        lines[i] = lines[i].replace(",", ',"",' if edit == "quote" else ",\0", 1)
+    elif edit == "duplicate":
+        lines.insert(j, lines[i])
+    elif edit == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    elif edit == "drop final newline":
+        return text.removesuffix("\n")
+    else:
+        lines[i] += ","
+    return "\n".join(lines) + "\n"
+
+
+@FUZZ
+@given(data=st.data())
+def test_stream_paths_agree_on_cell_edits(tmp_path, data):
+    path = tmp_path / "s.csv"
+    write_au_stream(VIDEOS, path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    r = data.draw(st.integers(0, len(rows) - 1))
+    c = data.draw(st.integers(0, len(rows[r]) - 1))
+    rows[r][c] = data.draw(st.one_of(cell_texts, number_texts))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    assert_stream_paths_agree(path)
+
+
+@FUZZ
+@given(data=st.data())
+def test_stream_paths_agree_on_line_edits(tmp_path, data):
+    path = tmp_path / "s.csv"
+    write_au_stream(VIDEOS, path)
+    n_lines = len(path.read_text().splitlines())
+    edit = data.draw(line_edits)
+    i, j = (data.draw(st.integers(1, n_lines - 1)) for _ in range(2))
+    path.write_bytes(edited_lines(path.read_text(), edit, i, j).encode("utf-8"))
+    assert_stream_paths_agree(path)
+
+
+# any id text; ids the writer must quote send the file to the row parser
+stream_ids = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=5)
+frame_rows = st.lists(st.tuples(st.booleans(), st.lists(
+    st.floats(0.0, 1.0), min_size=20, max_size=20)), min_size=1, max_size=4)
+
+
+@FUZZ
+@given(ids=st.lists(stream_ids, min_size=1, max_size=4, unique=True),
+       ad_ids=st.lists(stream_ids, min_size=4, max_size=4), rows=frame_rows,
+       stamps=st.lists(st.floats(0.0, 1e18), min_size=4, max_size=4))
+def test_stream_paths_agree_on_written_streams(tmp_path, ids, ad_ids, rows, stamps):
+    stamps = sorted(stamps[:len(rows)])
+    videos = [make_video(video_id, ad_id, [(ts, face, scores) for ts, (face, scores)
+                                            in zip(stamps, rows)])
+              for video_id, ad_id in zip(ids, ad_ids)]
+    path = tmp_path / "s.csv"
+    write_au_stream(videos, path)
+    assert_stream_paths_agree(path)
+    assert parse_au_stream(path) == videos
