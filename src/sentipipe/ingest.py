@@ -390,10 +390,15 @@ def _parse_block(lines: list[str], id_pos: tuple[int, int],
     except IndexError:  # a row with too few cells
         return None
     del cells
+    if "" in numbers:  # a row of ids and one empty cell, which np.loadtxt skips
+        return None
     # Every number cell is ASCII out of these bytes, with a "+" only right
-    # after the exponent's e. np.loadtxt then takes such a cell exactly when
-    # it is an _INTEGER or a _DECIMAL, and it checks the cell count of each
-    # row because it is given no usecols.
+    # after the exponent's e, and no frame_index cell holds a ".", "e" or "E"
+    # (numpy 1.23 and some later releases read such a cell into an int64 field
+    # via float, with only a DeprecationWarning).
+    # np.loadtxt then takes a cell exactly when it is an _INTEGER or a
+    # _DECIMAL, and it checks the cell count of each row because it is given
+    # no usecols.
     text = "\n".join(numbers)
     if not text.isascii():
         return None
@@ -402,6 +407,14 @@ def _parse_block(lines: list[str], id_pos: tuple[int, int],
             b"+" in text and text.count(b"+") != text.count(b"e+") + text.count(b"E+")):
         return None
     del text
+    index_col = row_dtypes[0].names.index("frame_index")
+    try:
+        index_text = "".join([n.split(",", index_col + 1)[index_col] for n in numbers])
+    except IndexError:
+        return None
+    if "." in index_text or "e" in index_text or "E" in index_text:
+        return None
+    del index_text
     # A row with no face leaves 20 of its 23 number cells empty, so two empty
     # cells are next to each other; a face row with ",," fails either way.
     has_empty = np.fromiter(map(str.__contains__, numbers, repeat(",,")), bool, len(numbers))
@@ -414,6 +427,8 @@ def _parse_block(lines: list[str], id_pos: tuple[int, int],
             got = np.loadtxt([numbers[i] for i in rows.tolist()], delimiter=",",
                              comments=None, dtype=dtype, ndmin=1)
         except ValueError:
+            return None
+        if len(got) != rows.size:
             return None
         aus = [got[f"au{k}"] for k in range(N_AUS)]
         if (got["face_detected"] != ("1" if face else "0")).any() or (

@@ -204,18 +204,14 @@ def backward(params: MlpParams, aus, label: float) -> MlpParams:
     return MlpParams(*_unpack(_backward_batch(params, x, h, p, y)))
 
 
-def adam_step(theta: np.ndarray, grad: np.ndarray, moments: np.ndarray,
+def adam_step(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
               t: int, config: TrainConfig) -> int:
     """One bias-corrected Adam update after t earlier steps; returns t + 1.
 
-    theta is the flat parameter-layout vector and moments the (2, N_PARAMS)
-    array of its first and second moments, m and v; both are updated in place.
-    Each moment is updated on its own: one broadcast call over both rows costs
-    more than two calls on a row.
+    theta, m and v are flat parameter-layout vectors updated in place.
     """
     t += 1
     b1, b2 = config.adam_beta1, config.adam_beta2
-    m, v = moments[0], moments[1]
     m *= b1
     m += (1.0 - b1) * grad
     v *= b2
@@ -295,7 +291,8 @@ def train(
     rng = np.random.default_rng(config.rng_seed)
     theta = _glorot_init(rng)
     layers = _unpack(theta)  # views: they follow theta's in-place updates
-    moments = np.zeros((2, N_PARAMS))
+    m = np.zeros(N_PARAMS)
+    v = np.zeros(N_PARAMS)
     t = 0
     rows = _epoch_length(n_pos, n_neg, config.oversample_positives)
     batch = min(config.batch_size, rows)
@@ -318,7 +315,7 @@ def train(
             xb, yb = x_epoch[start:stop], y_epoch[start:stop]
             p, h = _forward_batch(layers, xb, z_epoch[start:stop], h)
             _backward_batch(layers, xb, h, p, yb, work)
-            t = adam_step(theta, grad, moments, t, config)
+            t = adam_step(theta, grad, m, v, t, config)
         # the same per-batch sums as summing each batch's losses on its own,
         # added in batch order as Python floats
         bce = _bce_batch(z_epoch[:, 0], y_epoch)

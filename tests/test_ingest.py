@@ -407,6 +407,28 @@ class TestStreamArrayPath:
         with pytest.raises(SchemaError, match=re.escape(f":2: column '{column}' holds {cell!r}, not a")):
             parse_au_stream(path)
 
+    @pytest.mark.parametrize("cell", ["3.0", "3.", "3e0", "3E0", "3.7", "3e+0"])
+    def test_frame_index_takes_no_decimal(self, tmp_path, cell):
+        # numpy 1.23 and some later releases read such a cell into an int64
+        # field via float, with only a DeprecationWarning
+        path = stream_with_cell(tmp_path, 2, "frame_index", cell)
+        assert _parse_stream_blocks(path) is None
+        with pytest.raises(SchemaError, match=re.escape(
+                f":2: column 'frame_index' holds {cell!r}, not an integer")):
+            parse_au_stream(path)
+
+    @pytest.mark.parametrize("rows_before", [0, 1, 3])
+    def test_row_with_only_ids(self, tmp_path, rows_before):
+        # "w,b," leaves no number text; np.loadtxt would skip it as a blank line
+        path = tmp_path / "s.csv"
+        write_au_stream(sample_videos(), path)
+        lines = path.read_text().splitlines()
+        lines.insert(1 + rows_before, "w,b,")
+        path.write_text("\n".join(lines[:2 + rows_before]) + "\n")
+        assert _parse_stream_blocks(path) is None
+        with pytest.raises(SchemaError, match=f":{2 + rows_before}: expected 25 cells, got 3"):
+            parse_au_stream(path)
+
     @pytest.mark.parametrize("cell", ["0.", ".5", "5e-1", "5.E-1", "0.05e+1", "-0.0", "1e-400"])
     @pytest.mark.parametrize("column", ["timestamp_s", "au_smirk"])
     def test_number_grammar_accepts(self, tmp_path, column, cell):

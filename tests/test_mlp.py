@@ -242,9 +242,8 @@ class TestAdamStep:
         theta[k] = 0.5
         grad = np.zeros(N_PARAMS)
         grad[k] = g
-        moments = np.zeros((2, N_PARAMS))
-        t = adam_step(theta, grad, moments, 0, config)
-        m, v = moments
+        m, v = np.zeros(N_PARAMS), np.zeros(N_PARAMS)
+        t = adam_step(theta, grad, m, v, 0, config)
 
         m_k = (1.0 - config.adam_beta1) * g
         v_k = (1.0 - config.adam_beta2) * g * g
@@ -265,11 +264,10 @@ class TestAdamStep:
         rng = np.random.default_rng(9)
         theta = flatten(random_params(rng, scale=0.5))
         grad = flatten(random_params(rng, scale=0.1))
-        moments = np.zeros((2, N_PARAMS))
-        m, v = moments
-        t1 = adam_step(theta, grad, moments, 0, config)
+        m, v = np.zeros(N_PARAMS), np.zeros(N_PARAMS)
+        t1 = adam_step(theta, grad, m, v, 0, config)
         p1, m1, v1 = theta.copy(), m.copy(), v.copy()
-        t2 = adam_step(theta, grad, moments, t1, config)
+        t2 = adam_step(theta, grad, m, v, t1, config)
         assert (t1, t2) == (1, 2)
         b1, b2 = config.adam_beta1, config.adam_beta2
         assert np.allclose(m, b1 * m1 + (1 - b1) * grad, rtol=0, atol=1e-15)
@@ -362,24 +360,9 @@ class TestTrain:
             train(only_neg, FAST)
 
 
-def reference_adam_step(theta, grad, m, v, t, config):
-    """adam_step on two moment vectors, written out."""
-    t += 1
-    b1, b2 = config.adam_beta1, config.adam_beta2
-    m *= b1
-    m += (1.0 - b1) * grad
-    v *= b2
-    v += (1.0 - b2) * grad * grad
-    c1 = 1.0 - b1 ** t
-    c2 = 1.0 - b2 ** t
-    theta -= config.learning_rate * (m / c1) / (np.sqrt(v / c2) + config.adam_epsilon)
-    return t
-
-
 def reference_train(examples, config):
     """train as a plain per-batch loop: fancy-indexed batches, each batch's
-    loss summed on its own, every array allocated by the step that uses it,
-    and Adam on two moment vectors.
+    loss summed on its own, every array allocated by the step that uses it.
     Returns (flat params, per-epoch losses, Adam steps taken)."""
     x = np.array([ex.aus.scores for ex in examples], dtype=np.float64)
     y = np.array([ex.label for ex in examples], dtype=np.float64)
@@ -397,7 +380,7 @@ def reference_train(examples, config):
             p, h = _forward_batch(layers, xb)
             loss_total += float(_bce_batch(p, yb).sum())
             grad = _backward_batch(layers, xb, h, p, yb)
-            t = reference_adam_step(theta, grad, m, v, t, config)
+            t = adam_step(theta, grad, m, v, t, config)
         losses.append(loss_total / len(order))
     return theta, losses, t
 

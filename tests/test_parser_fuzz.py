@@ -66,7 +66,8 @@ number_texts = st.one_of(
 
 # whole-line edits: some break the file, some only keep it from the array path
 line_edits = st.sampled_from(["blank line", "crlf", "quote", "nul", "duplicate", "swap",
-                              "drop final newline", "extra cell"])
+                              "drop final newline", "extra cell", "drop last cell",
+                              "cut after ids"])
 
 
 def json_paths(value, prefix=()):
@@ -225,6 +226,10 @@ def edited_lines(text, edit, i, j):
         lines[i], lines[j] = lines[j], lines[i]
     elif edit == "drop final newline":
         return text.removesuffix("\n")
+    elif edit == "drop last cell":
+        lines[i] = lines[i].rsplit(",", 1)[0]
+    elif edit == "cut after ids":
+        lines[i] = ",".join(lines[i].split(",")[:2]) + ","
     else:
         lines[i] += ","
     return "\n".join(lines) + "\n"
