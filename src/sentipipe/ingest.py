@@ -393,12 +393,13 @@ def _parse_block(lines: list[str], id_pos: tuple[int, int],
     if "" in numbers:  # a row of ids and one empty cell, which np.loadtxt skips
         return None
     # Every number cell is ASCII out of these bytes, with a "+" only right
-    # after the exponent's e, and no frame_index cell holds a ".", "e" or "E"
-    # (numpy 1.23 and some later releases read such a cell into an int64 field
-    # via float, with only a DeprecationWarning).
-    # np.loadtxt then takes a cell exactly when it is an _INTEGER or a
-    # _DECIMAL, and it checks the cell count of each row because it is given
-    # no usecols.
+    # after the exponent's e, and every frame_index cell is at most 18 of
+    # them with no ".", "e" or "E", so it fits an int64 or is no integer.
+    # (numpy 1.23 and some later releases read any other frame_index cell,
+    # such as 3.0, 3e0 or 20 digits, into an int64 field via float, with only
+    # a DeprecationWarning.) np.loadtxt then takes a cell exactly when it is
+    # an _INTEGER or a _DECIMAL, and it checks the cell count of each row
+    # because it is given no usecols.
     text = "\n".join(numbers)
     if not text.isascii():
         return None
@@ -409,12 +410,14 @@ def _parse_block(lines: list[str], id_pos: tuple[int, int],
     del text
     index_col = row_dtypes[0].names.index("frame_index")
     try:
-        index_text = "".join([n.split(",", index_col + 1)[index_col] for n in numbers])
+        index_cells = [n.split(",", index_col + 1)[index_col] for n in numbers]
     except IndexError:
         return None
-    if "." in index_text or "e" in index_text or "E" in index_text:
+    index_text = "".join(index_cells)
+    if (max(map(len, index_cells)) > 18 or "." in index_text
+            or "e" in index_text or "E" in index_text):
         return None
-    del index_text
+    del index_cells, index_text
     # A row with no face leaves 20 of its 23 number cells empty, so two empty
     # cells are next to each other; a face row with ",," fails either way.
     has_empty = np.fromiter(map(str.__contains__, numbers, repeat(",,")), bool, len(numbers))

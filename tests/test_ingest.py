@@ -453,10 +453,22 @@ class TestStreamArrayPath:
             parse_au_stream(path)
 
     def test_frame_index_with_many_leading_zeros(self, tmp_path):
-        # int() refuses strings of over 4300 digits, np.loadtxt does not
+        # int() refuses strings of over 4300 digits; a frame_index of over
+        # 18 characters is left to the row parser
         path = stream_with_cell(tmp_path, 3, "frame_index", "0" * 5000 + "1")
-        assert _parse_stream_blocks(path) == sample_videos()
-        assert _parse_stream_rows(path) == sample_videos()
+        assert _parse_stream_blocks(path) is None
+        assert parse_au_stream(path) == sample_videos()
+
+    @pytest.mark.parametrize("cell", ["9" * 18, "0" * 17 + "1"])
+    def test_frame_index_of_18_characters(self, tmp_path, cell):
+        path = tmp_path / "s.csv"
+        write_au_stream([make_video("v", "a", [(0.0, True, [0.5] * 20)])], path)
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].replace(",0,", f",{cell},", 1)
+        path.write_text("\n".join(lines) + "\n")
+        videos = _parse_stream_blocks(path)
+        assert videos == _parse_stream_rows(path)
+        assert videos[0].frames[0].frame_index == int(cell)
 
 
 class TestCoverage:
