@@ -24,11 +24,9 @@ from .core import (
     AdLabel,
     AdSpec,
     AggregateCurve,
-    AuVector,
+    Examples,
     Interval,
-    LabeledExample,
     VideoRecord,
-    active_au_count,
     canonical_au_index,
 )
 from .errors import (

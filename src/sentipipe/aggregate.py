@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import AggregateCurve, Interval, VideoRecord
+from .core import AggregateCurve, Interval, VideoRecord, not_utf8
 from .errors import ConfigError, EmptyInterval, NoPredictions, SchemaError, ValidationError
 from .mlp import MlpParams, _forward_batch
 
@@ -234,6 +234,8 @@ def read_curves_csv(path: str | Path) -> list[AggregateCurve]:
                 last_ad = ad_id
         except csv.Error as exc:
             raise SchemaError(f"{path}:{reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
     curves = []
     for ad_id, bins in rows.items():
         stamps, scores, counts = zip(*bins)

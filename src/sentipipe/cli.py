@@ -29,7 +29,7 @@ from .aggregate import (
     read_curves_csv,
     write_curves_csv,
 )
-from .core import AggregateCurve, canonical_au_index, strict
+from .core import AggregateCurve, canonical_au_index, read_text, strict
 from .errors import (
     ConfigError,
     DegenerateComplement,
@@ -68,16 +68,13 @@ from .weak_label import (
     write_examples_jsonl,
 )
 
-_USAGE_ERRORS = (ConfigError,)
-_DATA_ERRORS = (SchemaError, ValidationError, UnknownAuName, UnknownAdId)
-_DEGENERATE_ERRORS = (
-    DegenerateTrainingSet,
-    NoPredictions,
-    InsufficientAds,
-    NoMoments,
-    DegenerateComplement,
-    EmptyScoreList,
-    EmptyInterval,
+# the exit code of each class of failure, tried in this order
+_EXIT_CODES = (
+    ((ConfigError,), 2),
+    ((OSError,), 3),
+    ((SchemaError, ValidationError, UnknownAuName, UnknownAdId), 4),
+    ((DegenerateTrainingSet, NoPredictions, InsufficientAds, NoMoments,
+      DegenerateComplement, EmptyScoreList, EmptyInterval), 5),
 )
 
 ANNOTATIONS_NAME = "annotations.json"
@@ -86,7 +83,7 @@ STREAMS_NAME = "au_streams.csv"
 
 def _read_config_json(path: str) -> dict:
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(read_text(path, ConfigError))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict):
@@ -154,11 +151,11 @@ _LABEL_COERCERS: dict[str, Callable[[object], object]] = {
 
 
 def _config_overrides(
-    path: str | None, coercers: Mapping[str, Callable[[object], object]]
+    path: str | None, coercers: Mapping[str, Callable[[object], object]], **flags: object
 ) -> dict:
-    if path is None:
-        return {}
-    payload = _read_config_json(path)
+    """The values in the config file at path, if one is given, then every
+    flag that is not None."""
+    payload = {} if path is None else _read_config_json(path)
     unknown = set(payload) - set(coercers)
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
@@ -168,6 +165,7 @@ def _config_overrides(
             out[key] = coercers[key](value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: bad value for {key}: {exc}") from exc
+    out.update((key, value) for key, value in flags.items() if value is not None)
     return out
 
 
@@ -189,10 +187,7 @@ def _svg_filename(ad_id: str) -> str:
 
 
 def cmd_simulate(args: argparse.Namespace) -> dict:
-    overrides = _config_overrides(args.config, _SYNTH_COERCERS)
-    if args.seed is not None:
-        overrides["rng_seed"] = args.seed
-    config = SynthConfig(**overrides)
+    config = SynthConfig(**_config_overrides(args.config, _SYNTH_COERCERS, rng_seed=args.seed))
     data = generate_null(config) if args.null else generate(config)
     out = Path(args.out)
     for split, dataset in (("train", data.train), ("test", data.test)):
@@ -212,14 +207,10 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
 
 
 def cmd_label(args: argparse.Namespace) -> dict:
-    overrides = _config_overrides(args.config, _LABEL_COERCERS)
-    if args.threshold is not None:
-        overrides["activation_threshold"] = args.threshold
-    if args.min_active is not None:
-        overrides["min_active_positive"] = args.min_active
-    if args.include_nonsentimental:
-        overrides["include_nonsentimental_ads"] = True
-    config = LabelingConfig(**overrides)
+    config = LabelingConfig(**_config_overrides(
+        args.config, _LABEL_COERCERS, activation_threshold=args.threshold,
+        min_active_positive=args.min_active,
+        include_nonsentimental_ads=args.include_nonsentimental or None))
     dataset, dropped = load_dataset(args.annotations, args.streams, args.min_coverage)
     examples = extract_examples(dataset.videos, dataset.ads, config)
     write_examples_jsonl(examples, _prepare_parent(args.out))
@@ -237,18 +228,10 @@ def cmd_label(args: argparse.Namespace) -> dict:
 
 
 def cmd_train(args: argparse.Namespace) -> dict:
-    overrides = _config_overrides(args.config, _TRAIN_COERCERS)
-    if args.seed is not None:
-        overrides["rng_seed"] = args.seed
-    if args.epochs is not None:
-        overrides["epochs"] = args.epochs
-    if args.batch_size is not None:
-        overrides["batch_size"] = args.batch_size
-    if args.learning_rate is not None:
-        overrides["learning_rate"] = args.learning_rate
-    if args.no_oversample:
-        overrides["oversample_positives"] = False
-    config = TrainConfig(**overrides)
+    config = TrainConfig(**_config_overrides(
+        args.config, _TRAIN_COERCERS, rng_seed=args.seed, epochs=args.epochs,
+        batch_size=args.batch_size, learning_rate=args.learning_rate,
+        oversample_positives=False if args.no_oversample else None))
     examples = read_examples_jsonl(args.examples)
     params, losses = train(examples, config)
     save_model(params, _prepare_parent(args.model_out))
@@ -422,18 +405,9 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         summary = args.func(args)
-    except _USAGE_ERRORS as exc:
+    except tuple(kind for kinds, _ in _EXIT_CODES for kind in kinds) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except _DEGENERATE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
     summary["elapsed_s"] = time.perf_counter() - start
     print(json.dumps(summary))
     return 0

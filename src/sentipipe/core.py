@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from pathlib import Path
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import ConfigError, UnknownAuName, ValidationError
+from .errors import ConfigError, SchemaError, SentiPipeError, UnknownAuName, ValidationError
 
 # Fixed AU ordering used for every score vector, file column set, and report
 # column. The last three entries are compound expressions emitted by the same
@@ -56,47 +58,31 @@ def require_int(name: str, value: object, minimum: int) -> None:
         raise ConfigError(f"{name} must be >= {minimum}, got {value}")
 
 
+def not_utf8(path: str | Path, error: type[SentiPipeError] = SchemaError) -> SentiPipeError:
+    """The error for a file that is not UTF-8 text, naming its first bad line."""
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return error(f"{path}:{lineno}: not UTF-8 text ({exc.reason})")
+    return error(f"{path}: not UTF-8 text")
+
+
+def read_text(path: str | Path, error: type[SentiPipeError] = SchemaError) -> str:
+    """A whole UTF-8 text file; any other file raises error, see not_utf8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise not_utf8(path, error) from None
+
+
 def canonical_au_index(name: str) -> int:
     """Map an AU name (case-insensitive) to its fixed position in 0..19."""
     try:
         return _INDEX_BY_LOWER_NAME[name.lower()]
     except (KeyError, AttributeError):
         raise UnknownAuName(f"unknown AU name: {name!r}") from None
-
-
-@dataclass(frozen=True, slots=True)
-class AuVector:
-    """Twenty AU activation scores in [0, 1], in canonical AU order."""
-
-    scores: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        scores = tuple(map(float, self.scores))
-        if len(scores) != N_AUS:
-            raise ValidationError(
-                f"AuVector needs exactly {N_AUS} scores, got {len(scores)}")
-        # min and max may step over a NaN, but a NaN makes the sum NaN
-        if not (0.0 <= min(scores) and max(scores) <= 1.0 and not math.isnan(sum(scores))):
-            i = next(i for i, s in enumerate(scores) if not 0.0 <= s <= 1.0)
-            raise ValidationError(
-                f"AU score {CANONICAL_AU_NAMES[i]}={scores[i]} outside [0, 1]")
-        object.__setattr__(self, "scores", scores)
-
-    def __getitem__(self, index: int) -> float:
-        return self.scores[index]
-
-    def __iter__(self):
-        return iter(self.scores)
-
-    def __len__(self) -> int:
-        return N_AUS
-
-
-def active_au_count(aus: AuVector | np.ndarray, threshold: float = 0.5) -> int:
-    """Number of AU scores at or above ``threshold`` (boundary counts as active)."""
-    if not 0.0 < threshold < 1.0:
-        raise ConfigError(f"activation threshold must lie in (0, 1), got {threshold}")
-    return sum(1 for s in aus if s >= threshold)
 
 
 # One row per analyzed video frame. ``aus`` holds the twenty scores in
@@ -119,11 +105,10 @@ def _read_only(values, dtype) -> np.ndarray:
     return array
 
 
-def _first_bad(video_id: str, bad: np.ndarray, what: str) -> None:
+def _first_bad(where: str, bad: np.ndarray, what: str) -> None:
     """Raise for the first row flagged in ``bad``."""
     if bad.any():
-        raise ValidationError(
-            f"video {video_id!r}: {what} (first at row {int(np.argmax(bad))})")
+        raise ValidationError(f"{where}: {what} (first at row {int(np.argmax(bad))})")
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -148,14 +133,15 @@ class VideoRecord:
             raise ValidationError(f"video {self.video_id!r} has no frames")
         frames = _read_only(frames, FRAME_DTYPE).view(np.recarray)
         index, ts, face, aus = (frames[name] for name in FRAME_DTYPE.names)
-        _first_bad(self.video_id, np.diff(index, prepend=-1) <= 0,
+        where = f"video {self.video_id!r}"
+        _first_bad(where, np.diff(index, prepend=-1) <= 0,
                    "frame_index must be >= 0 and increase strictly")
-        _first_bad(self.video_id, ~np.isfinite(ts) | (np.diff(ts, prepend=0.0) < 0.0),
+        _first_bad(where, ~np.isfinite(ts) | (np.diff(ts, prepend=0.0) < 0.0),
                    "timestamp_s must be finite, >= 0 and non-decreasing")
         # the comparisons are False for NaN, so NaN scores fail here too
-        _first_bad(self.video_id, face & ~((aus >= 0.0) & (aus <= 1.0)).all(axis=1),
+        _first_bad(where, face & ~((aus >= 0.0) & (aus <= 1.0)).all(axis=1),
                    "AU scores of a face frame must lie in [0, 1]")
-        _first_bad(self.video_id, ~face & (aus != 0.0).any(axis=1),
+        _first_bad(where, ~face & (aus != 0.0).any(axis=1),
                    "a frame without a detected face must carry all-zero AU scores")
         object.__setattr__(self, "frames", frames)
 
@@ -242,27 +228,59 @@ class AdSpec:
         return self.label is AdLabel.SENTIMENTAL
 
 
-@dataclass(frozen=True, slots=True)
-class LabeledExample:
-    """One weakly labeled training example: an AU vector plus a binary target.
+# One row of an Examples holder, built only when the holder is iterated.
+ExampleRow = namedtuple("ExampleRow", "video_id frame_index label aus")
 
-    ``source`` keeps the (video_id, frame_index) provenance so labels stay
-    auditable after extraction.
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Examples:
+    """Weakly labeled training examples as read-only columns, one row per frame.
+
+    ``video_id`` (non-empty strs) and ``frame_index`` (int64, >= 0) keep each
+    label's provenance; ``label`` (int64) is 0 or 1 and ``aus`` (float64, (n,
+    20)) holds scores in [0, 1]. The columns are checked once, with array
+    operations; a writable input array is copied. ``len()`` counts the rows and
+    iterating yields one ExampleRow per row.
     """
 
-    aus: AuVector
-    label: int
-    source: tuple[str, int]
+    video_id: tuple[str, ...]
+    frame_index: np.ndarray
+    label: np.ndarray
+    aus: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.label not in (0, 1):
-            raise ValidationError(f"label must be 0 or 1, got {self.label!r}")
-        vid, idx = self.source
-        if not vid:
-            raise ValidationError("source video_id must not be empty")
-        if idx < 0:
-            raise ValidationError(f"source frame_index must be >= 0, got {idx}")
-        object.__setattr__(self, "source", (str(vid), int(idx)))
+        video_id = tuple(self.video_id)
+        n = len(video_id)
+        index, label, aus = map(np.asarray, (self.frame_index, self.label, self.aus))
+        if (index.shape != (n,) or label.shape != (n,) or aus.shape != (n, N_AUS)
+                or index.dtype.kind != "i" or label.dtype.kind not in "biu"
+                or aus.dtype.kind not in "fiu"
+                or not all(isinstance(v, str) and v for v in video_id)):
+            raise ValidationError(f"examples need a non-empty video_id, an integer frame_index "
+                                  f"and label and {N_AUS} AU scores per row")
+        _first_bad("examples", index < 0, "frame_index must be >= 0")
+        _first_bad("examples", (label != 0) & (label != 1), "label must be 0 or 1")
+        # the comparisons are False for NaN, so NaN scores fail here too
+        _first_bad("examples", ~((aus >= 0.0) & (aus <= 1.0)).all(axis=1),
+                   "AU scores must lie in [0, 1]")
+        object.__setattr__(self, "video_id", video_id)
+        for name, column, dtype in (("frame_index", index, np.int64), ("label", label, np.int64),
+                                    ("aus", aus, np.float64)):
+            object.__setattr__(self, name, _read_only(column, dtype))
+
+    def __len__(self) -> int:
+        return len(self.video_id)
+
+    def __iter__(self) -> Iterator[ExampleRow]:
+        return map(ExampleRow, self.video_id, self.frame_index.tolist(),
+                   self.label.tolist(), self.aus)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Examples):
+            return NotImplemented
+        return self.video_id == other.video_id and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("frame_index", "label", "aus"))
 
 
 @dataclass(frozen=True, slots=True, eq=False)

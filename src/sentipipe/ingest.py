@@ -29,6 +29,8 @@ from .core import (
     N_AUS,
     VideoRecord,
     canonical_au_index,
+    not_utf8,
+    read_text,
     strict,
 )
 from .errors import ConfigError, SchemaError, UnknownAuName, ValidationError
@@ -96,9 +98,8 @@ def _au_column_to_index(column: str) -> int | None:
 
 def parse_ad_annotations(path: str | Path) -> dict[str, AdSpec]:
     """Read the ad annotation JSON into an ordered ad_id -> AdSpec map."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        payload = json.loads(text)
+        payload = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, list):
@@ -263,6 +264,8 @@ def _parse_stream_rows(path: str | Path) -> list[VideoRecord]:
                 aus.extend(scores)
         except csv.Error as exc:
             raise SchemaError(f"{path}:{reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
 
     return [
         VideoRecord.from_columns(video_id, ad_id, indices, stamps, faces,

@@ -13,11 +13,11 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .core import CANONICAL_AU_NAMES, LabeledExample, N_AUS, require_int
+from .core import CANONICAL_AU_NAMES, N_AUS, Examples, read_text, require_int
 from .errors import ConfigError, DegenerateTrainingSet, SchemaError, ValidationError
 
 N_INPUT = N_AUS
@@ -111,8 +111,7 @@ def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _as_input_row(aus) -> np.ndarray:
-    scores = getattr(aus, "scores", aus)
-    x = np.asarray(scores, dtype=np.float64)
+    x = np.asarray(aus, dtype=np.float64)
     if x.shape != (N_INPUT,):
         raise ValidationError(f"input must hold {N_INPUT} scores, got shape {x.shape}")
     return x.reshape(1, N_INPUT)
@@ -265,7 +264,7 @@ def adam_steps(n_pos: int, n_neg: int, config: TrainConfig) -> int:
 
 
 def train(
-    examples: Sequence[LabeledExample],
+    examples: Examples,
     config: TrainConfig = TrainConfig(),
 ) -> tuple[MlpParams, list[float]]:
     """Train on weakly labeled examples; returns (params, mean loss per epoch).
@@ -281,8 +280,7 @@ def train(
     """
     if not examples:
         raise DegenerateTrainingSet("no training examples")
-    x = np.array([ex.aus.scores for ex in examples], dtype=np.float64)
-    y = np.array([ex.label for ex in examples], dtype=np.float64)
+    x, y = examples.aus, examples.label.astype(np.float64)
     n_pos = int(y.sum())
     n_neg = len(y) - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -330,15 +328,13 @@ def train(
 
 
 def evaluate_accuracy(
-    params: MlpParams, examples: Sequence[LabeledExample], cut: float = 0.5
+    params: MlpParams, examples: Examples, cut: float = 0.5
 ) -> float:
     """Fraction of examples whose thresholded score matches the label."""
     if not examples:
         raise DegenerateTrainingSet("no examples to evaluate")
-    x = np.array([ex.aus.scores for ex in examples], dtype=np.float64)
-    y = np.array([ex.label for ex in examples], dtype=np.float64)
-    p, _ = _forward_batch(params, x)
-    return float(np.mean((p >= cut) == (y == 1.0)))
+    p, _ = _forward_batch(params, examples.aus)
+    return float(np.mean((p >= cut) == (examples.label == 1)))
 
 
 def save_model(params: MlpParams, path: str | Path) -> None:
@@ -353,9 +349,8 @@ def save_model(params: MlpParams, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> MlpParams:
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        payload = json.loads(text)
+        payload = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict):

@@ -7,7 +7,7 @@ from sentipipe.core import (
     AdLabel,
     AdSpec,
     AggregateCurve,
-    AuVector,
+    Examples,
     Interval,
     VideoRecord,
 )
@@ -23,12 +23,20 @@ def curve_of(values, step=0.5, ad_id="ad", counts=None):
                           counts=np.array(counts, dtype=np.int64))
 
 
-def au_vec(**overrides) -> AuVector:
-    """AuVector of zeros with named positions set, e.g. au_vec(i0=0.7, i5=0.2)."""
-    scores = [0.0] * 20
+def au_vec(**overrides) -> np.ndarray:
+    """20 AU scores of zero with named positions set, e.g. au_vec(i0=0.7, i5=0.2)."""
+    scores = np.zeros(20)
     for key, value in overrides.items():
         scores[int(key[1:])] = value
-    return AuVector(tuple(scores))
+    return scores
+
+
+def examples_of(aus, labels, video_id="v"):
+    """Examples of one video from (n, 20) scores and n labels, its frames
+    numbered 0, 1, ..."""
+    aus = np.asarray(aus, dtype=np.float64).reshape(-1, 20)
+    return Examples((video_id,) * len(aus), np.arange(len(aus)),
+                    np.asarray(labels, dtype=np.int64), aus)
 
 
 def make_video(video_id, ad_id, spec):

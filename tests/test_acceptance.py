@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from sentipipe.core import AdLabel, AdSpec, AuVector, Interval
+from sentipipe.core import AdLabel, AdSpec, Interval
 from sentipipe.ingest import filter_by_coverage
 from sentipipe.metrics import roc_auc
 from sentipipe.mlp import TrainConfig, backward, bce_loss, forward
@@ -74,7 +74,7 @@ def test_c3_analytic_gradients_match_finite_differences():
     worst = 0.0
     for _ in range(50):
         params = random_params(rng)
-        x = AuVector(tuple(rng.uniform(0, 1, size=20)))
+        x = rng.uniform(0, 1, size=20)
         y = float(rng.integers(0, 2))
         analytic = flatten(backward(params, x, y))
         theta = flatten(params)
@@ -145,7 +145,7 @@ def test_c4_weak_labels_match_independent_per_frame_rules():
             elif not inside:
                 expected.add((video.video_id, frame.frame_index, 0))
     examples = extract_examples(videos, ads)
-    got = {(ex.source[0], ex.source[1], ex.label) for ex in examples}
+    got = {(ex.video_id, ex.frame_index, ex.label) for ex in examples}
     assert got == expected
     assert len(examples) == len(got)  # no duplicate emissions
 

@@ -362,6 +362,42 @@ class TestExitCodes:
         assert code == 4
         assert f"{curves}:2:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad_input, code", [
+        ("streams", 4), ("annotations", 4), ("examples", 4), ("curves", 4),
+        ("model", 4), ("config", 2),
+    ])
+    def test_input_that_is_not_utf8(self, chain, tmp_path, capsys, bad_input, code):
+        train, test = chain["out"] / "train", chain["out"] / "test"
+        config = tmp_path / "synth.json"
+        config.write_text(json.dumps(TINY, indent=1))
+        paths = {"streams": train / "au_streams.csv",
+                 "annotations": train / "annotations.json",
+                 "examples": chain["examples"], "curves": chain["curves"],
+                 "model": chain["model"], "config": config}
+        # the same file with one 0xff byte at the start of its second line
+        bad = tmp_path / ("bad-" + paths[bad_input].name)
+        head, rest = paths[bad_input].read_bytes().split(b"\n", 1)
+        bad.write_bytes(head + b"\n\xff" + rest)
+        paths[bad_input] = bad
+        argv = {
+            "streams": ["label", "--annotations", paths["annotations"],
+                        "--streams", paths["streams"], "--out", tmp_path / "ex.jsonl"],
+            "annotations": ["label", "--annotations", paths["annotations"],
+                            "--streams", paths["streams"], "--out", tmp_path / "ex.jsonl"],
+            "examples": ["train", "--examples", paths["examples"],
+                         "--model-out", tmp_path / "m.json", "--epochs", "1"],
+            "curves": ["export-curves", "--curves", paths["curves"],
+                       "--annotations", test / "annotations.json",
+                       "--out-dir", tmp_path / "svg"],
+            "model": ["predict", "--annotations", test / "annotations.json",
+                      "--streams", test / "au_streams.csv", "--model", paths["model"],
+                      "--out", tmp_path / "c.csv"],
+            "config": ["simulate", "--out", tmp_path / "x", "--config", paths["config"]],
+        }[bad_input]
+        assert main([str(arg) for arg in argv]) == code
+        err = capsys.readouterr().err
+        assert f"error: {bad}:2: not UTF-8 text" in err and "Traceback" not in err
+
     def test_evaluate_single_class_test_set(self, tmp_path, capsys):
         config = tmp_path / "synth.json"
         config.write_text(json.dumps({**TINY, "n_test_nonsent_ads": 0}))

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from sentipipe.core import (
     CANONICAL_AU_NAMES,
@@ -11,17 +10,14 @@ from sentipipe.core import (
     AdLabel,
     AdSpec,
     AggregateCurve,
-    AuVector,
+    ExampleRow,
+    Examples,
     Interval,
-    LabeledExample,
     VideoRecord,
-    active_au_count,
     canonical_au_index,
 )
 from sentipipe.aggregate import read_curves_csv
-from sentipipe.errors import ConfigError, SchemaError, UnknownAuName, ValidationError
-
-from conftest import au_vec
+from sentipipe.errors import SchemaError, UnknownAuName, ValidationError
 
 
 def test_canonical_order_is_frozen():
@@ -43,48 +39,6 @@ def test_canonical_au_index():
         canonical_au_index("AU99")
     with pytest.raises(UnknownAuName):
         canonical_au_index("")
-
-
-class TestAuVector:
-    def test_valid_roundtrip(self):
-        v = AuVector(tuple(i / 20 for i in range(20)))
-        assert len(v) == 20
-        assert v[3] == 3 / 20
-        assert list(v)[19] == 19 / 20
-
-    def test_wrong_length(self):
-        with pytest.raises(ValidationError):
-            AuVector((0.5,) * 19)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValidationError):
-            AuVector((0.5,) * 19 + (1.5,))
-        with pytest.raises(ValidationError):
-            AuVector((-0.1,) + (0.5,) * 19)
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValidationError):
-            AuVector((float("nan"),) + (0.5,) * 19)
-
-
-class TestActiveAuCount:
-    def test_threshold_is_inclusive(self):
-        v = au_vec(i0=0.5, i1=0.49999, i2=0.7)
-        assert active_au_count(v, threshold=0.5) == 2
-
-    def test_all_zero(self):
-        assert active_au_count(au_vec()) == 0
-
-    def test_bad_threshold(self):
-        for t in (0.0, 1.0, -0.2, 1.2):
-            with pytest.raises(ConfigError):
-                active_au_count(au_vec(), threshold=t)
-
-    @given(st.lists(st.floats(0.0, 1.0), min_size=20, max_size=20),
-           st.floats(0.01, 0.99))
-    def test_matches_bruteforce(self, scores, threshold):
-        v = AuVector(tuple(scores))
-        assert active_au_count(v, threshold) == sum(s >= threshold for s in scores)
 
 
 def record(index, ts, face, aus=None):
@@ -224,14 +178,78 @@ class TestAdSpec:
             AdLabel("funny")
 
 
-class TestLabeledExample:
-    def test_label_validated(self):
-        with pytest.raises(ValidationError):
-            LabeledExample(aus=au_vec(), label=2, source=("v", 0))
+class TestExamples:
+    @staticmethod
+    def columns(n=3):
+        """Valid columns of n rows: video_id, frame_index, label, aus."""
+        aus = np.tile(np.linspace(0.0, 1.0, N_AUS), (n, 1))
+        return ("v",) * n, np.arange(n), np.arange(n) % 2, aus
 
-    def test_source_coerced(self):
-        ex = LabeledExample(aus=au_vec(), label=1, source=("v", 3))
-        assert ex.source == ("v", 3)
+    def test_valid_roundtrip(self):
+        ids, index, label, aus = self.columns()
+        examples = Examples(ids, index, label == 1, aus.tolist())
+        assert len(examples) == 3 and examples.video_id == ids
+        assert examples.frame_index.dtype == examples.label.dtype == np.int64
+        assert examples.label.tolist() == [0, 1, 0]
+        assert examples.aus.dtype == np.float64 and np.array_equal(examples.aus, aus)
+        for column in (examples.frame_index, examples.label, examples.aus):
+            with pytest.raises(ValueError):
+                column[0] = 1
+        # a writable input array is copied, so changing it changes nothing
+        index[0] = 7
+        assert examples.frame_index[0] == 0
+        assert examples == Examples(*self.columns())
+        assert examples != Examples(*self.columns(2))
+
+    def test_rows_expose_label(self):
+        # perfbench's training counter reads examples exactly this way
+        examples = Examples(*self.columns())
+        assert len(examples) == 3 and sum(1 for ex in examples if ex.label == 1) == 1
+        rows = list(examples)
+        assert [row.label for row in rows] == [0, 1, 0]
+        assert all(isinstance(row, ExampleRow) for row in rows)
+        assert (rows[1].video_id, rows[1].frame_index) == ("v", 1)
+        assert rows[1].aus.tolist() == np.linspace(0.0, 1.0, N_AUS).tolist()
+
+    def test_wrong_length(self):
+        ids, index, label, aus = self.columns()
+        for bad in ((ids, index, label, aus[:, :19]), (ids, index, label, aus[:2]),
+                    (ids[:2], index, label, aus), (ids, index, label[:2], aus)):
+            with pytest.raises(ValidationError):
+                Examples(*bad)
+
+    def test_out_of_range(self):
+        ids, index, label, aus = self.columns()
+        for value in (1.5, -0.1):
+            bad = aus.copy()
+            bad[2, 19] = value
+            with pytest.raises(ValidationError, match="first at row 2"):
+                Examples(ids, index, label, bad)
+
+    def test_nan_rejected(self):
+        ids, index, label, aus = self.columns()
+        aus[0, 0] = float("nan")
+        with pytest.raises(ValidationError):
+            Examples(ids, index, label, aus)
+
+    def test_label_validated(self):
+        ids, index, _, aus = self.columns()
+        for label in ([0, 2, 1], [0.0, 1.0, 0.0]):
+            with pytest.raises(ValidationError):
+                Examples(ids, index, np.array(label), aus)
+
+    def test_provenance_validated(self):
+        ids, index, label, aus = self.columns()
+        for bad in ((("v", "", "v"), index, label, aus), (("v", 5, "v"), index, label, aus),
+                    (ids, np.array([0, -1, 2]), label, aus),
+                    (ids, index.astype(float), label, aus)):
+            with pytest.raises(ValidationError):
+                Examples(*bad)
+
+    def test_empty(self):
+        examples = Examples((), np.empty(0, np.int64), np.empty(0, np.int64),
+                            np.empty((0, N_AUS)))
+        assert len(examples) == 0 and not examples and list(examples) == []
 
 
 class TestCurves:

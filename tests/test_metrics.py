@@ -255,10 +255,10 @@ def marker_fixture():
         "n": AdSpec(ad_id="n", label=AdLabel.NON_SENTIMENTAL, duration_s=1.0),
     }
     videos_by_ad = {
-        "s": [make_video("vs", "s", [(0.0, True, au_vec(i0=0.9).scores),
-                                     (0.5, True, au_vec(i0=0.1).scores)])],
-        "n": [make_video("vn", "n", [(0.0, True, au_vec(i0=0.1).scores),
-                                     (0.5, True, au_vec(i0=0.1).scores)])],
+        "s": [make_video("vs", "s", [(0.0, True, au_vec(i0=0.9)),
+                                     (0.5, True, au_vec(i0=0.1))])],
+        "n": [make_video("vn", "n", [(0.0, True, au_vec(i0=0.1)),
+                                     (0.5, True, au_vec(i0=0.1))])],
     }
     return ads, videos_by_ad
 

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from sentipipe.core import LabeledExample
 from sentipipe.errors import (
     ConfigError,
     DegenerateTrainingSet,
@@ -35,7 +34,7 @@ from sentipipe.mlp import (
     _unpack,
 )
 
-from conftest import au_vec
+from conftest import au_vec, examples_of
 
 
 def random_params(rng, scale=1.0):
@@ -304,16 +303,18 @@ class TestEpochOrder:
 def toy_examples(n_per_class=25, seed=2):
     """Linearly separable toy set: positives light up the first three AUs."""
     rng = np.random.default_rng(seed)
-    examples = []
-    for i in range(n_per_class):
+    rows = []
+    for _ in range(n_per_class):
         hot = rng.uniform(0.7, 0.95, size=3)
         rest = rng.uniform(0.0, 0.2, size=N_INPUT - 3)
-        pos = au_vec(**{f"i{j}": v for j, v in enumerate(np.r_[hot, rest])})
-        examples.append(LabeledExample(pos, 1, ("p", i)))
-        cold = rng.uniform(0.0, 0.2, size=N_INPUT)
-        neg = au_vec(**{f"i{j}": v for j, v in enumerate(cold)})
-        examples.append(LabeledExample(neg, 0, ("n", i)))
-    return examples
+        rows.append(np.r_[hot, rest])
+        rows.append(rng.uniform(0.0, 0.2, size=N_INPUT))
+    return examples_of(rows, [1, 0] * n_per_class)
+
+
+def only_label(examples, label, limit=None):
+    """The scores of the examples with one label, at most limit of them."""
+    return examples.aus[examples.label == label][:limit]
 
 
 FAST = TrainConfig(epochs=100, batch_size=16, rng_seed=1)
@@ -343,28 +344,29 @@ class TestTrain:
         assert evaluate_accuracy(params, examples) >= 0.9
 
     def test_imbalanced_data_still_learns_positives(self):
-        examples = [ex for ex in toy_examples() if ex.label == 0]
-        examples += [ex for ex in toy_examples() if ex.label == 1][:3]
+        negatives = only_label(toy_examples(), 0)
+        positives = only_label(toy_examples(), 1, limit=3)
+        examples = examples_of(np.vstack([negatives, positives]),
+                               [0] * len(negatives) + [1] * 3)
         params, _ = train(examples, TrainConfig(
             epochs=150, batch_size=8, rng_seed=0))
-        positives = [ex for ex in examples if ex.label == 1]
-        assert evaluate_accuracy(params, positives) == 1.0
+        assert evaluate_accuracy(params, examples_of(positives, [1] * 3)) == 1.0
 
     def test_empty_raises(self):
         with pytest.raises(DegenerateTrainingSet):
-            train([], FAST)
+            train(examples_of(np.empty((0, N_INPUT)), []), FAST)
 
     def test_single_class_raises(self):
-        only_neg = [ex for ex in toy_examples() if ex.label == 0]
+        negatives = only_label(toy_examples(), 0)
         with pytest.raises(DegenerateTrainingSet, match="0 positives"):
-            train(only_neg, FAST)
+            train(examples_of(negatives, [0] * len(negatives)), FAST)
 
 
 def reference_train(examples, config):
     """train as a plain per-batch loop: fancy-indexed batches, each batch's
     loss summed on its own, every array allocated by the step that uses it.
     Returns (flat params, per-epoch losses, Adam steps taken)."""
-    x = np.array([ex.aus.scores for ex in examples], dtype=np.float64)
+    x = np.array([ex.aus for ex in examples], dtype=np.float64)
     y = np.array([ex.label for ex in examples], dtype=np.float64)
     rng = np.random.default_rng(config.rng_seed)
     theta = _glorot_init(rng)
@@ -387,10 +389,8 @@ def reference_train(examples, config):
 
 def imbalanced_examples(n_pos=30, n_neg=170, seed=4):
     rng = np.random.default_rng(seed)
-    return [LabeledExample(au_vec(**{f"i{j}": v for j, v in
-                                     enumerate(rng.uniform(0, 1, size=N_INPUT))}),
-                           label, ("v", i))
-            for i, label in enumerate([1] * n_pos + [0] * n_neg)]
+    labels = [1] * n_pos + [0] * n_neg
+    return examples_of([rng.uniform(0, 1, size=N_INPUT) for _ in labels], labels)
 
 
 class TestTrainMatchesReferenceLoop:
@@ -415,13 +415,12 @@ class TestTrainMatchesReferenceLoop:
 
 class TestEvaluateAccuracy:
     def test_zero_params_score_half_counts_as_positive(self):
-        examples = [LabeledExample(au_vec(), 1, ("v", 0)),
-                    LabeledExample(au_vec(), 0, ("v", 1))]
+        examples = examples_of([au_vec(), au_vec()], [1, 0])
         assert evaluate_accuracy(MlpParams.zeros(), examples) == 0.5
 
     def test_empty_raises(self):
         with pytest.raises(DegenerateTrainingSet):
-            evaluate_accuracy(MlpParams.zeros(), [])
+            evaluate_accuracy(MlpParams.zeros(), examples_of(np.empty((0, N_INPUT)), []))
 
 
 class TestPersistence:

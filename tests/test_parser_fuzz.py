@@ -17,7 +17,7 @@ import json
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sentipipe.aggregate import read_curves_csv, write_curves_csv
-from sentipipe.core import AdLabel, AdSpec, Interval, LabeledExample
+from sentipipe.core import AdLabel, AdSpec, Examples, Interval
 from sentipipe.errors import SentiPipeError
 from sentipipe.ingest import (
     _DECIMAL,
@@ -150,11 +150,8 @@ CURVES = [
     curve_of([0.0, 0.125], step=1.5, ad_id="a3", counts=[1, 1]),
 ]
 
-EXAMPLES = [
-    LabeledExample(au_vec(i0=0.1), 0, ("v1", 0)),
-    LabeledExample(au_vec(i0=0.5, i4=0.9), 1, ("v1", 4)),
-    LabeledExample(au_vec(i7=1 / 3), 0, ("v2", 0)),
-]
+EXAMPLES = Examples(("v1", "v1", "v2"), [0, 4, 0], [0, 1, 0],
+                    [au_vec(i0=0.1), au_vec(i0=0.5, i4=0.9), au_vec(i7=1 / 3)])
 
 
 @FUZZ

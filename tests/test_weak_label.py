@@ -1,16 +1,11 @@
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sentipipe.core import (
-    AdLabel,
-    AdSpec,
-    Interval,
-    LabeledExample,
-    active_au_count,
-)
+from sentipipe.core import AdLabel, AdSpec, Examples, Interval
 from sentipipe.errors import ConfigError, SchemaError, UnknownAdId, ValidationError
 from sentipipe.weak_label import (
     DEFAULT_ACTIVATION_THRESHOLD,
@@ -23,7 +18,7 @@ from sentipipe.weak_label import (
     write_examples_jsonl,
 )
 
-from conftest import au_vec, make_video
+from conftest import au_vec, examples_of, make_video
 
 
 class TestFrameInMoments:
@@ -65,65 +60,82 @@ QUIET = au_vec(i0=0.1)
 class TestExtractExamples:
     def test_rule_matrix(self):
         video = make_video("v", "s", [
-            (0.0, True, QUIET.scores),         # outside moment -> negative
-            (1.0, False, None),                # no face -> skipped
-            (2.0, True, TWO_ACTIVE.scores),    # in moment, 2 active -> positive
-            (3.0, True, ONE_ACTIVE.scores),    # in moment, 1 active -> dropped
-            (4.0, False, None),                # no face inside moment -> skipped
-            (5.0, True, THREE_ACTIVE.scores),  # at end_s, outside -> negative
+            (0.0, True, QUIET),         # outside moment -> negative
+            (1.0, False, None),         # no face -> skipped
+            (2.0, True, TWO_ACTIVE),    # in moment, 2 active -> positive
+            (3.0, True, ONE_ACTIVE),    # in moment, 1 active -> dropped
+            (4.0, False, None),         # no face inside moment -> skipped
+            (5.0, True, THREE_ACTIVE),  # at end_s, outside -> negative
         ])
         examples = extract_examples([video], ADS)
-        assert examples == [
-            LabeledExample(QUIET, 0, ("v", 0)),
-            LabeledExample(TWO_ACTIVE, 1, ("v", 2)),
-            LabeledExample(THREE_ACTIVE, 0, ("v", 5)),
-        ]
+        assert examples == Examples(("v",) * 3, [0, 2, 5], [0, 1, 0],
+                                    [QUIET, TWO_ACTIVE, THREE_ACTIVE])
 
     def test_threshold_is_inclusive(self):
-        video = make_video("v", "s", [(2.0, True, TWO_ACTIVE.scores)])
+        video = make_video("v", "s", [(2.0, True, TWO_ACTIVE)])
         [ex] = extract_examples([video], ADS)
         assert ex.label == 1
 
+    def test_all_zero_scores_are_never_active(self):
+        # even one active AU is enough here, and an all-zero frame has none
+        video = make_video("v", "s", [(2.0, True, au_vec()), (3.0, True, au_vec(i5=0.5))])
+        examples = extract_examples([video], ADS, LabelingConfig(min_active_positive=1))
+        assert examples.frame_index.tolist() == [1] and examples.label.tolist() == [1]
+
     def test_min_active_override(self):
-        video = make_video("v", "s", [(2.0, True, TWO_ACTIVE.scores)])
+        video = make_video("v", "s", [(2.0, True, TWO_ACTIVE)])
         config = LabelingConfig(min_active_positive=3)
-        assert extract_examples([video], ADS, config) == []
-        video3 = make_video("v", "s", [(2.0, True, THREE_ACTIVE.scores)])
+        assert len(extract_examples([video], ADS, config)) == 0
+        video3 = make_video("v", "s", [(2.0, True, THREE_ACTIVE)])
         [ex] = extract_examples([video3], ADS, config)
         assert ex.label == 1
 
     def test_activation_threshold_override(self):
         # both scores active at 0.5 but only one clears 0.7
-        video = make_video("v", "s", [(2.0, True, au_vec(i0=0.75, i4=0.6).scores)])
+        video = make_video("v", "s", [(2.0, True, au_vec(i0=0.75, i4=0.6))])
         config = LabelingConfig(activation_threshold=0.7)
-        assert extract_examples([video], ADS, config) == []
+        assert len(extract_examples([video], ADS, config)) == 0
 
     def test_nonsentimental_skipped_by_default(self):
-        video = make_video("v", "n", [(0.0, True, TWO_ACTIVE.scores)])
-        assert extract_examples([video], ADS) == []
+        video = make_video("v", "n", [(0.0, True, TWO_ACTIVE)])
+        assert len(extract_examples([video], ADS)) == 0
 
     def test_nonsentimental_included_as_negatives(self):
         video = make_video("v", "n", [
-            (0.0, True, THREE_ACTIVE.scores),
-            (0.5, True, QUIET.scores),
+            (0.0, True, THREE_ACTIVE),
+            (0.5, True, QUIET),
         ])
         config = LabelingConfig(include_nonsentimental_ads=True)
         examples = extract_examples([video], ADS, config)
         assert [ex.label for ex in examples] == [0, 0]
 
     def test_unknown_ad(self):
-        video = make_video("v", "ghost", [(0.0, True, QUIET.scores)])
+        video = make_video("v", "ghost", [(0.0, True, QUIET)])
         with pytest.raises(UnknownAdId):
             extract_examples([video], ADS)
 
     def test_output_sorted_regardless_of_input_order(self):
-        v_a = make_video("a", "s", [(0.0, True, QUIET.scores),
-                                    (2.0, True, TWO_ACTIVE.scores)])
-        v_b = make_video("b", "s", [(1.0, True, QUIET.scores)])
+        v_a = make_video("a", "s", [(0.0, True, QUIET),
+                                    (2.0, True, TWO_ACTIVE)])
+        v_b = make_video("b", "s", [(1.0, True, QUIET)])
         fwd = extract_examples([v_a, v_b], ADS)
         rev = extract_examples([v_b, v_a], ADS)
         assert fwd == rev
-        assert [ex.source for ex in fwd] == [("a", 0), ("a", 1), ("b", 0)]
+        assert list(zip(fwd.video_id, fwd.frame_index.tolist())) == [("a", 0), ("a", 1), ("b", 0)]
+
+    def test_shuffled_videos_give_equal_examples(self, small_synth):
+        videos, ads = small_synth.train.videos, small_synth.train.ads
+        examples = extract_examples(videos, ads)
+        assert len(examples) > 0
+        for seed in range(3):
+            order = np.random.default_rng(seed).permutation(len(videos))
+            assert extract_examples([videos[i] for i in order], ads) == examples
+
+    def test_duplicate_video_id_rejected(self):
+        v_1 = make_video("a", "s", [(0.0, True, QUIET)])
+        v_2 = make_video("a", "s", [(1.0, True, QUIET)])
+        with pytest.raises(ValidationError, match="duplicate video_id 'a'"):
+            extract_examples([v_1, v_2], ADS)
 
 
 class TestLabelingConfig:
@@ -142,37 +154,73 @@ class TestLabelingConfig:
         with pytest.raises(ConfigError):
             LabelingConfig(min_active_positive=0)
 
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2", None])
+    def test_min_active_must_be_an_integer(self, value):
+        with pytest.raises(ConfigError, match="min_active_positive"):
+            LabelingConfig(min_active_positive=value)
+
+    @pytest.mark.parametrize("value", ["no", "", 0, 1, None])
+    def test_include_nonsentimental_must_be_a_bool(self, value):
+        with pytest.raises(ConfigError, match="include_nonsentimental_ads"):
+            LabelingConfig(include_nonsentimental_ads=value)
+
+    @pytest.mark.parametrize("value", [True, "0.5", None, math.nan])
+    def test_threshold_must_be_a_number(self, value):
+        with pytest.raises(ConfigError, match="activation_threshold"):
+            LabelingConfig(activation_threshold=value)
+
+    def test_numbers_of_any_kind_are_taken(self):
+        config = LabelingConfig(activation_threshold=np.float64(0.25),
+                                min_active_positive=np.int64(3))
+        assert config.activation_threshold == 0.25 and config.min_active_positive == 3
+
 
 class TestLabelSummary:
     def test_mixed(self):
-        examples = [LabeledExample(QUIET, 0, ("v", i)) for i in range(6)]
-        examples.append(LabeledExample(TWO_ACTIVE, 1, ("v", 6)))
+        examples = examples_of([QUIET] * 6 + [TWO_ACTIVE], [0] * 6 + [1])
         assert label_summary(examples) == LabelSummary(
             positives=1, negatives=6, ratio=6.0)
 
     def test_no_positives(self):
-        examples = [LabeledExample(QUIET, 0, ("v", 0))]
-        summary = label_summary(examples)
+        summary = label_summary(examples_of([QUIET], [0]))
         assert summary.positives == 0 and summary.negatives == 1
         assert math.isinf(summary.ratio)
 
     def test_empty(self):
-        assert label_summary([]) == LabelSummary(
+        assert label_summary(examples_of(np.empty((0, 20)), [])) == LabelSummary(
             positives=0, negatives=0, ratio=None)
 
 
 class TestExamplesJsonl:
     def _examples(self):
-        return [
-            LabeledExample(QUIET, 0, ("v1", 0)),
-            LabeledExample(TWO_ACTIVE, 1, ("v1", 4)),
-            LabeledExample(au_vec(i7=1 / 3), 0, ("v2", 0)),
-        ]
+        return Examples(("v1", "v1", "v2"), [0, 4, 0], [0, 1, 0],
+                        [QUIET, TWO_ACTIVE, au_vec(i7=1 / 3)])
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "ex.jsonl"
         write_examples_jsonl(self._examples(), path)
         assert read_examples_jsonl(path) == self._examples()
+
+    def test_file_format(self, tmp_path):
+        path = tmp_path / "ex.jsonl"
+        write_examples_jsonl(self._examples(), path)
+        first = path.read_text().splitlines()[0]
+        assert first == ('{"video_id": "v1", "frame_index": 0, "label": 0, "aus": [0.1'
+                         + ", 0.0" * 19 + "]}")
+
+    def test_rewrite_is_byte_identical(self, small_synth, tmp_path):
+        examples = extract_examples(small_synth.train.videos, small_synth.train.ads)
+        first, again = tmp_path / "first.jsonl", tmp_path / "again.jsonl"
+        write_examples_jsonl(examples, first)
+        write_examples_jsonl(read_examples_jsonl(first), again)
+        assert first.read_bytes() == again.read_bytes()
+
+    def test_frame_index_must_fit_an_int64(self, tmp_path):
+        path = self._one_line(tmp_path, frame_index=2 ** 63)
+        with pytest.raises(ValidationError, match=re.escape(f"{path}:1:")):
+            read_examples_jsonl(path)
+        assert read_examples_jsonl(self._one_line(tmp_path, frame_index=2 ** 63 - 1)
+                                   ).frame_index.tolist() == [2 ** 63 - 1]
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "ex.jsonl"
@@ -255,7 +303,7 @@ def test_labels_match_per_frame_oracle(frame_specs):
     spec = [(i * 0.5, face, scores if face else None)
             for i, (face, scores) in enumerate(frame_specs)]
     video = make_video("v", "s", spec)
-    by_index = {ex.source[1]: ex for ex in extract_examples([video], ADS)}
+    by_index = {ex.frame_index: ex for ex in extract_examples([video], ADS)}
     moments = ADS["s"].moments
     for frame in video.frames:
         if not frame.face_detected:
@@ -270,5 +318,4 @@ def test_labels_match_per_frame_oracle(frame_specs):
         else:
             assert by_index[frame.frame_index].label == 0
         if frame.frame_index in by_index:
-            assert by_index[frame.frame_index].aus.scores == tuple(frame.aus[k] for k in range(20))
-        assert active == active_au_count(frame.aus, 0.5)
+            assert by_index[frame.frame_index].aus.tolist() == frame.aus.tolist()
