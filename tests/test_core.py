@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from sentipipe.core import (
     CANONICAL_AU_NAMES,
@@ -17,7 +18,10 @@ from sentipipe.core import (
     canonical_au_index,
 )
 from sentipipe.aggregate import read_curves_csv
-from sentipipe.errors import SchemaError, UnknownAuName, ValidationError
+from sentipipe.errors import ConfigError, SchemaError, UnknownAuName, ValidationError
+from sentipipe.weak_label import LabelingConfig, extract_examples
+
+from conftest import au_vec, make_video
 
 
 def test_canonical_order_is_frozen():
@@ -39,6 +43,36 @@ def test_canonical_au_index():
         canonical_au_index("AU99")
     with pytest.raises(UnknownAuName):
         canonical_au_index("")
+
+
+MOMENT_AD = {"a": AdSpec(ad_id="a", label=AdLabel.SENTIMENTAL, duration_s=1.0,
+                         moments=(Interval(0.0, 1.0),))}
+
+
+def active_count(scores, threshold=0.5):
+    """Active AUs of one face frame as weak labelling counts them: a frame
+    inside a moment is a positive exactly when the count reaches
+    ``min_active_positive``, so the count is the number of values 1..20 for
+    which it is one."""
+    video = make_video("v", "a", [(0.0, True, scores)])
+    return sum(len(extract_examples([video], MOMENT_AD, LabelingConfig(
+        activation_threshold=threshold, min_active_positive=k))) for k in range(1, N_AUS + 1))
+
+
+class TestActiveAuCount:
+    def test_threshold_is_inclusive(self):
+        v = au_vec(i0=0.5, i1=0.49999, i2=0.7)
+        assert active_count(v, threshold=0.5) == 2
+
+    def test_bad_threshold(self):
+        for t in (0.0, 1.0, -0.2, 1.2):
+            with pytest.raises(ConfigError):
+                active_count(au_vec(), threshold=t)
+
+    @given(st.lists(st.floats(0.0, 1.0), min_size=20, max_size=20),
+           st.floats(0.01, 0.99))
+    def test_matches_bruteforce(self, scores, threshold):
+        assert active_count(scores, threshold) == sum(s >= threshold for s in scores)
 
 
 def record(index, ts, face, aus=None):
