@@ -127,7 +127,8 @@ def aggregate_columns(
     # fsum is exactly rounded, so a bin's mean does not depend on the order
     # participants were listed in, and an absent one's 0.0 changes nothing
     rows = np.stack(means)[:, populated].reshape(len(means), -1).T.tolist()
-    knots = np.array([math.fsum(row) for row in rows]).reshape(-1, k) / counts[populated, None]
+    knots = (np.fromiter(map(math.fsum, rows), float, len(rows)).reshape(-1, k)
+             / counts[populated, None])
     values = np.empty((k, n))
     for j in range(k):
         values[j] = np.interp(np.arange(n), populated, knots[:, j])

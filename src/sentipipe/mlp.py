@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -84,30 +85,31 @@ class TrainConfig:
         if not isinstance(self.oversample_positives, bool):
             raise ConfigError(
                 f"oversample_positives must be a bool, got {self.oversample_positives!r}")
-        # an infinite rate would only show up as non-finite weights after training
-        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
-            raise ConfigError(
-                f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        # a rate or epsilon that is not finite would only show up after
+        # training, as non-finite or untrained weights
+        for name in ("learning_rate", "adam_epsilon"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not (value > 0 and math.isfinite(value))):
+                raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
         for name in ("adam_beta1", "adam_beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1)")
-        if self.adam_epsilon <= 0:
-            raise ConfigError("adam_epsilon must be > 0")
 
 
-def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """1 / (1 + exp(-clip(z, -700, 700))) into out, which may be z itself.
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-clip(z, -700, 700))), computed in place in z and returned.
 
     maximum then minimum is what np.clip computes, without its Python-level
     wrapper; the clip keeps exp() finite, and the sigmoid is saturated far
     before +-700 anyway.
     """
-    out = np.maximum(z, -700.0, out=out)
-    np.minimum(out, 700.0, out=out)
-    np.negative(out, out=out)
-    np.exp(out, out=out)
-    np.add(1.0, out, out=out)
-    return np.divide(1.0, out, out=out)
+    np.maximum(z, -700.0, out=z)
+    np.minimum(z, 700.0, out=z)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    np.add(1.0, z, out=z)
+    return np.divide(1.0, z, out=z)
 
 
 def _as_input_row(aus) -> np.ndarray:
@@ -117,21 +119,17 @@ def _as_input_row(aus) -> np.ndarray:
     return x.reshape(1, N_INPUT)
 
 
-def _forward_batch(params, x: np.ndarray, z: np.ndarray | None = None,
-                   h: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _forward_batch(params, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched forward pass over an MlpParams or a (w1, b1, w2, b2) tuple.
 
-    x: (n, 20). Returns (scores (n,), hidden (n, 8)). Given buffers z (n, 1)
-    and h (n, 8), both layers are computed in place there and the scores are
-    z[:, 0]; otherwise they are allocated.
+    x: (n, 20). Returns (scores (n,), hidden (n, 8)).
     """
     w1, b1, w2, b2 = params
-    h = np.matmul(x, w1.T, out=h)
-    np.add(h, b1, out=h)
-    _sigmoid(h, out=h)
-    z = np.matmul(h, w2.T, out=z)
-    np.add(z, b2, out=z)
-    return _sigmoid(z, out=z)[:, 0], h
+    h = x @ w1.T
+    h += b1
+    z = _sigmoid(h) @ w2.T
+    z += b2
+    return _sigmoid(z)[:, 0], h
 
 
 def forward(params: MlpParams, aus) -> float:
@@ -152,47 +150,15 @@ def _bce_batch(p: np.ndarray, y: np.ndarray) -> np.ndarray:
     return -(y * np.log(p) + (1.0 - y) * np.log1p(-p))
 
 
-class _BackwardWork(NamedTuple):
-    """What a backward pass over n rows writes: the flat gradient, its
-    (w1, b1, w2, b2) views, and per-row scratch."""
-
-    grad: np.ndarray
-    grad_layers: tuple[np.ndarray, ...]
-    delta2: np.ndarray  # (n,)
-    delta1: np.ndarray  # (n, 8)
-    one_minus_h: np.ndarray  # (n, 8)
-
-
-def _backward_work(n: int, grad: np.ndarray | None = None) -> _BackwardWork:
-    """Buffers for backward passes over n rows, writing into grad if given."""
-    grad = np.empty(N_PARAMS) if grad is None else grad
-    return _BackwardWork(grad, _unpack(grad), np.empty(n),
-                         np.empty((n, N_HIDDEN)), np.empty((n, N_HIDDEN)))
-
-
 def _backward_batch(params, x: np.ndarray, h: np.ndarray, p: np.ndarray,
-                    y: np.ndarray, work: _BackwardWork | None = None) -> np.ndarray:
-    """Flat gradient of the mean BCE over the batch, via the sigmoid + BCE shortcut.
-
-    Computed in place in work (sized for x's rows) when given; returns work.grad.
-    """
+                    y: np.ndarray) -> np.ndarray:
+    """Flat gradient of the mean BCE over the batch, via the sigmoid + BCE shortcut."""
     _, _, w2, _ = params
-    n = x.shape[0]
-    if work is None:
-        work = _backward_work(n)
-    gw1, gb1, gw2, gb2 = work.grad_layers
-    delta2 = np.subtract(p, y, out=work.delta2)
-    np.divide(delta2, n, out=delta2)
+    delta2 = (p - y) / x.shape[0]
     # dh = outer(delta2, w2[0]); delta1 = dh * h * (1 - h)
-    delta1 = np.multiply(delta2[:, None], w2, out=work.delta1)
-    np.multiply(delta1, h, out=delta1)
-    np.multiply(delta1, np.subtract(1.0, h, out=work.one_minus_h), out=delta1)
-    np.matmul(delta1.T, x, out=gw1)
-    # np.add.reduce is np.sum without its Python-level wrapper
-    np.add.reduce(delta1, axis=0, out=gb1)
-    np.matmul(delta2, h, out=gw2[0])
-    np.add.reduce(delta2, keepdims=True, out=gb2)
-    return work.grad
+    delta1 = delta2[:, None] * w2 * h * (1.0 - h)
+    return np.concatenate([(delta1.T @ x).ravel(), delta1.sum(axis=0),
+                           delta2 @ h, delta2.sum(keepdims=True)])
 
 
 def backward(params: MlpParams, aus, label: float) -> MlpParams:
@@ -273,10 +239,12 @@ def train(
     before the update that it triggers. Weights that went non-finite raise
     ValidationError once training ends, when the returned MlpParams is built.
 
-    The passes write into arrays allocated once per call: each epoch's rows
-    are gathered into one buffer so that batches are contiguous slices, both
-    passes run in place, and the loss is taken over the epoch's stored scores
-    after its last step.
+    Each step runs forward, backward and Adam inline: the numpy calls of
+    _forward_batch, _backward_batch and adam_step in the same order, which
+    stay as the reference this loop is tested against bit for bit. The step
+    writes into views and scratch arrays built once per call. Each epoch's
+    rows are gathered into one buffer, so that batches are contiguous
+    slices, and its loss is taken over its stored scores after its last step.
     """
     if not examples:
         raise DegenerateTrainingSet("no training examples")
@@ -289,31 +257,73 @@ def train(
     rng = np.random.default_rng(config.rng_seed)
     theta = _glorot_init(rng)
     layers = _unpack(theta)  # views: they follow theta's in-place updates
-    m = np.zeros(N_PARAMS)
-    v = np.zeros(N_PARAMS)
-    t = 0
+    w1, b1, w2, b2 = layers
+    w1t, w2t = w1.T, w2.T
+    grad = np.empty(N_PARAMS)
+    gw1, gb1, gw2, gb2 = _unpack(grad)
+    gw2_row = gw2[0]
+    m, v = np.zeros(N_PARAMS), np.zeros(N_PARAMS)
+    step, denom = np.empty(N_PARAMS), np.empty(N_PARAMS)  # Adam scratch
     rows = _epoch_length(n_pos, n_neg, config.oversample_positives)
     batch = min(config.batch_size, rows)
     n_full, n_tail = divmod(rows, batch)
     x_epoch = np.empty((rows, N_INPUT))
     y_epoch = np.empty(rows)
     z_epoch = np.empty((rows, 1))  # output layer; holds the epoch's scores
-    grad = np.empty(N_PARAMS)
-    hidden = np.empty((batch, N_HIDDEN))
-    full = (hidden, _backward_work(batch, grad))
-    tail = (hidden[:n_tail], _backward_work(n_tail, grad))
+    hidden, delta1, one_minus_h = (np.empty((batch, N_HIDDEN)) for _ in range(3))
+    delta2 = np.empty(batch)
+    # per-row work arrays for a full batch and for the tail
+    full, tail = ((hidden[:n], delta2[:n], delta2[:n, None], delta1[:n], delta1[:n].T,
+                   one_minus_h[:n], n) for n in (batch, n_tail))
+    batches = []
+    for start in range(0, rows, batch):
+        stop = start + batch
+        z = z_epoch[start:stop]
+        batches.append((x_epoch[start:stop], y_epoch[start:stop], z, z[:, 0],
+                        *(full if stop <= rows else tail)))
+    beta1, beta2 = config.adam_beta1, config.adam_beta2
+    gain1, gain2 = 1.0 - beta1, 1.0 - beta2
+    lr, eps = config.learning_rate, config.adam_epsilon
+    # the step is ~40 short numpy calls, so they are looked up once, not per
+    # call; np.add.reduce is np.sum without its Python-level wrapper
+    matmul, add, subtract, multiply, divide = (
+        np.matmul, np.add, np.subtract, np.multiply, np.divide)
+    maximum, minimum, negative, exp, sqrt = (
+        np.maximum, np.minimum, np.negative, np.exp, np.sqrt)
+    reduce = np.add.reduce
+    t = 0
     losses: list[float] = []
     for _ in range(config.epochs):
         order = _balanced_epoch_order(rng, y, config.oversample_positives)
         np.take(x, order, axis=0, out=x_epoch)
         np.take(y, order, out=y_epoch)
-        for start in range(0, rows, batch):
-            stop = start + batch
-            h, work = full if stop <= rows else tail
-            xb, yb = x_epoch[start:stop], y_epoch[start:stop]
-            p, h = _forward_batch(layers, xb, z_epoch[start:stop], h)
-            _backward_batch(layers, xb, h, p, yb, work)
-            t = adam_step(theta, grad, m, v, t, config)
+        for xb, yb, z, p, h, d2, d2_col, d1, d1_t, omh, n in batches:
+            # forward, as in _forward_batch: each layer through _sigmoid's calls
+            add(matmul(xb, w1t, out=h), b1, out=h)
+            minimum(maximum(h, -700.0, out=h), 700.0, out=h)
+            divide(1.0, add(1.0, exp(negative(h, out=h), out=h), out=h), out=h)
+            add(matmul(h, w2t, out=z), b2, out=z)
+            minimum(maximum(z, -700.0, out=z), 700.0, out=z)
+            divide(1.0, add(1.0, exp(negative(z, out=z), out=z), out=z), out=z)
+            # backward, as in _backward_batch
+            divide(subtract(p, yb, out=d2), n, out=d2)
+            multiply(multiply(d2_col, w2, out=d1), h, out=d1)
+            multiply(d1, subtract(1.0, h, out=omh), out=d1)
+            matmul(d1_t, xb, out=gw1)
+            reduce(d1, axis=0, out=gb1)
+            matmul(d2, h, out=gw2_row)
+            reduce(d2, keepdims=True, out=gb2)
+            # Adam, as in adam_step
+            t += 1
+            multiply(m, beta1, out=m)
+            add(m, multiply(gain1, grad, out=step), out=m)
+            multiply(v, beta2, out=v)
+            multiply(gain2, grad, out=step)
+            add(v, multiply(step, grad, out=step), out=v)
+            multiply(lr, divide(m, 1.0 - beta1 ** t, out=step), out=step)
+            divide(v, 1.0 - beta2 ** t, out=denom)
+            add(sqrt(denom, out=denom), eps, out=denom)
+            subtract(theta, divide(step, denom, out=step), out=theta)
         # the same per-batch sums as summing each batch's losses on its own,
         # added in batch order as Python floats
         bce = _bce_batch(z_epoch[:, 0], y_epoch)

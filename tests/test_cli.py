@@ -242,6 +242,17 @@ class TestExitCodes:
         assert code == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("epsilon", [math.inf, math.nan])
+    def test_non_finite_adam_epsilon_exits_2(self, chain, tmp_path, capsys, epsilon):
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps({"adam_epsilon": epsilon}))
+        model = tmp_path / "m.json"
+        code = main(["train", "--examples", str(chain["examples"]),
+                     "--model-out", str(model), "--config", str(config)])
+        assert code == 2
+        assert "adam_epsilon" in capsys.readouterr().err
+        assert not model.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "train"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, command):
         inputs = {

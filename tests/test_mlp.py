@@ -103,6 +103,9 @@ class TestTrainConfig:
         {"adam_beta1": 1.0},
         {"adam_beta2": -0.1},
         {"adam_epsilon": 0.0},
+        {"adam_epsilon": math.inf},
+        {"adam_epsilon": math.nan},
+        {"adam_epsilon": True},
         {"epochs": 2.5},
         {"epochs": True},
         {"epochs": "3"},
@@ -365,26 +368,30 @@ class TestTrain:
 def reference_train(examples, config):
     """train as a plain per-batch loop: fancy-indexed batches, each batch's
     loss summed on its own, every array allocated by the step that uses it.
-    Returns (flat params, per-epoch losses, Adam steps taken)."""
+    Returns (flat params, per-epoch losses, Adam steps taken, and the largest
+    |pre-activation| seen in the hidden and in the output layer)."""
     x = np.array([ex.aus for ex in examples], dtype=np.float64)
     y = np.array([ex.label for ex in examples], dtype=np.float64)
     rng = np.random.default_rng(config.rng_seed)
     theta = _glorot_init(rng)
     layers = _unpack(theta)
     m, v, t = np.zeros(N_PARAMS), np.zeros(N_PARAMS), 0
-    losses = []
+    losses, peak_hidden, peak_output = [], 0.0, 0.0
     for _ in range(config.epochs):
         order = _balanced_epoch_order(rng, y, config.oversample_positives)
         loss_total = 0.0
         for start in range(0, len(order), config.batch_size):
             idx = order[start:start + config.batch_size]
             xb, yb = x[idx], y[idx]
+            w1, b1, w2, b2 = layers
+            peak_hidden = max(peak_hidden, np.abs(xb @ w1.T + b1).max())
             p, h = _forward_batch(layers, xb)
+            peak_output = max(peak_output, np.abs(h @ w2.T + b2).max())
             loss_total += float(_bce_batch(p, yb).sum())
             grad = _backward_batch(layers, xb, h, p, yb)
             t = adam_step(theta, grad, m, v, t, config)
         losses.append(loss_total / len(order))
-    return theta, losses, t
+    return theta, losses, t, (peak_hidden, peak_output)
 
 
 def imbalanced_examples(n_pos=30, n_neg=170, seed=4):
@@ -403,14 +410,21 @@ class TestTrainMatchesReferenceLoop:
         TrainConfig(epochs=5, batch_size=341, rng_seed=3),
         # buffers are capped at the epoch length, so this allocates nothing large
         TrainConfig(epochs=5, batch_size=10 ** 11, rng_seed=3),
-    ], ids=["b64-oversampled", "b7-plain-tail", "b1", "b341-over-epoch", "b1e11"])
+        # 340 rows per epoch: 5 full batches and no tail
+        TrainConfig(epochs=3, batch_size=68, rng_seed=4),
+        # a rate this large drives pre-activations past the sigmoid's +-700 clip
+        TrainConfig(epochs=3, batch_size=16, learning_rate=1e3, rng_seed=5),
+    ], ids=["b64-oversampled", "b7-plain-tail", "b1", "b341-over-epoch", "b1e11",
+            "b68-no-tail", "lr1e3-clipped"])
     def test_bit_equal(self, config):
         examples = imbalanced_examples()
         params, losses = train(examples, config)
-        theta, ref_losses, steps = reference_train(examples, config)
+        theta, ref_losses, steps, peaks = reference_train(examples, config)
         assert flatten(params).tobytes() == theta.tobytes()
         assert np.array(losses).tobytes() == np.array(ref_losses).tobytes()
         assert steps == adam_steps(30, 170, config)
+        if config.learning_rate == 1e3:  # both layers' clips did work
+            assert min(peaks) > 700.0
 
 
 class TestEvaluateAccuracy:
