@@ -13,19 +13,25 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .core import AggregateCurve, Interval, VideoRecord, not_utf8
+from .core import _DECIMAL, _INTEGER, AggregateCurve, Interval, VideoRecord, not_utf8
 from .errors import ConfigError, EmptyInterval, NoPredictions, SchemaError, ValidationError
 from .mlp import MlpParams, _forward_batch
 
 DEFAULT_STEP_S = 0.5
 
 CURVE_CSV_COLUMNS = ("ad_id", "timestamp_s", "mean_score", "participant_count")
+# the grammar of each number column, the columns after ad_id, and one pattern
+# for the three cells joined by commas (no cell that matches holds a comma)
+_CURVE_NUMBERS = ((_DECIMAL, "a decimal number"), (_DECIMAL, "a decimal number"),
+                  (_INTEGER, "an integer"))
+_CURVE_NUMBER_CELLS = re.compile(",".join(number.pattern for number, _ in _CURVE_NUMBERS))
 
 
 def n_bins_for(duration_s: float, step_s: float = DEFAULT_STEP_S) -> int:
@@ -223,9 +229,15 @@ def read_curves_csv(path: str | Path) -> list[AggregateCurve]:
                     raise SchemaError(f"{where}: empty ad_id")
                 if ad_id in rows and ad_id != last_ad:
                     raise SchemaError(f"{where}: rows for ad {ad_id!r} are not contiguous")
+                if not _CURVE_NUMBER_CELLS.fullmatch(f"{ts_s},{score_s},{count_s}"):
+                    column, cell, kind = next(
+                        (column, cell, kind) for column, cell, (number, kind)
+                        in zip(CURVE_CSV_COLUMNS[1:], row[1:], _CURVE_NUMBERS)
+                        if not number.fullmatch(cell))
+                    raise SchemaError(f"{where}: column {column!r} holds {cell!r}, not {kind}")
                 try:
                     ts, score, count = float(ts_s), float(score_s), int(count_s)
-                except ValueError as exc:
+                except ValueError as exc:  # int() refuses more than 4300 digits
                     raise SchemaError(f"{where}: {exc}") from exc
                 # also false for NaN; counts are stored as int64
                 if not (0.0 <= ts < math.inf and 0.0 <= score <= 1.0 and 0 <= count < 2 ** 63):
@@ -294,6 +306,8 @@ def export_curve_svg(
         parts.append(
             f'<text x="{pad_l - 6:.2f}" y="{y + 4:.2f}" font-size="11" '
             f'font-family="sans-serif" text-anchor="end">{frac:.1f}</text>')
+    # the ad id as XML text; & goes first so the other entities stay intact
+    caption = curve.ad_id.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     step = curve.step_s
     pts = " ".join(
         f"{x_of(b * step + step / 2):.2f},{y_of(score):.2f}"
@@ -302,7 +316,7 @@ def export_curve_svg(
         f'<polyline points="{pts}" fill="none" stroke="#2b6cb0" stroke-width="2"/>')
     parts.append(
         f'<text x="{pad_l:.2f}" y="{height - 8:.2f}" font-size="11" '
-        f'font-family="sans-serif">{curve.ad_id} '
+        f'font-family="sans-serif">{caption} '
         f'(0 to {t_max:g} s, step {curve.step_s:g} s)</text>')
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")

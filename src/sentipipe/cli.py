@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import math
 import re
@@ -182,8 +183,15 @@ def _interpolated_bin_frac(curves: Sequence[AggregateCurve]) -> float | None:
     return sum(int((curve.counts == 0).sum()) for curve in curves) / bins if bins else None
 
 
-def _svg_filename(ad_id: str) -> str:
-    return re.sub(r"[^A-Za-z0-9._-]", "_", ad_id) + ".svg"
+def _svg_filenames(curves: Sequence[AggregateCurve]) -> list[str]:
+    """One SVG file name per curve; ValidationError when two ad ids map to one."""
+    ad_id_of: dict[str, str] = {}
+    for curve in curves:
+        name = re.sub(r"[^A-Za-z0-9._-]", "_", curve.ad_id) + ".svg"
+        if ad_id_of.setdefault(name, curve.ad_id) != curve.ad_id:
+            raise ValidationError(f"ad ids {ad_id_of[name]!r} and {curve.ad_id!r} "
+                                  f"both map to the SVG file {name}")
+    return list(ad_id_of)
 
 
 def cmd_simulate(args: argparse.Namespace) -> dict:
@@ -260,13 +268,13 @@ def cmd_predict(args: argparse.Namespace) -> dict:
     dataset, dropped = load_dataset(args.annotations, args.streams, args.min_coverage)
     params = load_model(args.model)
     curves = predict_curves(params, dataset, args.step_s)
+    svg_names = None if args.svg_dir is None else _svg_filenames(curves)
     write_curves_csv(curves, _prepare_parent(args.out))
-    if args.svg_dir is not None:
+    if svg_names is not None:
         svg_dir = Path(args.svg_dir)
         svg_dir.mkdir(parents=True, exist_ok=True)
-        for curve in curves:
-            export_curve_svg(curve, svg_dir / _svg_filename(curve.ad_id),
-                             moments=dataset.ads[curve.ad_id].moments)
+        for curve, name in zip(curves, svg_names):
+            export_curve_svg(curve, svg_dir / name, moments=dataset.ads[curve.ad_id].moments)
     covered = {c.ad_id for c in curves}
     return {
         "command": "predict",
@@ -312,14 +320,14 @@ def cmd_evaluate(args: argparse.Namespace) -> dict:
 def cmd_export_curves(args: argparse.Namespace) -> dict:
     curves = read_curves_csv(args.curves)
     ads = parse_ad_annotations(args.annotations)
+    svg_names = _svg_filenames(curves)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for curve in curves:
+    for curve, name in zip(curves, svg_names):
         ad = ads.get(curve.ad_id)
         if ad is None:
             raise UnknownAdId(f"curve references unknown ad {curve.ad_id!r}")
-        export_curve_svg(curve, out_dir / _svg_filename(curve.ad_id),
-                         moments=ad.moments)
+        export_curve_svg(curve, out_dir / name, moments=ad.moments)
     return {
         "command": "export-curves",
         "out_dir": str(out_dir),
@@ -414,6 +422,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
+    # the import-time heap lives until exit, so keep every collection, those at exit too, off it
+    gc.freeze()
     sys.exit(main())
 
 

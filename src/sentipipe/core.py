@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import re
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
@@ -31,6 +32,13 @@ CANONICAL_AU_NAMES: tuple[str, ...] = (
 N_AUS = len(CANONICAL_AU_NAMES)
 
 _INDEX_BY_LOWER_NAME = {name.lower(): i for i, name in enumerate(CANONICAL_AU_NAMES)}
+
+# The number cells of the AU stream and curves CSV formats: a count or index
+# is an _INTEGER, every other number a _DECIMAL. int() and float() also take
+# "1_0", " 5", "+0.5", non-ASCII digits, "nan" and "inf"; none of those is a
+# number of either format.
+_INTEGER = re.compile(r"-?[0-9]+")
+_DECIMAL = re.compile(r"-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
 def strict(kind: type) -> Callable[[object], object]:

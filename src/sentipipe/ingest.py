@@ -28,6 +28,8 @@ from .core import (
     Interval,
     N_AUS,
     VideoRecord,
+    _DECIMAL,
+    _INTEGER,
     canonical_au_index,
     not_utf8,
     read_text,
@@ -47,10 +49,7 @@ STREAM_AU_COLUMNS = (
 )
 
 # The stream's number cells: frame_index is an _INTEGER, every other number a
-# _DECIMAL. int() and float() also take "1_0", " 5", "+0.5", non-ASCII digits,
-# "nan" and "inf"; none of those is a number of the stream format.
-_INTEGER = re.compile(r"-?[0-9]+")
-_DECIMAL = re.compile(r"-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+# _DECIMAL; _DECIMALS matches a row's decimal cells joined by commas.
 _DECIMALS = re.compile(rf"{_DECIMAL.pattern}(?:,{_DECIMAL.pattern})*")
 # The bytes the number cells of a block may consist of, separators included.
 _NUMBER_BYTES = b"0123456789.eE+-,\n"

@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import CANONICAL_AU_NAMES, N_AUS, Examples, read_text, require_int
+from .core import CANONICAL_AU_NAMES, N_AUS, Examples, read_text, require_int, strict
 from .errors import ConfigError, DegenerateTrainingSet, SchemaError, ValidationError
 
 N_INPUT = N_AUS
@@ -358,6 +358,19 @@ def save_model(params: MlpParams, path: str | Path) -> None:
         fh.write("\n")
 
 
+def _require_numbers(value: object) -> None:
+    """Raise TypeError or ValueError unless value is a JSON number or nested
+    lists of them; np.array would also take "0.25" and true."""
+    number = strict(float)
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, list):
+            pending.extend(item)
+        else:
+            number(item)
+
+
 def load_model(path: str | Path) -> MlpParams:
     try:
         payload = json.loads(read_text(path))
@@ -375,6 +388,7 @@ def load_model(path: str | Path) -> MlpParams:
         raise SchemaError(f"{path}: au_order does not match the canonical AU order")
     for name in _SHAPES:
         try:
+            _require_numbers(payload[name])
             payload[name] = np.array(payload[name], dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"{path}: {name} is not a numeric array ({exc})") from exc

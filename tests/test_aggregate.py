@@ -1,4 +1,6 @@
 import math
+import re
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -319,6 +321,26 @@ class TestCurvesCsv:
         with pytest.raises(SchemaError, match=":2:"):
             read_curves_csv(path)
 
+    @pytest.mark.parametrize("column, cell", [
+        ("timestamp_s", " 0.0"), ("timestamp_s", "+0.0"), ("timestamp_s", "0_0"),
+        ("mean_score", "0.5 "), ("mean_score", "+0.5"), ("mean_score", "0.2_5"),
+        ("participant_count", " 1"), ("participant_count", "+1"),
+        ("participant_count", "1_0"),
+    ])
+    def test_numbers_take_the_stream_grammar(self, tmp_path, column, cell):
+        # float() and int() take each of these cells
+        row = dict(zip(CURVE_CSV_COLUMNS, ["ad", "0.0", "0.5", "1"]), **{column: cell})
+        path = tmp_path / "curves.csv"
+        path.write_text(",".join(CURVE_CSV_COLUMNS) + "\n" + ",".join(row.values()) + "\n")
+        with pytest.raises(SchemaError, match=re.escape(f"{path}:2: column '{column}' holds")):
+            read_curves_csv(path)
+
+    def test_count_of_more_than_4300_digits(self, tmp_path):
+        path = tmp_path / "curves.csv"
+        path.write_text(",".join(CURVE_CSV_COLUMNS) + "\nad,0.0,0.5," + "0" * 5000 + "1\n")
+        with pytest.raises(SchemaError, match=":2:"):
+            read_curves_csv(path)
+
     def test_negative_count(self, tmp_path):
         path = tmp_path / "curves.csv"
         path.write_text(",".join(CURVE_CSV_COLUMNS) + "\nad,0.0,0.5,-1\n")
@@ -355,3 +377,10 @@ class TestSvgExport:
         path = tmp_path / "c.svg"
         export_curve_svg(curve_of([0.2, 0.8]), path)
         assert "<polyline" in path.read_text()
+
+    def test_ad_id_is_escaped(self, tmp_path):
+        ad_id = """a<b & "c" 'd'>"""
+        path = tmp_path / "c.svg"
+        export_curve_svg(curve_of([0.2, 0.8], ad_id=ad_id), path)
+        caption = ElementTree.parse(path).getroot()[-1]
+        assert caption.text == f"{ad_id} (0 to 1 s, step 0.5 s)"

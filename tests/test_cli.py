@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import subprocess
@@ -6,6 +7,7 @@ import sys
 import pytest
 
 from sentipipe.aggregate import read_curves_csv
+from sentipipe import cli
 from sentipipe.cli import main
 from sentipipe.core import AdLabel, AdSpec, Interval
 from sentipipe.ingest import Dataset, write_dataset
@@ -409,6 +411,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"error: {bad}:2: not UTF-8 text" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["predict", "export-curves"])
+    def test_ad_ids_sharing_an_svg_name_exit_4(self, tmp_path, capsys, command):
+        # "ad 1" and "ad_1" both map to ad_1.svg
+        ads = {ad_id: AdSpec(ad_id, AdLabel.NON_SENTIMENTAL, 1.0) for ad_id in ("ad 1", "ad_1")}
+        videos = [make_video(f"v{i}", ad_id, [(t, True, [0.3] * 20) for t in (0.0, 0.5)])
+                  for i, ad_id in enumerate(ads)]
+        ann, streams = tmp_path / "annotations.json", tmp_path / "au_streams.csv"
+        write_dataset(Dataset(ads=ads, videos=tuple(videos)), ann, streams)
+        model, curves, svg = tmp_path / "model.json", tmp_path / "curves.csv", tmp_path / "svg"
+        save_model(MlpParams.zeros(), model)
+        predict = ["predict", "--annotations", str(ann), "--streams", str(streams),
+                   "--model", str(model), "--out", str(curves)]
+        if command == "predict":
+            argv = [*predict, "--svg-dir", str(svg)]
+        else:
+            assert main(predict) == 0
+            argv = ["export-curves", "--curves", str(curves), "--annotations", str(ann),
+                    "--out-dir", str(svg)]
+        written = set(tmp_path.iterdir())
+        capsys.readouterr()
+        assert main(argv) == 4
+        assert "ad ids 'ad 1' and 'ad_1' both map to the SVG file ad_1.svg" in \
+            capsys.readouterr().err
+        assert set(tmp_path.iterdir()) == written
+
     def test_evaluate_single_class_test_set(self, tmp_path, capsys):
         config = tmp_path / "synth.json"
         config.write_text(json.dumps({**TINY, "n_test_nonsent_ads": 0}))
@@ -471,3 +498,21 @@ class TestInterpolatedBins:
         counts = [c.counts.tolist() for c in read_curves_csv(tmp_path / "c.csv")]
         assert counts == [[1, 1, 0, 1], [1, 1, 1, 1]]
         assert "interpolated_bin_frac" not in read_kpi_report(tmp_path / "r.json")["metadata"]
+
+
+class TestEntry:
+    def test_freezes_the_heap_then_exits_with_mains_code(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 5)
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert calls == ["freeze", "main"]
+        assert exc.value.code == 5
+
+    def test_main_in_process_freezes_nothing(self, tmp_path, capsys):
+        config = tmp_path / "synth.json"
+        config.write_text(json.dumps(TINY))
+        before = gc.get_freeze_count()
+        assert main(["simulate", "--out", str(tmp_path / "x"), "--config", str(config)]) == 0
+        assert gc.get_freeze_count() == before

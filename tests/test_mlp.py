@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -495,6 +496,15 @@ class TestPersistence:
     def test_load_rejects_non_numeric(self, tmp_path):
         path = self._payload(tmp_path, lambda p: p.update(b2=["x"]))
         with pytest.raises(SchemaError):
+            load_model(path)
+
+    @pytest.mark.parametrize("weight", ["0.25", True, 10 ** 400],
+                             ids=["string", "bool", "beyond-float"])
+    def test_load_takes_json_numbers_only(self, tmp_path, weight):
+        def set_weight(p):
+            p["w1"][3][4] = weight
+        path = self._payload(tmp_path, set_weight)
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: w1 ")):
             load_model(path)
 
     def test_load_rejects_non_finite(self, tmp_path):
