@@ -6,8 +6,8 @@ import sys
 
 import pytest
 
-from sentipipe.aggregate import read_curves_csv
 from sentipipe import cli
+from sentipipe.aggregate import read_curves_csv
 from sentipipe.cli import main
 from sentipipe.core import AdLabel, AdSpec, Interval
 from sentipipe.ingest import Dataset, write_dataset
