@@ -321,13 +321,13 @@ def cmd_export_curves(args: argparse.Namespace) -> dict:
     curves = read_curves_csv(args.curves)
     ads = parse_ad_annotations(args.annotations)
     svg_names = _svg_filenames(curves)
+    for curve in curves:  # before any output, as the name check above
+        if curve.ad_id not in ads:
+            raise UnknownAdId(f"curve references unknown ad {curve.ad_id!r}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for curve, name in zip(curves, svg_names):
-        ad = ads.get(curve.ad_id)
-        if ad is None:
-            raise UnknownAdId(f"curve references unknown ad {curve.ad_id!r}")
-        export_curve_svg(curve, out_dir / name, moments=ad.moments)
+        export_curve_svg(curve, out_dir / name, moments=ads[curve.ad_id].moments)
     return {
         "command": "export-curves",
         "out_dir": str(out_dir),

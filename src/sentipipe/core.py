@@ -66,6 +66,12 @@ def require_int(name: str, value: object, minimum: int) -> None:
         raise ConfigError(f"{name} must be >= {minimum}, got {value}")
 
 
+def require_real(name: str, value: object) -> None:
+    """Raise ConfigError unless value is a real number (never a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
 def not_utf8(path: str | Path, error: type[SentiPipeError] = SchemaError) -> SentiPipeError:
     """The error for a file that is not UTF-8 text, naming its first bad line."""
     with open(path, "rb") as fh:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import AdLabel, AdSpec, Interval, N_AUS, VideoRecord, require_int
+from .core import AdLabel, AdSpec, Interval, N_AUS, VideoRecord, require_int, require_real
 from .errors import ConfigError
 from .ingest import Dataset
 from .weak_label import frame_in_moments
@@ -55,20 +55,28 @@ class SynthConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        # counts take integers only and the float fields any real number,
+        # never a bool, as the generator would truncate or fail on them later
         require_int("rng_seed", self.rng_seed, 0)
         for name in ("n_train_sent_ads", "n_test_sent_ads", "n_test_nonsent_ads"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
-        if self.participants_per_ad < 1:
-            raise ConfigError("participants_per_ad must be >= 1")
+            require_int(name, getattr(self, name), 0)
+        require_int("participants_per_ad", self.participants_per_ad, 1)
+        for name in ("ad_duration_s", "fps", "signal_strength", "responder_fraction",
+                     "noise_level", "face_dropout_prob", "distracted_fraction"):
+            require_real(name, getattr(self, name))
         if not math.isfinite(self.ad_duration_s) or self.ad_duration_s <= 0:
             raise ConfigError("ad_duration_s must be finite and > 0")
         if not math.isfinite(self.fps) or self.fps <= 0:
             raise ConfigError("fps must be finite and > 0")
-        lo, hi = self.moments_per_ad
-        if not (1 <= lo <= hi):
+        try:
+            lo, hi = self.moments_per_ad
+        except (TypeError, ValueError):
             raise ConfigError(
-                f"moments_per_ad must be an increasing range from >= 1, got {self.moments_per_ad}")
+                f"moments_per_ad must be a (lo, hi) pair, got {self.moments_per_ad!r}") from None
+        require_int("moments_per_ad lo", lo, 1)
+        require_int("moments_per_ad hi", hi, lo)
+        for a in self.signal_aus:
+            require_int("signal_aus index", a, 0)
         aus = frozenset(int(a) for a in self.signal_aus)
         if not aus:
             raise ConfigError("signal_aus must not be empty")
