@@ -243,7 +243,8 @@ def train(
     Each step runs forward, backward and Adam inline: the numpy calls of
     _forward_batch, _backward_batch and adam_step in the same order, which
     stay as the reference this loop is tested against bit for bit. The step
-    writes into views and scratch arrays built once per call. Each epoch's
+    writes into views and scratch arrays built once per call, and reads its
+    constants from float64 0-d arrays built with them. Each epoch's
     rows are gathered into one buffer, so that batches are contiguous
     slices, and its loss is taken over its stored scores after its last step.
     """
@@ -275,7 +276,8 @@ def train(
     delta2 = np.empty(batch)
     # Constant operands are float64 0-d arrays built once per call: a ufunc
     # takes one about 0.4 us faster than a Python float or int, and computes
-    # the same float64 values from it
+    # the same float64 values from it. The bias corrections change each step
+    # and stay Python floats; writing them into 0-d arrays saved nothing.
     def f64(value) -> np.ndarray:
         return np.array(value, dtype=np.float64)
 

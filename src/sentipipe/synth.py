@@ -75,9 +75,14 @@ class SynthConfig:
                 f"moments_per_ad must be a (lo, hi) pair, got {self.moments_per_ad!r}") from None
         require_int("moments_per_ad lo", lo, 1)
         require_int("moments_per_ad hi", hi, lo)
-        for a in self.signal_aus:
+        try:
+            indices = tuple(self.signal_aus)
+        except TypeError:
+            raise ConfigError(
+                f"signal_aus must be a collection of AU indices, got {self.signal_aus!r}") from None
+        for a in indices:
             require_int("signal_aus index", a, 0)
-        aus = frozenset(int(a) for a in self.signal_aus)
+        aus = frozenset(int(a) for a in indices)
         if not aus:
             raise ConfigError("signal_aus must not be empty")
         if any(not 0 <= a < N_AUS for a in aus):

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import io
 import json
-import numbers
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -29,7 +28,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import AdSpec, Examples, Interval, N_AUS, VideoRecord, read_text, require_int, strict
+from .core import (AdSpec, Examples, Interval, N_AUS, VideoRecord, read_text, require_int,
+                   require_real, strict)
 from .errors import ConfigError, SchemaError, UnknownAdId, ValidationError
 
 DEFAULT_ACTIVATION_THRESHOLD = 0.5
@@ -45,8 +45,9 @@ class LabelingConfig:
     include_nonsentimental_ads: bool = False
 
     def __post_init__(self) -> None:
-        t = self.activation_threshold  # the comparisons are False for NaN too
-        if isinstance(t, bool) or not (isinstance(t, numbers.Real) and 0.0 < t < 1.0):
+        t = self.activation_threshold
+        require_real("activation_threshold", t)
+        if not 0.0 < t < 1.0:  # False for NaN too
             raise ConfigError(f"activation_threshold must be a number in (0, 1), got {t!r}")
         require_int("min_active_positive", self.min_active_positive, 1)
         if not isinstance(self.include_nonsentimental_ads, bool):

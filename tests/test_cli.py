@@ -361,6 +361,24 @@ class TestExitCodes:
         assert code == 4
         assert "ghost" in capsys.readouterr().err
 
+    def test_export_curves_later_unknown_ad_writes_nothing(self, tmp_path, capsys):
+        # ad "a" is known and comes first; "ghost" must still stop the command
+        # before any SVG is written
+        curves = tmp_path / "curves.csv"
+        curves.write_text(
+            "ad_id,timestamp_s,mean_score,participant_count\n"
+            "a,0.0,0.5,1\n"
+            "ghost,0.0,0.5,1\n")
+        ann = tmp_path / "annotations.json"
+        ann.write_text(json.dumps([{"ad_id": "a", "label": "non_sentimental",
+                                    "duration_s": 1.0, "moments": []}]))
+        svg = tmp_path / "svg"
+        code = main(["export-curves", "--curves", str(curves),
+                     "--annotations", str(ann), "--out-dir", str(svg)])
+        assert code == 4
+        assert "unknown ad 'ghost'" in capsys.readouterr().err
+        assert not svg.exists()
+
     def test_export_curves_oversized_cell(self, tmp_path, capsys):
         # the csv module refuses fields over its 128 KiB limit
         curves = tmp_path / "curves.csv"

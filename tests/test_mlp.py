@@ -122,6 +122,21 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(**bad)
 
+    @pytest.mark.parametrize("bad", [
+        {"adam_beta1": False},
+        {"adam_beta1": "0.9"},
+        {"adam_beta2": True},
+        {"adam_beta2": None},
+    ], ids=["beta1-bool", "beta1-str", "beta2-bool", "beta2-none"])
+    def test_rejects_non_number_beta(self, bad):
+        with pytest.raises(ConfigError, match="must be a number"):
+            TrainConfig(**bad)
+
+    def test_accepts_numpy_numbers(self):
+        config = TrainConfig(learning_rate=np.float32(0.5), adam_beta1=np.float64(0.5),
+                             adam_beta2=np.int64(0), batch_size=np.int64(8))
+        assert config.adam_beta2 == 0
+
     def test_defaults(self):
         config = TrainConfig()
         assert config.epochs == 100
@@ -415,8 +430,11 @@ class TestTrainMatchesReferenceLoop:
         TrainConfig(epochs=3, batch_size=68, rng_seed=4),
         # a rate this large drives pre-activations past the sigmoid's +-700 clip
         TrainConfig(epochs=3, batch_size=16, learning_rate=1e3, rng_seed=5),
+        # every Adam constant off its default, two of them given as ints
+        TrainConfig(epochs=3, batch_size=16, learning_rate=1, adam_beta1=0,
+                    adam_beta2=0.5, adam_epsilon=1e-3, rng_seed=6),
     ], ids=["b64-oversampled", "b7-plain-tail", "b1", "b341-over-epoch", "b1e11",
-            "b68-no-tail", "lr1e3-clipped"])
+            "b68-no-tail", "lr1e3-clipped", "adam-off-default-ints"])
     def test_bit_equal(self, config):
         examples = imbalanced_examples()
         params, losses = train(examples, config)

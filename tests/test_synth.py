@@ -57,6 +57,34 @@ class TestSynthConfig:
         with pytest.raises(ConfigError):
             SynthConfig(**bad)
 
+    @pytest.mark.parametrize("bad", [
+        {"participants_per_ad": 2.5},
+        {"n_test_sent_ads": 1.5},
+        {"participants_per_ad": True},
+        {"signal_strength": True},
+        {"moments_per_ad": (1.5, 2)},
+        {"moments_per_ad": 3},
+        {"noise_level": "0.1"},
+        {"fps": "5"},
+        {"ad_duration_s": True},
+        {"signal_aus": frozenset({2.0})},
+        {"signal_aus": 3},
+        {"signal_aus": "12"},
+    ], ids=["participants-float", "test-sent-float", "participants-bool",
+            "signal-bool", "moments-float", "moments-not-a-pair", "noise-str", "fps-str",
+            "duration-bool", "signal-aus-float", "signal-aus-int", "signal-aus-str"])
+    def test_rejects_wrong_type(self, bad):
+        # a wrong type is refused here, not left to fail in generate or to run
+        # as a truncated or converted value
+        with pytest.raises(ConfigError):
+            SynthConfig(**bad)
+
+    def test_accepts_numpy_numbers(self):
+        config = SynthConfig(participants_per_ad=np.int64(2), fps=np.float32(5.0),
+                             moments_per_ad=[np.int64(1), 2], signal_aus={np.int8(3)})
+        assert config.moments_per_ad == (1, 2)
+        assert config.signal_aus == frozenset({3})
+
 
 class TestDeterminism:
     def test_same_seed_same_corpus(self):
