@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import gc
 import json
 import math
@@ -22,7 +23,7 @@ import re
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Sequence, TypeVar
 
 from .aggregate import (
     DEFAULT_STEP_S,
@@ -30,7 +31,7 @@ from .aggregate import (
     read_curves_csv,
     write_curves_csv,
 )
-from .core import AggregateCurve, canonical_au_index, read_text, strict
+from .core import AggregateCurve, read_text
 from .errors import (
     ConfigError,
     DegenerateComplement,
@@ -81,93 +82,28 @@ _EXIT_CODES = (
 ANNOTATIONS_NAME = "annotations.json"
 STREAMS_NAME = "au_streams.csv"
 
-
-def _read_config_json(path: str) -> dict:
-    try:
-        payload = json.loads(read_text(path, ConfigError))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    return payload
+C = TypeVar("C")
 
 
-_INT, _FLOAT, _BOOL = strict(int), strict(float), strict(bool)
-
-
-def _coerce_au_index(value: object) -> int:
-    if not isinstance(value, str):
-        return _INT(value)
-    try:
-        return canonical_au_index(value)
-    except UnknownAuName as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _coerce_signal_aus(value: object) -> frozenset[int]:
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError("signal_aus must be a list of AU names or indices")
-    return frozenset(_coerce_au_index(v) for v in value)
-
-
-def _coerce_moment_range(value: object) -> tuple[int, int]:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError("moments_per_ad must be a [lo, hi] pair")
-    return _INT(value[0]), _INT(value[1])
-
-
-_SYNTH_COERCERS: dict[str, Callable[[object], object]] = {
-    "n_train_sent_ads": _INT,
-    "n_test_sent_ads": _INT,
-    "n_test_nonsent_ads": _INT,
-    "participants_per_ad": _INT,
-    "ad_duration_s": _FLOAT,
-    "fps": _FLOAT,
-    "moments_per_ad": _coerce_moment_range,
-    "signal_aus": _coerce_signal_aus,
-    "signal_strength": _FLOAT,
-    "responder_fraction": _FLOAT,
-    "noise_level": _FLOAT,
-    "face_dropout_prob": _FLOAT,
-    "distracted_fraction": _FLOAT,
-    "rng_seed": _INT,
-}
-
-_TRAIN_COERCERS: dict[str, Callable[[object], object]] = {
-    "epochs": _INT,
-    "learning_rate": _FLOAT,
-    "batch_size": _INT,
-    "adam_beta1": _FLOAT,
-    "adam_beta2": _FLOAT,
-    "adam_epsilon": _FLOAT,
-    "oversample_positives": _BOOL,
-    "rng_seed": _INT,
-}
-
-_LABEL_COERCERS: dict[str, Callable[[object], object]] = {
-    "activation_threshold": _FLOAT,
-    "min_active_positive": _INT,
-    "include_nonsentimental_ads": _BOOL,
-}
-
-
-def _config_overrides(
-    path: str | None, coercers: Mapping[str, Callable[[object], object]], **flags: object
-) -> dict:
-    """The values in the config file at path, if one is given, then every
-    flag that is not None."""
-    payload = {} if path is None else _read_config_json(path)
-    unknown = set(payload) - set(coercers)
-    if unknown:
-        raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
-    out = {}
-    for key, value in payload.items():
+def _config(cls: type[C], path: str | None, **flags: object) -> C:
+    """cls with the values in the JSON config file at path, if one is given,
+    then every flag that is not None. The config class checks every value."""
+    config = cls()
+    if path is not None:
         try:
-            out[key] = coercers[key](value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: bad value for {key}: {exc}") from exc
-    out.update((key, value) for key, value in flags.items() if value is not None)
-    return out
+            payload = json.loads(read_text(path, ConfigError))
+        except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
+            raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+        if not isinstance(payload, dict):
+            raise ConfigError(f"{path}: config must be a JSON object")
+        unknown = set(payload) - {field.name for field in dataclasses.fields(cls)}
+        if unknown:
+            raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
+        try:
+            config = cls(**payload)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+    return dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _prepare_parent(path: str | Path) -> Path:
@@ -195,7 +131,7 @@ def _svg_filenames(curves: Sequence[AggregateCurve]) -> list[str]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> dict:
-    config = SynthConfig(**_config_overrides(args.config, _SYNTH_COERCERS, rng_seed=args.seed))
+    config = _config(SynthConfig, args.config, rng_seed=args.seed)
     data = generate_null(config) if args.null else generate(config)
     out = Path(args.out)
     for split, dataset in (("train", data.train), ("test", data.test)):
@@ -215,10 +151,9 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
 
 
 def cmd_label(args: argparse.Namespace) -> dict:
-    config = LabelingConfig(**_config_overrides(
-        args.config, _LABEL_COERCERS, activation_threshold=args.threshold,
-        min_active_positive=args.min_active,
-        include_nonsentimental_ads=args.include_nonsentimental or None))
+    config = _config(LabelingConfig, args.config, activation_threshold=args.threshold,
+                     min_active_positive=args.min_active,
+                     include_nonsentimental_ads=args.include_nonsentimental or None)
     dataset, dropped = load_dataset(args.annotations, args.streams, args.min_coverage)
     examples = extract_examples(dataset.videos, dataset.ads, config)
     write_examples_jsonl(examples, _prepare_parent(args.out))
@@ -236,10 +171,9 @@ def cmd_label(args: argparse.Namespace) -> dict:
 
 
 def cmd_train(args: argparse.Namespace) -> dict:
-    config = TrainConfig(**_config_overrides(
-        args.config, _TRAIN_COERCERS, rng_seed=args.seed, epochs=args.epochs,
-        batch_size=args.batch_size, learning_rate=args.learning_rate,
-        oversample_positives=False if args.no_oversample else None))
+    config = _config(TrainConfig, args.config, rng_seed=args.seed, epochs=args.epochs,
+                     batch_size=args.batch_size, learning_rate=args.learning_rate,
+                     oversample_positives=False if args.no_oversample else None)
     examples = read_examples_jsonl(args.examples)
     params, losses = train(examples, config)
     save_model(params, _prepare_parent(args.model_out))

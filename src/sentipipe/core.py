@@ -49,7 +49,7 @@ def strict(kind: type) -> Callable[[object], object]:
     accepted = (int, float) if kind is float else kind
 
     def coerce(value: object) -> object:
-        if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        if isinstance(value, bool) or not isinstance(value, accepted):
             raise TypeError(f"expected a JSON {kind.__name__}, got {value!r}")
         try:
             return kind(value)
@@ -58,18 +58,24 @@ def strict(kind: type) -> Callable[[object], object]:
     return coerce
 
 
-def require_int(name: str, value: object, minimum: int) -> None:
-    """Raise ConfigError unless value is an integer (never a bool) >= minimum."""
+def require_int(name: str, value: object, minimum: int) -> int:
+    """value as an int; ConfigError unless it is an integer (never a bool) >= minimum."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
 
 
-def require_real(name: str, value: object) -> None:
-    """Raise ConfigError unless value is a real number (never a bool)."""
+def require_real(name: str, value: object) -> float:
+    """value as a float; ConfigError unless it is a real number (never a bool)
+    that a float can hold."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} is too large for a float") from None
 
 
 def not_utf8(path: str | Path, error: type[SentiPipeError] = SchemaError) -> SentiPipeError:

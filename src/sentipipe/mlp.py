@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Iterator
 
@@ -78,24 +79,27 @@ class TrainConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        # batch_size also sizes the trainer's buffers, so integers only
-        require_int("epochs", self.epochs, 1)
-        require_int("batch_size", self.batch_size, 1)
-        require_int("rng_seed", self.rng_seed, 0)
+        # batch_size also sizes the trainer's buffers, so integers only; each
+        # number keeps the int or float its check returns
+        put = partial(object.__setattr__, self)
+        for name in ("epochs", "batch_size"):
+            put(name, require_int(name, getattr(self, name), 1))
+        put("rng_seed", require_int("rng_seed", self.rng_seed, 0))
         if not isinstance(self.oversample_positives, bool):
             raise ConfigError(
                 f"oversample_positives must be a bool, got {self.oversample_positives!r}")
         # a rate or epsilon that is not finite would only show up after
         # training, as non-finite or untrained weights
         for name in ("learning_rate", "adam_epsilon"):
-            value = getattr(self, name)
-            require_real(name, value)
+            value = require_real(name, getattr(self, name))
             if not (value > 0 and math.isfinite(value)):
                 raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
+            put(name, value)
         for name in ("adam_beta1", "adam_beta2"):
-            require_real(name, getattr(self, name))
-            if not 0.0 <= getattr(self, name) < 1.0:
+            value = require_real(name, getattr(self, name))
+            if not 0.0 <= value < 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1)")
+            put(name, value)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

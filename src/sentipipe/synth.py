@@ -14,12 +14,15 @@ config is bit-reproducible.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from .core import AdLabel, AdSpec, Interval, N_AUS, VideoRecord, require_int, require_real
-from .errors import ConfigError
+from .core import (AdLabel, AdSpec, Interval, N_AUS, VideoRecord, canonical_au_index, require_int,
+                   require_real)
+from .errors import ConfigError, UnknownAuName
 from .ingest import Dataset
 from .weak_label import frame_in_moments
 
@@ -56,14 +59,16 @@ class SynthConfig:
 
     def __post_init__(self) -> None:
         # counts take integers only and the float fields any real number,
-        # never a bool, as the generator would truncate or fail on them later
-        require_int("rng_seed", self.rng_seed, 0)
-        for name in ("n_train_sent_ads", "n_test_sent_ads", "n_test_nonsent_ads"):
-            require_int(name, getattr(self, name), 0)
-        require_int("participants_per_ad", self.participants_per_ad, 1)
+        # never a bool, as the generator would truncate or fail on them later;
+        # each field keeps the int or float its check returns
+        put = partial(object.__setattr__, self)
+        for name, minimum in (("n_train_sent_ads", 0), ("n_test_sent_ads", 0),
+                              ("n_test_nonsent_ads", 0), ("participants_per_ad", 1),
+                              ("rng_seed", 0)):
+            put(name, require_int(name, getattr(self, name), minimum))
         for name in ("ad_duration_s", "fps", "signal_strength", "responder_fraction",
                      "noise_level", "face_dropout_prob", "distracted_fraction"):
-            require_real(name, getattr(self, name))
+            put(name, require_real(name, getattr(self, name)))
         if not math.isfinite(self.ad_duration_s) or self.ad_duration_s <= 0:
             raise ConfigError("ad_duration_s must be finite and > 0")
         if not math.isfinite(self.fps) or self.fps <= 0:
@@ -73,21 +78,21 @@ class SynthConfig:
         except (TypeError, ValueError):
             raise ConfigError(
                 f"moments_per_ad must be a (lo, hi) pair, got {self.moments_per_ad!r}") from None
-        require_int("moments_per_ad lo", lo, 1)
-        require_int("moments_per_ad hi", hi, lo)
+        lo = require_int("moments_per_ad lo", lo, 1)
+        put("moments_per_ad", (lo, require_int("moments_per_ad hi", hi, lo)))
         try:
             indices = tuple(self.signal_aus)
         except TypeError:
-            raise ConfigError(
-                f"signal_aus must be a collection of AU indices, got {self.signal_aus!r}") from None
-        for a in indices:
-            require_int("signal_aus index", a, 0)
-        aus = frozenset(int(a) for a in indices)
+            indices = None
+        if indices is None or isinstance(self.signal_aus, (str, bytes, Mapping)):
+            raise ConfigError(f"signal_aus must be a collection of AU names or indices, "
+                              f"got {self.signal_aus!r}")
+        aus = frozenset(map(_signal_au_index, indices))
         if not aus:
             raise ConfigError("signal_aus must not be empty")
-        if any(not 0 <= a < N_AUS for a in aus):
+        if any(a >= N_AUS for a in aus):
             raise ConfigError(f"signal_aus indices must lie in [0, {N_AUS})")
-        object.__setattr__(self, "signal_aus", aus)
+        put("signal_aus", aus)
         for name in ("signal_strength", "responder_fraction", "distracted_fraction"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1]")
@@ -95,7 +100,16 @@ class SynthConfig:
             raise ConfigError("noise_level must lie strictly inside (0, 1)")
         if not 0.0 <= self.face_dropout_prob < 1.0:
             raise ConfigError("face_dropout_prob must lie in [0, 1)")
-        object.__setattr__(self, "moments_per_ad", (int(lo), int(hi)))
+
+
+def _signal_au_index(value: object) -> int:
+    """The index of one signal_aus entry: an AU name or an index >= 0."""
+    if not isinstance(value, str):
+        return require_int("signal_aus index", value, 0)
+    try:
+        return canonical_au_index(value)
+    except UnknownAuName as exc:
+        raise ConfigError(f"signal_aus: {exc}") from None
 
 
 @dataclass(frozen=True, slots=True)

@@ -45,11 +45,12 @@ class LabelingConfig:
     include_nonsentimental_ads: bool = False
 
     def __post_init__(self) -> None:
-        t = self.activation_threshold
-        require_real("activation_threshold", t)
+        t = require_real("activation_threshold", self.activation_threshold)
         if not 0.0 < t < 1.0:  # False for NaN too
             raise ConfigError(f"activation_threshold must be a number in (0, 1), got {t!r}")
-        require_int("min_active_positive", self.min_active_positive, 1)
+        object.__setattr__(self, "activation_threshold", t)
+        object.__setattr__(self, "min_active_positive",
+                           require_int("min_active_positive", self.min_active_positive, 1))
         if not isinstance(self.include_nonsentimental_ads, bool):
             raise ConfigError(f"include_nonsentimental_ads must be a bool, "
                               f"got {self.include_nonsentimental_ads!r}")

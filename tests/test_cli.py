@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -12,8 +13,9 @@ from sentipipe.cli import main
 from sentipipe.core import AdLabel, AdSpec, Interval
 from sentipipe.ingest import Dataset, write_dataset
 from sentipipe.metrics import read_kpi_report
-from sentipipe.mlp import MlpParams, load_model, save_model
-from sentipipe.weak_label import read_examples_jsonl
+from sentipipe.mlp import MlpParams, TrainConfig, load_model, save_model
+from sentipipe.synth import SynthConfig
+from sentipipe.weak_label import LabelingConfig, read_examples_jsonl
 
 from conftest import make_video
 
@@ -218,6 +220,13 @@ class TestExitCodes:
         assert code == 2
         assert "volume" in capsys.readouterr().err
 
+    def test_config_integer_past_the_digit_limit(self, tmp_path, capsys):
+        config = tmp_path / "synth.json"
+        config.write_text('{"rng_seed": ' + "9" * 5000 + "}")
+        code = main(["simulate", "--out", str(tmp_path / "x"), "--config", str(config)])
+        assert code == 2
+        assert str(config) in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, key, value", [
         ("train", "oversample_positives", "false"),
         ("label", "include_nonsentimental_ads", "no"),
@@ -242,7 +251,8 @@ class TestExitCodes:
         }[command]
         code = main([command, *inputs, "--config", str(config)])
         assert code == 2
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert key in err and str(config) in err
 
     @pytest.mark.parametrize("epsilon", [math.inf, math.nan])
     def test_non_finite_adam_epsilon_exits_2(self, chain, tmp_path, capsys, epsilon):
@@ -265,6 +275,23 @@ class TestExitCodes:
         code = main([command, *inputs, "--seed", "-1"])
         assert code == 2
         assert "rng_seed" in capsys.readouterr().err
+
+    def test_bad_flag_names_only_the_field(self, tmp_path, capsys):
+        config = tmp_path / "synth.json"
+        config.write_text(json.dumps(TINY))
+        code = main(["simulate", "--out", str(tmp_path / "x"), "--config", str(config),
+                     "--seed", "-1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "rng_seed" in err and str(config) not in err
+
+    def test_config_file_is_checked_before_flags(self, tmp_path, capsys):
+        config = tmp_path / "synth.json"
+        config.write_text(json.dumps({**TINY, "rng_seed": -1}))
+        code = main(["simulate", "--out", str(tmp_path / "x"), "--config", str(config),
+                     "--seed", "3"])
+        assert code == 2
+        assert str(config) in capsys.readouterr().err
 
     def test_label_missing_streams(self, tmp_path, capsys):
         ann = tmp_path / "annotations.json"
@@ -476,6 +503,32 @@ class TestExitCodes:
                      "--report-out", str(tmp_path / "r.json")])
         assert code == 5
         assert "non-sentimental" in capsys.readouterr().err
+
+
+class TestConfigFiles:
+    @pytest.mark.parametrize("cls", [SynthConfig, LabelingConfig, TrainConfig])
+    def test_every_field_can_be_set(self, tmp_path, cls):
+        # the config classes check every field, so a new field needs no CLI edit
+        defaults = {field.name: getattr(cls(), field.name) for field in dataclasses.fields(cls)}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({key: sorted(value) if isinstance(value, frozenset) else value
+                                    for key, value in defaults.items()}))
+        assert cli._config(cls, str(path)) == cls()
+
+    @pytest.mark.parametrize("names, indices", [
+        (["Smile", "AU6", "AU1"], [18, 4, 0]),
+        (["smirk", "au2"], [19, 1]),  # not the default set
+    ])
+    def test_signal_aus_names_match_indices(self, tmp_path, names, indices):
+        outputs = []
+        for signal_aus in (names, indices):
+            config = tmp_path / "synth.json"
+            config.write_text(json.dumps({**TINY, "signal_aus": signal_aus}))
+            out = tmp_path / str(len(outputs))
+            assert main(["simulate", "--out", str(out), "--config", str(config)]) == 0
+            outputs.append([(out / split / name).read_bytes() for split in ("train", "test")
+                            for name in (cli.ANNOTATIONS_NAME, cli.STREAMS_NAME)])
+        assert outputs[0] == outputs[1]
 
 
 class TestNullFlag:

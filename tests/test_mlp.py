@@ -117,6 +117,8 @@ class TestTrainConfig:
         {"rng_seed": True},
         {"oversample_positives": "no"},
         {"oversample_positives": 1},
+        {"learning_rate": 10 ** 400},
+        {"adam_epsilon": 10 ** 400},
     ])
     def test_rejects(self, bad):
         with pytest.raises(ConfigError):
@@ -136,6 +138,10 @@ class TestTrainConfig:
         config = TrainConfig(learning_rate=np.float32(0.5), adam_beta1=np.float64(0.5),
                              adam_beta2=np.int64(0), batch_size=np.int64(8))
         assert config.adam_beta2 == 0
+        # stored as Python numbers, so training never computes in a numpy type
+        for name, kind in (("learning_rate", float), ("adam_beta1", float),
+                           ("adam_beta2", float), ("batch_size", int)):
+            assert type(getattr(config, name)) is kind, name
 
     def test_defaults(self):
         config = TrainConfig()
@@ -444,6 +450,20 @@ class TestTrainMatchesReferenceLoop:
         assert steps == adam_steps(30, 170, config)
         if config.learning_rate == 1e3:  # both layers' clips did work
             assert min(peaks) > 700.0
+
+
+    def test_numpy_float_fields_train_as_plain_floats(self):
+        # a long double rate or beta once carried its precision into Adam
+        examples = imbalanced_examples()
+        plain = TrainConfig(epochs=3, batch_size=16, rng_seed=7)
+        numpy = TrainConfig(epochs=3, batch_size=16, rng_seed=7,
+                            learning_rate=np.longdouble(1e-3), adam_beta1=np.longdouble(0.9))
+        params, losses = train(examples, numpy)
+        plain_params, plain_losses = train(examples, plain)
+        theta, ref_losses, _, _ = reference_train(examples, plain)
+        for flat, curve in ((flatten(plain_params), plain_losses), (theta, ref_losses)):
+            assert flatten(params).tobytes() == flat.tobytes()
+            assert np.array(losses).tobytes() == np.array(curve).tobytes()
 
 
 class TestEvaluateAccuracy:

@@ -70,9 +70,13 @@ class TestSynthConfig:
         {"signal_aus": frozenset({2.0})},
         {"signal_aus": 3},
         {"signal_aus": "12"},
+        {"signal_aus": np.array(3)},
+        {"ad_duration_s": 10 ** 400},
+        {"fps": 10 ** 400},
     ], ids=["participants-float", "test-sent-float", "participants-bool",
             "signal-bool", "moments-float", "moments-not-a-pair", "noise-str", "fps-str",
-            "duration-bool", "signal-aus-float", "signal-aus-int", "signal-aus-str"])
+            "duration-bool", "signal-aus-float", "signal-aus-int", "signal-aus-str",
+            "signal-aus-0d-array", "duration-beyond-float", "fps-beyond-float"])
     def test_rejects_wrong_type(self, bad):
         # a wrong type is refused here, not left to fail in generate or to run
         # as a truncated or converted value
@@ -84,6 +88,19 @@ class TestSynthConfig:
                              moments_per_ad=[np.int64(1), 2], signal_aus={np.int8(3)})
         assert config.moments_per_ad == (1, 2)
         assert config.signal_aus == frozenset({3})
+        # stored as Python numbers, so the generator never computes in a numpy type
+        assert type(config.participants_per_ad) is int and type(config.fps) is float
+        assert all(type(v) is int for v in (*config.moments_per_ad, *config.signal_aus))
+
+    def test_signal_aus_takes_names(self):
+        config = SynthConfig(signal_aus=["Smile", "au6", 0])
+        assert config.signal_aus == frozenset({18, 4, 0})
+
+    @pytest.mark.parametrize("bad", [["Smile", "AU99"], "Smile", {"Smile": 1}, b"\x00\x04"],
+                             ids=["unknown-name", "str", "mapping", "bytes"])
+    def test_signal_aus_rejects_non_collections_and_unknown_names(self, bad):
+        with pytest.raises(ConfigError, match="signal_aus"):
+            SynthConfig(signal_aus=bad)
 
 
 class TestDeterminism:
