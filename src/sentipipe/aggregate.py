@@ -269,14 +269,13 @@ def export_curve_svg(
     curve: AggregateCurve,
     path: str | Path,
     moments: Sequence[Interval] = (),
-    width: int = 640,
-    height: int = 240,
 ) -> None:
     """Render one curve as a standalone SVG line chart.
 
     Moments are shaded behind the line. Purely cosmetic output; numbers are
     formatted to fixed precision so reruns are byte-identical.
     """
+    width, height = 640, 240
     pad_l, pad_r, pad_t, pad_b = 42.0, 12.0, 12.0, 30.0
     plot_w = width - pad_l - pad_r
     plot_h = height - pad_t - pad_b

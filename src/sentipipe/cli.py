@@ -31,7 +31,7 @@ from .aggregate import (
     read_curves_csv,
     write_curves_csv,
 )
-from .core import AggregateCurve, read_text
+from .core import AggregateCurve, read_json
 from .errors import (
     ConfigError,
     DegenerateComplement,
@@ -90,10 +90,7 @@ def _config(cls: type[C], path: str | None, **flags: object) -> C:
     then every flag that is not None. The config class checks every value."""
     config = cls()
     if path is not None:
-        try:
-            payload = json.loads(read_text(path, ConfigError))
-        except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+        payload = read_json(path, ConfigError)
         if not isinstance(payload, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
         unknown = set(payload) - {field.name for field in dataclasses.fields(cls)}

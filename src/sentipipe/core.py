@@ -8,6 +8,7 @@ an instance that is well formed.
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
 import re
@@ -15,7 +16,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -41,41 +42,37 @@ _INTEGER = re.compile(r"-?[0-9]+")
 _DECIMAL = re.compile(r"-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
-def strict(kind: type) -> Callable[[object], object]:
-    """Coercer that takes only JSON values of one kind: bool is never a
-    number, integer fields take integers only, and float fields also take
-    integers. A wrong kind raises TypeError, an unrepresentable value
-    ValueError."""
-    accepted = (int, float) if kind is float else kind
-
-    def coerce(value: object) -> object:
-        if isinstance(value, bool) or not isinstance(value, accepted):
-            raise TypeError(f"expected a JSON {kind.__name__}, got {value!r}")
-        try:
-            return kind(value)
-        except OverflowError as exc:  # an integer too large for a float
-            raise ValueError(f"{value!r} is out of range ({exc})") from None
-    return coerce
+def got(value: object) -> str:
+    """", got <repr of value>" for an error message, or "" where Python cannot
+    print the value: repr() refuses an int of more than 4300 digits."""
+    try:
+        return f", got {value!r}"
+    except ValueError:
+        return ""
 
 
-def require_int(name: str, value: object, minimum: int) -> int:
-    """value as an int; ConfigError unless it is an integer (never a bool) >= minimum."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+def require_int(name: str, value: object, minimum: int | None = None,
+                error: type[SentiPipeError] = ConfigError) -> int:
+    """value as an int; error unless it is an integer (never a bool) and,
+    given a minimum, >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):
+        raise error(f"{name} must be an integer{got(value)}")
+    if minimum is not None and value < minimum:
+        raise error(f"{name} must be >= {minimum}{got(value)}")
     return int(value)
 
 
-def require_real(name: str, value: object) -> float:
-    """value as a float; ConfigError unless it is a real number (never a bool)
-    that a float can hold."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
+def require_real(name: str, value: object, error: type[SentiPipeError] = ConfigError) -> float:
+    """value as a float; error unless it is a real number (never a bool) that a
+    float can hold."""
+    if type(value) is float:  # the file readers type every number, and most are floats
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, numbers.Real)):
+        raise error(f"{name} must be a number{got(value)}")
     try:
         return float(value)
     except OverflowError:
-        raise ConfigError(f"{name} is too large for a float") from None
+        raise error(f"{name} is too large for a float") from None
 
 
 def not_utf8(path: str | Path, error: type[SentiPipeError] = SchemaError) -> SentiPipeError:
@@ -95,6 +92,17 @@ def read_text(path: str | Path, error: type[SentiPipeError] = SchemaError) -> st
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError:
         raise not_utf8(path, error) from None
+
+
+def read_json(path: str | Path, error: type[SentiPipeError] = SchemaError) -> object:
+    """The JSON value in a UTF-8 text file; a file that is not UTF-8 (see
+    not_utf8) or not valid JSON raises error. json.loads raises ValueError
+    for an integer of over 4300 digits too, and RecursionError for arrays or
+    objects nested too deep."""
+    try:
+        return json.loads(read_text(path, error))
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{path}: not valid JSON ({exc})") from exc
 
 
 def canonical_au_index(name: str) -> int:

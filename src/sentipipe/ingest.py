@@ -1,6 +1,6 @@
 """File ingestion: ad annotation JSON, AU stream CSV, and the coverage filter.
 
-Parsers are strict on purpose. A malformed row aborts the whole parse instead
+Parsers accept nothing malformed. A malformed row aborts the whole parse instead
 of being skipped, because silently dropped rows would bias every KPI computed
 downstream. Writers emit the exact same formats the parsers accept, with full
 float precision, so a parse -> write -> parse cycle is lossless.
@@ -23,30 +23,30 @@ import numpy as np
 from .core import (
     AdLabel,
     AdSpec,
-    CANONICAL_AU_NAMES,
     FRAME_DTYPE,
     Interval,
     N_AUS,
     VideoRecord,
     _DECIMAL,
     _INTEGER,
-    canonical_au_index,
     not_utf8,
-    read_text,
-    strict,
+    read_json,
+    require_real,
 )
-from .errors import ConfigError, SchemaError, UnknownAuName, ValidationError
+from .errors import ConfigError, SchemaError, ValidationError
 
 DEFAULT_MIN_COVERAGE = 0.90
 
 # CSV schema for AU streams. Metadata columns are fixed; AU columns may appear
-# in any order in the header and are matched by name.
+# in any order in the header and are matched by their exact names, which are
+# in canonical AU order.
 STREAM_META_COLUMNS = ("video_id", "ad_id", "frame_index", "timestamp_s", "face_detected")
 STREAM_AU_COLUMNS = (
     "au_1", "au_2", "au_4", "au_5", "au_6", "au_7", "au_9", "au_10", "au_14",
     "au_15", "au_17", "au_18", "au_20", "au_24", "au_25", "au_26", "au_28",
     "au_eye_closure", "au_smile", "au_smirk",
 )
+_STREAM_COLUMNS = dict.fromkeys(STREAM_META_COLUMNS + STREAM_AU_COLUMNS)
 
 # The stream's number cells: frame_index is an _INTEGER, every other number a
 # _DECIMAL; _DECIMALS matches a row's decimal cells joined by commas.
@@ -59,7 +59,6 @@ _BLOCK_BYTES = 1 << 20
 
 _ANNOTATION_KEYS = {"ad_id", "label", "duration_s", "moments"}
 _LABEL_BY_STRING = {label.value: label for label in AdLabel}
-_FLOAT = strict(float)
 
 
 @dataclass(frozen=True)
@@ -86,21 +85,9 @@ class Dataset:
         object.__setattr__(self, "videos", videos)
 
 
-def _au_column_to_index(column: str) -> int | None:
-    """Resolve an ``au_*`` header cell to a canonical AU position, else None."""
-    if not column.startswith("au_"):
-        return None
-    suffix = column[3:]
-    name = ("AU" + suffix) if suffix.isdigit() else suffix.replace("_", "")
-    return canonical_au_index(name)
-
-
 def parse_ad_annotations(path: str | Path) -> dict[str, AdSpec]:
     """Read the ad annotation JSON into an ordered ad_id -> AdSpec map."""
-    try:
-        payload = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
+    payload = read_json(path)
     if not isinstance(payload, list):
         raise SchemaError(f"{path}: expected a JSON array of ad objects")
     ads: dict[str, AdSpec] = {}
@@ -121,12 +108,13 @@ def parse_ad_annotations(path: str | Path) -> dict[str, AdSpec]:
         try:
             if not isinstance(moments, list) or any(
                     not isinstance(pair, list) or len(pair) != 2 for pair in moments):
-                raise TypeError("moments must be [start, end] number pairs")
-            intervals = sorted((Interval(_FLOAT(a), _FLOAT(b)) for a, b in moments),
-                               key=lambda m: (m.start_s, m.end_s))
-            ads[ad_id] = AdSpec(ad_id, _LABEL_BY_STRING[label],
-                                _FLOAT(item["duration_s"]), tuple(intervals))
-        except (TypeError, ValueError) as exc:
+                raise SchemaError("moments must be [start, end] number pairs")
+            intervals = sorted((Interval(require_real("moment start", a, SchemaError),
+                                         require_real("moment end", b, SchemaError))
+                                for a, b in moments), key=lambda m: (m.start_s, m.end_s))
+            duration = require_real("duration_s", item["duration_s"], SchemaError)
+            ads[ad_id] = AdSpec(ad_id, _LABEL_BY_STRING[label], duration, tuple(intervals))
+        except SchemaError as exc:
             raise SchemaError(f"{path}: ad {ad_id!r}: {exc}") from exc
         except ValidationError as exc:
             raise ValidationError(f"{path}: ad {ad_id!r}: {exc}") from exc
@@ -150,31 +138,20 @@ def write_ad_annotations(ads: dict[str, AdSpec], path: str | Path) -> None:
 
 
 def _resolve_stream_header(header: Sequence[str], path) -> tuple[dict[str, int], list[int]]:
-    seen: set[str] = set()
-    for column in header:
-        if column in seen:
-            raise SchemaError(f"{path}: duplicate column {column!r}")
-        seen.add(column)
-    meta_pos: dict[str, int] = {}
-    au_pos: list[int | None] = [None] * N_AUS
+    """The position of each metadata column by name and of each AU column in
+    canonical order; SchemaError unless the header holds each name of
+    _STREAM_COLUMNS exactly once and no other cell."""
+    positions: dict[str, int] = {}
     for pos, column in enumerate(header):
-        if column in STREAM_META_COLUMNS:
-            meta_pos[column] = pos
-            continue
-        try:
-            index = _au_column_to_index(column)
-        except UnknownAuName:
-            index = None
-        if index is None:
+        if column not in _STREAM_COLUMNS:
             raise SchemaError(f"{path}: unrecognized column {column!r}")
-        au_pos[index] = pos
-    missing_meta = [c for c in STREAM_META_COLUMNS if c not in meta_pos]
-    if missing_meta:
-        raise SchemaError(f"{path}: missing columns {missing_meta}")
-    missing_aus = [CANONICAL_AU_NAMES[i] for i, p in enumerate(au_pos) if p is None]
-    if missing_aus:
-        raise SchemaError(f"{path}: missing AU columns for {missing_aus}")
-    return meta_pos, [p for p in au_pos if p is not None]
+        if positions.setdefault(column, pos) != pos:
+            raise SchemaError(f"{path}: duplicate column {column!r}")
+    missing = [column for column in _STREAM_COLUMNS if column not in positions]
+    if missing:
+        raise SchemaError(f"{path}: missing columns {missing}")
+    return ({column: positions[column] for column in STREAM_META_COLUMNS},
+            [positions[column] for column in STREAM_AU_COLUMNS])
 
 
 def parse_au_stream(path: str | Path) -> list[VideoRecord]:

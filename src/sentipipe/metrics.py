@@ -28,6 +28,7 @@ from .core import (
     AggregateCurve,
     Interval,
     VideoRecord,
+    read_json,
 )
 from .errors import (
     ConfigError,
@@ -301,5 +302,6 @@ def write_kpi_table_csv(
 
 
 def read_kpi_report(path: str | Path) -> dict:
-    """Load a KPI report JSON as a plain dict (used by tooling and tests)."""
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """Load a KPI report JSON as a plain dict (used by tooling and tests); a
+    file that is not UTF-8 or not valid JSON raises SchemaError."""
+    return read_json(path)

@@ -18,8 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import (CANONICAL_AU_NAMES, N_AUS, Examples, read_text, require_int, require_real,
-                   strict)
+from .core import CANONICAL_AU_NAMES, N_AUS, Examples, got, read_json, require_int, require_real
 from .errors import ConfigError, DegenerateTrainingSet, SchemaError, ValidationError
 
 N_INPUT = N_AUS
@@ -87,7 +86,7 @@ class TrainConfig:
         put("rng_seed", require_int("rng_seed", self.rng_seed, 0))
         if not isinstance(self.oversample_positives, bool):
             raise ConfigError(
-                f"oversample_positives must be a bool, got {self.oversample_positives!r}")
+                f"oversample_positives must be a bool{got(self.oversample_positives)}")
         # a rate or epsilon that is not finite would only show up after
         # training, as non-finite or untrained weights
         for name in ("learning_rate", "adam_epsilon"):
@@ -352,14 +351,12 @@ def train(
     return MlpParams(*layers), losses
 
 
-def evaluate_accuracy(
-    params: MlpParams, examples: Examples, cut: float = 0.5
-) -> float:
-    """Fraction of examples whose thresholded score matches the label."""
+def evaluate_accuracy(params: MlpParams, examples: Examples) -> float:
+    """Fraction of examples whose score, cut at 0.5, matches the label."""
     if not examples:
         raise DegenerateTrainingSet("no examples to evaluate")
     p, _ = _forward_batch(params, examples.aus)
-    return float(np.mean((p >= cut) == (examples.label == 1)))
+    return float(np.mean((p >= 0.5) == (examples.label == 1)))
 
 
 def save_model(params: MlpParams, path: str | Path) -> None:
@@ -374,23 +371,19 @@ def save_model(params: MlpParams, path: str | Path) -> None:
 
 
 def _require_numbers(value: object) -> None:
-    """Raise TypeError or ValueError unless value is a JSON number or nested
-    lists of them; np.array would also take "0.25" and true."""
-    number = strict(float)
+    """SchemaError unless value is a JSON number or nested lists of them;
+    np.array would also take "0.25" and true."""
     pending = [value]
     while pending:
         item = pending.pop()
         if isinstance(item, list):
             pending.extend(item)
         else:
-            number(item)
+            require_real("every entry", item, SchemaError)
 
 
 def load_model(path: str | Path) -> MlpParams:
-    try:
-        payload = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
+    payload = read_json(path)
     if not isinstance(payload, dict):
         raise SchemaError(f"{path}: model file must be a JSON object")
     if payload.get("format") != MODEL_FORMAT:
@@ -405,7 +398,7 @@ def load_model(path: str | Path) -> MlpParams:
         try:
             _require_numbers(payload[name])
             payload[name] = np.array(payload[name], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
+        except (SchemaError, ValueError) as exc:  # ValueError: lists of unequal lengths
             raise SchemaError(f"{path}: {name} is not a numeric array ({exc})") from exc
     try:  # MlpParams checks the shapes and that every value is finite
         return MlpParams(*(payload[name] for name in _SHAPES))

@@ -20,8 +20,8 @@ from functools import partial
 
 import numpy as np
 
-from .core import (AdLabel, AdSpec, Interval, N_AUS, VideoRecord, canonical_au_index, require_int,
-                   require_real)
+from .core import (AdLabel, AdSpec, Interval, N_AUS, VideoRecord, canonical_au_index, got,
+                   require_int, require_real)
 from .errors import ConfigError, UnknownAuName
 from .ingest import Dataset
 from .weak_label import frame_in_moments
@@ -77,7 +77,7 @@ class SynthConfig:
             lo, hi = self.moments_per_ad
         except (TypeError, ValueError):
             raise ConfigError(
-                f"moments_per_ad must be a (lo, hi) pair, got {self.moments_per_ad!r}") from None
+                f"moments_per_ad must be a (lo, hi) pair{got(self.moments_per_ad)}") from None
         lo = require_int("moments_per_ad lo", lo, 1)
         put("moments_per_ad", (lo, require_int("moments_per_ad hi", hi, lo)))
         try:
@@ -85,8 +85,8 @@ class SynthConfig:
         except TypeError:
             indices = None
         if indices is None or isinstance(self.signal_aus, (str, bytes, Mapping)):
-            raise ConfigError(f"signal_aus must be a collection of AU names or indices, "
-                              f"got {self.signal_aus!r}")
+            raise ConfigError(f"signal_aus must be a collection of AU names or indices"
+                              f"{got(self.signal_aus)}")
         aus = frozenset(map(_signal_au_index, indices))
         if not aus:
             raise ConfigError("signal_aus must not be empty")
@@ -250,18 +250,15 @@ def _prob_at_least_two_active(
     return 1.0 - p0 - p1_sig - p1_noise
 
 
-def expected_positive_rate(
-    config: SynthConfig, threshold: float = 0.5, min_active: int = 2
-) -> float:
+def expected_positive_rate(config: SynthConfig) -> float:
     """Closed-form expected fraction of face frames (in sentimental-ad videos)
-    that the weak labeler marks positive.
+    that the weak labeler marks positive with its default activation
+    threshold of 0.5 and min_active_positive of 2.
 
-    Only supports the default min_active of 2; the generated noise is iid
-    Beta(1, b) per AU, so activity probabilities have closed forms:
-    P(noise >= t) = (1 - t)^b.
+    The generated noise is iid Beta(1, b) per AU, so activity probabilities
+    have closed forms: P(noise >= t) = (1 - t)^b.
     """
-    if min_active != 2:
-        raise ConfigError("the closed form is derived for min_active = 2 only")
+    threshold = 0.5
     b = _noise_beta_b(config.noise_level)
     q_noise = (1.0 - threshold) ** b
     gap = threshold - config.signal_strength

@@ -28,14 +28,13 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import (AdSpec, Examples, Interval, N_AUS, VideoRecord, read_text, require_int,
-                   require_real, strict)
+from .core import (AdSpec, Examples, Interval, N_AUS, VideoRecord, got, read_text, require_int,
+                   require_real)
 from .errors import ConfigError, SchemaError, UnknownAdId, ValidationError
 
 DEFAULT_ACTIVATION_THRESHOLD = 0.5
 
 _EXAMPLE_KEYS = {"video_id", "frame_index", "label", "aus"}
-_STR, _INT, _FLOAT = strict(str), strict(int), strict(float)
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,8 +51,8 @@ class LabelingConfig:
         object.__setattr__(self, "min_active_positive",
                            require_int("min_active_positive", self.min_active_positive, 1))
         if not isinstance(self.include_nonsentimental_ads, bool):
-            raise ConfigError(f"include_nonsentimental_ads must be a bool, "
-                              f"got {self.include_nonsentimental_ads!r}")
+            raise ConfigError(f"include_nonsentimental_ads must be a bool"
+                              f"{got(self.include_nonsentimental_ads)}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,18 +138,21 @@ def read_examples_jsonl(path: str | Path) -> Examples:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # as in core.read_json
             raise SchemaError(f"{path}:{lineno}: not valid JSON ({exc})") from exc
         if not isinstance(obj, dict) or set(obj) != _EXAMPLE_KEYS:
             raise SchemaError(
                 f"{path}:{lineno}: expected exactly the keys {sorted(_EXAMPLE_KEYS)}")
-        aus = obj["aus"]
+        video_id, aus = obj["video_id"], obj["aus"]
         if not isinstance(aus, list) or len(aus) != N_AUS:
             raise SchemaError(f"{path}:{lineno}: aus must be a list of {N_AUS} numbers")
+        if not isinstance(video_id, str):
+            raise SchemaError(f"{path}:{lineno}: video_id must be a string, got {video_id!r}")
         try:
-            video_id, index = _STR(obj["video_id"]), _INT(obj["frame_index"])
-            label, row = _INT(obj["label"]), [_FLOAT(s) for s in aus]
-        except (TypeError, ValueError) as exc:
+            index = require_int("frame_index", obj["frame_index"], error=SchemaError)
+            label = require_int("label", obj["label"], error=SchemaError)
+            row = [require_real("each AU score", s, SchemaError) for s in aus]
+        except SchemaError as exc:
             raise SchemaError(f"{path}:{lineno}: {exc}") from exc
         # also false for NaN scores
         if not (video_id and 0 <= index < 2 ** 63 and label in (0, 1)

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -455,6 +456,29 @@ class TestExitCodes:
         assert main([str(arg) for arg in argv]) == code
         err = capsys.readouterr().err
         assert f"error: {bad}:2: not UTF-8 text" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("bad_input", ["annotations", "examples", "model"])
+    def test_input_with_an_integer_past_the_digit_limit(self, chain, tmp_path, capsys, bad_input):
+        test = chain["out"] / "test"
+        paths = {"annotations": test / "annotations.json", "examples": chain["examples"],
+                 "model": chain["model"]}
+        # the same file with the first number after this key made 5000 digits long
+        key = {"annotations": "duration_s", "examples": "frame_index", "model": "b2"}[bad_input]
+        bad = tmp_path / ("bad-" + paths[bad_input].name)
+        bad.write_text(re.sub(rf'("{key}": \[?\s*)[-0-9.e]+', lambda m: m[1] + "9" * 5000,
+                              paths[bad_input].read_text(), count=1))
+        argv = {
+            "annotations": ["export-curves", "--curves", chain["curves"], "--annotations", bad,
+                            "--out-dir", tmp_path / "svg"],
+            "examples": ["train", "--examples", bad, "--model-out", tmp_path / "m.json",
+                         "--epochs", "1"],
+            "model": ["predict", "--annotations", test / "annotations.json",
+                      "--streams", test / "au_streams.csv", "--model", bad,
+                      "--out", tmp_path / "c.csv"],
+        }[bad_input]
+        assert main([str(arg) for arg in argv]) == 4
+        err = capsys.readouterr().err
+        assert f"error: {bad}" in err and "not valid JSON" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["predict", "export-curves"])
     def test_ad_ids_sharing_an_svg_name_exit_4(self, tmp_path, capsys, command):

@@ -121,6 +121,17 @@ class TestAnnotations:
         with pytest.raises(OSError):
             parse_ad_annotations(tmp_path / "absent.json")
 
+    @pytest.mark.parametrize("text", [
+        '[{"ad_id": "x", "label": "non_sentimental", "duration_s": ' + "9" * 5000 + ', '
+        '"moments": []}]',
+        "[" * 100_000 + "]" * 100_000,
+    ], ids=["integer-past-the-digit-limit", "nested-too-deep"])
+    def test_json_that_python_cannot_load(self, tmp_path, text):
+        path = tmp_path / "ads.json"
+        path.write_text(text)
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: not valid JSON")):
+            parse_ad_annotations(path)
+
 
 def sample_videos():
     v1 = make_video("v1", "a1", [
@@ -271,6 +282,13 @@ class TestAuStream:
         path = self._base(tmp_path, lambda ls: ls.__setitem__(
             0, ls[0] + ",au_smile"))
         with pytest.raises(SchemaError, match="duplicate"):
+            parse_au_stream(path)
+
+    @pytest.mark.parametrize("column", ["au_SMILE", "au_e_y_e_closure", "au_eyeclosure"])
+    def test_au_columns_need_their_exact_names(self, tmp_path, column):
+        path = self._base(tmp_path, lambda ls: ls.__setitem__(
+            0, ls[0].replace("au_smile" if "SMILE" in column else "au_eye_closure", column)))
+        with pytest.raises(SchemaError, match=f"unrecognized column '{column}'"):
             parse_au_stream(path)
 
     def test_unknown_column(self, tmp_path):

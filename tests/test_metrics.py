@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from sentipipe.errors import (
     InsufficientAds,
     NoMoments,
     NoPredictions,
+    SchemaError,
     UnknownAdId,
     ValidationError,
 )
@@ -305,6 +307,14 @@ class TestReportFiles:
         assert payload["per_ad"][2]["moment_max"] == 0.9
         assert payload["per_ad"][0]["moment_max"] is None
         assert "metadata" not in payload
+
+    @pytest.mark.parametrize("data", [b'{"roc_ad": 0.5,\n\xff}', b'{"roc_ad": 0.5'],
+                             ids=["not-utf8", "not-json"])
+    def test_read_rejects_a_file_that_is_not_a_json_report(self, tmp_path, data):
+        path = tmp_path / "report.json"
+        path.write_bytes(data)
+        with pytest.raises(SchemaError, match=re.escape(str(path))):
+            read_kpi_report(path)
 
     def test_metadata_passthrough(self, tmp_path):
         path = tmp_path / "report.json"

@@ -134,6 +134,17 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="must be a number"):
             TrainConfig(**bad)
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("epochs", -10 ** 5000, "epochs must be >= 1"),
+        ("rng_seed", -10 ** 5000, "rng_seed must be >= 0"),
+        ("oversample_positives", 10 ** 5000, "oversample_positives must be a bool"),
+        ("learning_rate", [10 ** 5000], "learning_rate must be a number"),
+    ], ids=["epochs", "rng-seed", "oversample", "learning-rate"])
+    def test_value_that_python_cannot_print(self, name, value, message):
+        # repr() refuses an int of more than 4300 digits, so the message leaves it out
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            TrainConfig(**{name: value})
+
     def test_accepts_numpy_numbers(self):
         config = TrainConfig(learning_rate=np.float32(0.5), adam_beta1=np.float64(0.5),
                              adam_beta2=np.int64(0), batch_size=np.int64(8))
@@ -543,6 +554,14 @@ class TestPersistence:
             p["w1"][3][4] = weight
         path = self._payload(tmp_path, set_weight)
         with pytest.raises(SchemaError, match=re.escape(f"{path}: w1 ")):
+            load_model(path)
+
+    @pytest.mark.parametrize("weight", ["9" * 5000, "[" * 100_000 + "]" * 100_000],
+                             ids=["integer-past-the-digit-limit", "nested-too-deep"])
+    def test_load_rejects_json_that_python_cannot_load(self, tmp_path, weight):
+        path = self._payload(tmp_path, lambda p: None)
+        path.write_text(path.read_text().replace('"b2": [0.0]', f'"b2": [{weight}]'))
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: not valid JSON")):
             load_model(path)
 
     def test_load_rejects_non_finite(self, tmp_path):

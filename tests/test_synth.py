@@ -83,6 +83,18 @@ class TestSynthConfig:
         with pytest.raises(ConfigError):
             SynthConfig(**bad)
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("rng_seed", -10 ** 5000, "rng_seed must be >= 0"),
+        ("n_train_sent_ads", -10 ** 5000, "n_train_sent_ads must be >= 0"),
+        ("fps", [10 ** 5000], "fps must be a number"),
+        ("moments_per_ad", 10 ** 5000, r"moments_per_ad must be a \(lo, hi\) pair"),
+        ("signal_aus", 10 ** 5000, "signal_aus must be a collection of AU names or indices"),
+    ], ids=["rng-seed", "n-train-sent-ads", "fps", "moments-per-ad", "signal-aus"])
+    def test_value_that_python_cannot_print(self, name, value, message):
+        # repr() refuses an int of more than 4300 digits, so the message leaves it out
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            SynthConfig(**{name: value})
+
     def test_accepts_numpy_numbers(self):
         config = SynthConfig(participants_per_ad=np.int64(2), fps=np.float32(5.0),
                              moments_per_ad=[np.int64(1), 2], signal_aus={np.int8(3)})

@@ -164,6 +164,13 @@ class TestLabelingConfig:
         with pytest.raises(ConfigError, match="include_nonsentimental_ads"):
             LabelingConfig(include_nonsentimental_ads=value)
 
+    def test_value_that_python_cannot_print(self):
+        # repr() refuses an int of more than 4300 digits, so the message leaves it out
+        with pytest.raises(ConfigError, match="^include_nonsentimental_ads must be a bool$"):
+            LabelingConfig(include_nonsentimental_ads=10 ** 5000)
+        with pytest.raises(ConfigError, match="^min_active_positive must be >= 1$"):
+            LabelingConfig(min_active_positive=-10 ** 5000)
+
     @pytest.mark.parametrize("value", [True, "0.5", None, math.nan])
     def test_threshold_must_be_a_number(self, value):
         with pytest.raises(ConfigError, match="activation_threshold"):
@@ -233,6 +240,16 @@ class TestExamplesJsonl:
         path = tmp_path / "ex.jsonl"
         path.write_text('{"video_id": "v"\n')
         with pytest.raises(SchemaError, match=":1:"):
+            read_examples_jsonl(path)
+
+    @pytest.mark.parametrize("line", [
+        '{"video_id": "v", "frame_index": ' + "9" * 5000 + ', "label": 1, "aus": []}',
+        "[" * 100_000 + "]" * 100_000,
+    ], ids=["integer-past-the-digit-limit", "nested-too-deep"])
+    def test_json_line_that_python_cannot_load(self, tmp_path, line):
+        path = tmp_path / "ex.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(SchemaError, match=re.escape(f"{path}:1: not valid JSON")):
             read_examples_jsonl(path)
 
     def _one_line(self, tmp_path, **overrides):
