@@ -13,25 +13,22 @@ from __future__ import annotations
 
 import csv
 import math
-import re
 from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .core import _DECIMAL, _INTEGER, AggregateCurve, Interval, VideoRecord, not_utf8
+from .core import (_DECIMAL, _INTEGER, AggregateCurve, Interval, VideoRecord, csv_rows,
+                   number_cells)
 from .errors import ConfigError, EmptyInterval, NoPredictions, SchemaError, ValidationError
 from .mlp import MlpParams, _forward_batch
 
 DEFAULT_STEP_S = 0.5
 
 CURVE_CSV_COLUMNS = ("ad_id", "timestamp_s", "mean_score", "participant_count")
-# the grammar of each number column, the columns after ad_id, and one pattern
-# for the three cells joined by commas (no cell that matches holds a comma)
-_CURVE_NUMBERS = ((_DECIMAL, "a decimal number"), (_DECIMAL, "a decimal number"),
-                  (_INTEGER, "an integer"))
-_CURVE_NUMBER_CELLS = re.compile(",".join(number.pattern for number, _ in _CURVE_NUMBERS))
+_check_curve_numbers = number_cells(
+    (("timestamp_s", _DECIMAL), ("mean_score", _DECIMAL), ("participant_count", _INTEGER)))
 
 
 def n_bins_for(duration_s: float, step_s: float = DEFAULT_STEP_S) -> int:
@@ -42,7 +39,11 @@ def n_bins_for(duration_s: float, step_s: float = DEFAULT_STEP_S) -> int:
         raise ConfigError(f"step_s must be finite and > 0, got {step_s}")
     # the 1e-9 slack keeps exact multiples (10.0 / 0.5) from gaining a bin
     # when the quotient lands a hair above an integer
-    return max(1, math.ceil(duration_s / step_s - 1e-9))
+    bins = duration_s / step_s - 1e-9
+    if not bins < np.iinfo(np.intp).max:
+        raise ConfigError(f"duration_s {duration_s} over step_s {step_s} "
+                          f"is more bins than an array can hold")
+    return max(1, math.ceil(bins))
 
 
 def face_frames(video: VideoRecord) -> tuple[np.ndarray, np.ndarray]:
@@ -212,43 +213,23 @@ def read_curves_csv(path: str | Path) -> list[AggregateCurve]:
     """
     rows: dict[str, list[tuple[float, float, int]]] = {}  # ad_id -> its bins
     last_ad: str | None = None
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    for where, (ad_id, ts_s, score_s, count_s) in csv_rows(path, CURVE_CSV_COLUMNS):
+        if not ad_id:
+            raise SchemaError(f"{where}: empty ad_id")
+        if ad_id != last_ad:
+            if ad_id in rows:
+                raise SchemaError(f"{where}: rows for ad {ad_id!r} are not contiguous")
+            last_ad, bins = ad_id, rows.setdefault(ad_id, [])
+        _check_curve_numbers(where, (ts_s, score_s, count_s))
         try:
-            header = next(reader, None)
-            if header is None:
-                raise SchemaError(f"{path}: empty file")
-            if tuple(header) != CURVE_CSV_COLUMNS:
-                raise SchemaError(f"{path}: expected header {','.join(CURVE_CSV_COLUMNS)}")
-            for row in reader:
-                where = f"{path}:{reader.line_num}"
-                if len(row) != 4:
-                    raise SchemaError(f"{where}: expected 4 cells, got {len(row)}")
-                ad_id, ts_s, score_s, count_s = row
-                if not ad_id:
-                    raise SchemaError(f"{where}: empty ad_id")
-                if ad_id in rows and ad_id != last_ad:
-                    raise SchemaError(f"{where}: rows for ad {ad_id!r} are not contiguous")
-                if not _CURVE_NUMBER_CELLS.fullmatch(f"{ts_s},{score_s},{count_s}"):
-                    column, cell, kind = next(
-                        (column, cell, kind) for column, cell, (number, kind)
-                        in zip(CURVE_CSV_COLUMNS[1:], row[1:], _CURVE_NUMBERS)
-                        if not number.fullmatch(cell))
-                    raise SchemaError(f"{where}: column {column!r} holds {cell!r}, not {kind}")
-                try:
-                    ts, score, count = float(ts_s), float(score_s), int(count_s)
-                except ValueError as exc:  # int() refuses more than 4300 digits
-                    raise SchemaError(f"{where}: {exc}") from exc
-                # also false for NaN; counts are stored as int64
-                if not (0.0 <= ts < math.inf and 0.0 <= score <= 1.0 and 0 <= count < 2 ** 63):
-                    raise SchemaError(f"{where}: timestamp_s must be finite and >= 0, "
-                                      f"mean_score in [0, 1], participant_count in [0, 2**63)")
-                rows.setdefault(ad_id, []).append((ts, score, count))
-                last_ad = ad_id
-        except csv.Error as exc:
-            raise SchemaError(f"{path}:{reader.line_num}: {exc}") from exc
-        except UnicodeDecodeError:
-            raise not_utf8(path) from None
+            ts, score, count = float(ts_s), float(score_s), int(count_s)
+        except ValueError as exc:  # int() refuses more than 4300 digits
+            raise SchemaError(f"{where}: {exc}") from exc
+        # also false for NaN; counts are stored as int64
+        if not (0.0 <= ts < math.inf and 0.0 <= score <= 1.0 and 0 <= count < 2 ** 63):
+            raise SchemaError(f"{where}: timestamp_s must be finite and >= 0, "
+                              f"mean_score in [0, 1], participant_count in [0, 2**63)")
+        bins.append((ts, score, count))
     curves = []
     for ad_id, bins in rows.items():
         stamps, scores, counts = zip(*bins)

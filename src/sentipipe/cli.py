@@ -52,15 +52,9 @@ from .ingest import (
     parse_ad_annotations,
     write_dataset,
 )
-from .metrics import (
-    chance_baseline,
-    evaluate_kpis,
-    single_au_baselines,
-    write_kpi_report,
-    write_kpi_table_csv,
-)
+from .metrics import evaluate_kpis, write_kpi_report, write_kpi_table_csv
 from .mlp import TrainConfig, adam_steps, load_model, save_model, train
-from .pipeline import grouped_by_ad, predict_curves
+from .pipeline import predict_curves, run_baselines
 from .synth import SynthConfig, generate, generate_null
 from .weak_label import (
     LabelingConfig,
@@ -233,9 +227,7 @@ def cmd_evaluate(args: argparse.Namespace) -> dict:
     }
     write_kpi_report(report, _prepare_parent(args.report_out), metadata)
     if args.table_out is not None:
-        by_ad = grouped_by_ad(dataset.videos, dataset.ads)
-        chance = chance_baseline(by_ad, dataset.ads, args.step_s, args.guard_s)
-        per_au = single_au_baselines(by_ad, dataset.ads, args.step_s, args.guard_s)
+        chance, per_au = run_baselines(dataset, args.step_s, args.guard_s, args.min_coverage)
         write_kpi_table_csv(chance, per_au, report, _prepare_parent(args.table_out))
     return {
         "command": "evaluate",

@@ -8,6 +8,7 @@ an instance that is well formed.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import numbers
@@ -15,8 +16,9 @@ import re
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby, zip_longest
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,6 +42,7 @@ _INDEX_BY_LOWER_NAME = {name.lower(): i for i, name in enumerate(CANONICAL_AU_NA
 # number of either format.
 _INTEGER = re.compile(r"-?[0-9]+")
 _DECIMAL = re.compile(r"-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+_NUMBER_KINDS = {_INTEGER: "an integer", _DECIMAL: "a decimal number"}
 
 
 def got(value: object) -> str:
@@ -103,6 +106,58 @@ def read_json(path: str | Path, error: type[SentiPipeError] = SchemaError) -> ob
         return json.loads(read_text(path, error))
     except (ValueError, RecursionError) as exc:
         raise error(f"{path}: not valid JSON ({exc})") from exc
+
+
+def csv_rows(path: str | Path, header: Sequence[str]) -> Iterator[tuple[str, list[str]]]:
+    """The rows after the header of a UTF-8 CSV file, each as ("file:line",
+    cells) with one cell per column of ``header``. SchemaError for an empty
+    file, a first row other than exactly ``header`` (naming the first column
+    that differs), a row with another cell count and a row the csv module
+    refuses, such as one with a cell over its field limit; a file that is not
+    UTF-8 raises as not_utf8 says."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            first = next(reader, None)
+            if first is None:
+                raise SchemaError(f"{path}: empty file")
+            if first != list(header):
+                k, (cell, want) = next((k, pair) for k, pair in enumerate(zip_longest(first, header))
+                                       if pair[0] != pair[1])
+                raise SchemaError(
+                    f"{path}:{reader.line_num}: header column {k + 1} is "
+                    f"{'missing' if cell is None else repr(cell)}, expected "
+                    f"{'no more columns' if want is None else repr(want)}")
+            n = len(header)
+            for row in reader:
+                where = f"{path}:{reader.line_num}"
+                if len(row) != n:
+                    raise SchemaError(f"{where}: expected {n} cells, got {len(row)}")
+                yield where, row
+        except csv.Error as exc:
+            raise SchemaError(f"{path}:{reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
+
+
+def number_cells(columns: Sequence[tuple[str, re.Pattern[str]]]
+                 ) -> Callable[[str, Sequence[str]], None]:
+    """The check of a CSV row's number cells, one per (column name, _INTEGER
+    or _DECIMAL) in ``columns``: check(where, cells) raises SchemaError at
+    where naming the first cell that its column's grammar refuses. It matches
+    the cells joined by commas with one pattern, which no cell holding a
+    comma passes."""
+    # one repeat per run of one grammar: 21 unrolled decimals compile to ~80 KB
+    runs = [(p.pattern, len(list(run))) for p, run in groupby(p for _, p in columns)]
+    joined = re.compile(",".join(f"{p}(?:,{p}){{{k - 1}}}" for p, k in runs))
+
+    def check(where: str, cells: Sequence[str]) -> None:
+        if not joined.fullmatch(",".join(cells)):
+            name, cell, pattern = next((name, cell, pattern) for (name, pattern), cell
+                                       in zip(columns, cells) if not pattern.fullmatch(cell))
+            raise SchemaError(f"{where}: column {name!r} holds {cell!r}, "
+                              f"not {_NUMBER_KINDS[pattern]}")
+    return check
 
 
 def canonical_au_index(name: str) -> int:

@@ -12,11 +12,10 @@ import csv
 import io
 import json
 import math
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from itertools import groupby, repeat
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
@@ -29,7 +28,8 @@ from .core import (
     VideoRecord,
     _DECIMAL,
     _INTEGER,
-    not_utf8,
+    csv_rows,
+    number_cells,
     read_json,
     require_real,
 )
@@ -37,20 +37,30 @@ from .errors import ConfigError, SchemaError, ValidationError
 
 DEFAULT_MIN_COVERAGE = 0.90
 
-# CSV schema for AU streams. Metadata columns are fixed; AU columns may appear
-# in any order in the header and are matched by their exact names, which are
-# in canonical AU order.
+# CSV schema for AU streams: the header is exactly STREAM_COLUMNS, the AU
+# columns in canonical AU order.
 STREAM_META_COLUMNS = ("video_id", "ad_id", "frame_index", "timestamp_s", "face_detected")
 STREAM_AU_COLUMNS = (
     "au_1", "au_2", "au_4", "au_5", "au_6", "au_7", "au_9", "au_10", "au_14",
     "au_15", "au_17", "au_18", "au_20", "au_24", "au_25", "au_26", "au_28",
     "au_eye_closure", "au_smile", "au_smirk",
 )
-_STREAM_COLUMNS = dict.fromkeys(STREAM_META_COLUMNS + STREAM_AU_COLUMNS)
+STREAM_COLUMNS = STREAM_META_COLUMNS + STREAM_AU_COLUMNS
 
-# The stream's number cells: frame_index is an _INTEGER, every other number a
-# _DECIMAL; _DECIMALS matches a row's decimal cells joined by commas.
-_DECIMALS = re.compile(rf"{_DECIMAL.pattern}(?:,{_DECIMAL.pattern})*")
+# The number cells of a stream row: frame_index and timestamp_s, then on a
+# face row the AU scores.
+_META_NUMBERS = (("frame_index", _INTEGER), ("timestamp_s", _DECIMAL))
+_check_meta_numbers = number_cells(_META_NUMBERS)
+_check_face_numbers = number_cells(_META_NUMBERS + tuple((c, _DECIMAL) for c in STREAM_AU_COLUMNS))
+# np.loadtxt dtypes for the number cells of a row, the cells after the two
+# ids: one for a face row, with AU k in field "au{k}", and one that reads the
+# AU cells as text. The face flag is read as text too, as only the exact
+# cells 0 and 1 are flags.
+_FACE_ROW, _NO_FACE_ROW = (
+    np.dtype({"names": ["frame_index", "timestamp_s", "face_detected",
+                        *(f"au{k}" for k in range(N_AUS))],
+              "formats": [np.int64, np.float64, "U2", *[au] * N_AUS]})
+    for au in (np.float64, "U1"))
 # The bytes the number cells of a block may consist of, separators included.
 _NUMBER_BYTES = b"0123456789.eE+-,\n"
 # The array path parses a stream in blocks of about this many bytes, so that
@@ -137,35 +147,20 @@ def write_ad_annotations(ads: dict[str, AdSpec], path: str | Path) -> None:
         fh.write("\n")
 
 
-def _resolve_stream_header(header: Sequence[str], path) -> tuple[dict[str, int], list[int]]:
-    """The position of each metadata column by name and of each AU column in
-    canonical order; SchemaError unless the header holds each name of
-    _STREAM_COLUMNS exactly once and no other cell."""
-    positions: dict[str, int] = {}
-    for pos, column in enumerate(header):
-        if column not in _STREAM_COLUMNS:
-            raise SchemaError(f"{path}: unrecognized column {column!r}")
-        if positions.setdefault(column, pos) != pos:
-            raise SchemaError(f"{path}: duplicate column {column!r}")
-    missing = [column for column in _STREAM_COLUMNS if column not in positions]
-    if missing:
-        raise SchemaError(f"{path}: missing columns {missing}")
-    return ({column: positions[column] for column in STREAM_META_COLUMNS},
-            [positions[column] for column in STREAM_AU_COLUMNS])
-
-
 def parse_au_stream(path: str | Path) -> list[VideoRecord]:
     """Read an AU stream CSV into VideoRecords, in first-appearance order.
 
-    Rows belonging to one video must appear in strictly increasing frame_index
+    The header must be exactly STREAM_COLUMNS, as csv_rows checks it. Rows
+    belonging to one video must appear in strictly increasing frame_index
     order with non-decreasing timestamps and must all name the same ad. A
     frame_index cell must match ``-?[0-9]+`` and every other number cell
     ``-?([0-9]+(\\.[0-9]*)?|\\.[0-9]+)([eE][+-]?[0-9]+)?``, in ASCII.
 
-    A file with no quote, carriage return or NUL, no blank line and no line
-    over the csv field limit is checked as arrays, one block of about 1 MB at
-    a time. Any other file, and any file that fails a check there, is read
-    again row by row from the top, so that an error names its ``file:line``.
+    A file whose first line is the header, with no quote, carriage return or
+    NUL, no blank line and no line over the csv field limit, is checked as
+    arrays, one block of about 1 MB at a time. Any other file, and any file
+    that fails a check there, is read again row by row from the top, so that
+    an error names its ``file:line``.
     """
     videos = _parse_stream_blocks(path)
     return _parse_stream_rows(path) if videos is None else videos
@@ -173,75 +168,54 @@ def parse_au_stream(path: str | Path) -> list[VideoRecord]:
 
 def _parse_stream_rows(path: str | Path) -> list[VideoRecord]:
     """parse_au_stream with each row checked as it is read."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise SchemaError(f"{path}: empty AU stream file")
-            meta_pos, au_pos = _resolve_stream_header(header, path)
-            n_cols = len(header)
-            decimal_pos = [meta_pos["timestamp_s"], *au_pos]
-            no_face = [0.0] * N_AUS
-            # video_id -> [ad_id, indices, timestamps, faces, flat AU scores]
-            columns: dict[str, list] = {}
-            for row in reader:
-                where = f"{path}:{reader.line_num}"
-                if len(row) != n_cols:
-                    raise SchemaError(f"{where}: expected {n_cols} cells, got {len(row)}")
-                video_id, ad_id, index, ts, face = (row[meta_pos[c]] for c in STREAM_META_COLUMNS)
-                if not video_id or not ad_id:
-                    raise SchemaError(f"{where}: empty video_id or ad_id")
-                if face not in ("0", "1"):
-                    raise SchemaError(f"{where}: face_detected must be 0 or 1, got {face!r}")
-                cells = [row[p] for p in au_pos]
-                if face == "1" and "" in cells:
-                    raise ValidationError(
-                        f"{where}: missing AU value in column "
-                        f"{header[au_pos[cells.index('')]]!r} on a face-detected row")
-                if face == "0" and any(cells):
-                    raise ValidationError(
-                        f"{where}: AU cells must be empty when no face was detected")
-                if not _INTEGER.fullmatch(index):
-                    raise SchemaError(
-                        f"{where}: column 'frame_index' holds {index!r}, not an integer")
-                decimals = [ts, *cells] if face == "1" else [ts]
-                joined = ",".join(decimals)  # one match per row; a quoted cell may hold a comma
-                if joined.count(",") >= len(decimals) or not _DECIMALS.fullmatch(joined):
-                    k = next(k for k, cell in enumerate(decimals) if not _DECIMAL.fullmatch(cell))
-                    raise SchemaError(f"{where}: column {header[decimal_pos[k]]!r} holds "
-                                      f"{decimals[k]!r}, not a decimal number")
-                value = _frame_index_value(index)
-                if value is None:
-                    raise ValidationError(f"{where}: frame_index {index} out of range")
-                index, ts = value, float(ts)
-                scores = [float(c) for c in cells] if face == "1" else no_face
-                if not 0.0 <= ts < math.inf:
-                    raise ValidationError(f"{where}: timestamp_s must be finite and >= 0")
-                if not all(0.0 <= s <= 1.0 for s in scores):
-                    raise ValidationError(f"{where}: AU scores must lie in [0, 1]")
+    no_face = [0.0] * N_AUS
+    # video_id -> [ad_id, indices, timestamps, faces, flat AU scores]
+    columns: dict[str, list] = {}
+    for where, row in csv_rows(path, STREAM_COLUMNS):
+        video_id, ad_id, index, ts, face = row[:5]
+        cells = row[5:]
+        if not video_id or not ad_id:
+            raise SchemaError(f"{where}: empty video_id or ad_id")
+        if face not in ("0", "1"):
+            raise SchemaError(f"{where}: face_detected must be 0 or 1, got {face!r}")
+        if face == "1" and "" in cells:
+            raise ValidationError(
+                f"{where}: missing AU value in column "
+                f"{STREAM_AU_COLUMNS[cells.index('')]!r} on a face-detected row")
+        if face == "0" and any(cells):
+            raise ValidationError(
+                f"{where}: AU cells must be empty when no face was detected")
+        if face == "1":
+            _check_face_numbers(where, [index, ts, *cells])
+        else:
+            _check_meta_numbers(where, [index, ts])
+        value = _frame_index_value(index)
+        if value is None:
+            raise ValidationError(f"{where}: frame_index {index} out of range")
+        index, ts = value, float(ts)
+        scores = [float(c) for c in cells] if face == "1" else no_face
+        if not 0.0 <= ts < math.inf:
+            raise ValidationError(f"{where}: timestamp_s must be finite and >= 0")
+        if not all(0.0 <= s <= 1.0 for s in scores):
+            raise ValidationError(f"{where}: AU scores must lie in [0, 1]")
 
-                known_ad, indices, stamps, faces, aus = columns.setdefault(
-                    video_id, [ad_id, [], [], [], []])
-                if known_ad != ad_id:
-                    raise ValidationError(
-                        f"{where}: video {video_id!r} maps to both ads "
-                        f"{known_ad!r} and {ad_id!r}")
-                if indices and index <= indices[-1]:
-                    raise ValidationError(
-                        f"{where}: video {video_id!r} frame_index must increase "
-                        f"strictly ({indices[-1]} then {index})")
-                if stamps and ts < stamps[-1]:
-                    raise ValidationError(
-                        f"{where}: video {video_id!r} timestamps must be non-decreasing")
-                indices.append(index)
-                stamps.append(ts)
-                faces.append(face == "1")
-                aus.extend(scores)
-        except csv.Error as exc:
-            raise SchemaError(f"{path}:{reader.line_num}: {exc}") from exc
-        except UnicodeDecodeError:
-            raise not_utf8(path) from None
+        known_ad, indices, stamps, faces, aus = columns.setdefault(
+            video_id, [ad_id, [], [], [], []])
+        if known_ad != ad_id:
+            raise ValidationError(
+                f"{where}: video {video_id!r} maps to both ads "
+                f"{known_ad!r} and {ad_id!r}")
+        if indices and index <= indices[-1]:
+            raise ValidationError(
+                f"{where}: video {video_id!r} frame_index must increase "
+                f"strictly ({indices[-1]} then {index})")
+        if stamps and ts < stamps[-1]:
+            raise ValidationError(
+                f"{where}: video {video_id!r} timestamps must be non-decreasing")
+        indices.append(index)
+        stamps.append(ts)
+        faces.append(face == "1")
+        aus.extend(scores)
 
     return [
         VideoRecord.from_columns(video_id, ad_id, indices, stamps, faces,
@@ -271,20 +245,12 @@ def _parse_stream_blocks(path: str | Path) -> list[VideoRecord] | None:
     not with the file's text.
     """
     with open(path, "rb") as fh:
-        lines = _plain_lines(fh.readline().removesuffix(b"\n"))
-        if lines is None:
+        if fh.readline() != ",".join(STREAM_COLUMNS).encode() + b"\n":
             return None
-        header = lines[0].split(",")
-        try:
-            meta_pos, au_pos = _resolve_stream_header(header, path)
-        except SchemaError:
-            return None
-        id_pos = meta_pos["video_id"], meta_pos["ad_id"]
-        row_dtypes = _numeric_row_dtypes(meta_pos, au_pos)
         runs: list[tuple[tuple[str, str], np.ndarray]] = []
         for block in _line_blocks(fh):
             lines = _plain_lines(block)
-            parsed = None if lines is None else _parse_block(lines, id_pos, row_dtypes)
+            parsed = None if lines is None else _parse_block(lines)
             if parsed is None:
                 return None
             frames, ids = parsed
@@ -339,33 +305,13 @@ def _plain_lines(data: bytes) -> list[str] | None:
     return lines
 
 
-def _numeric_row_dtypes(meta_pos: dict[str, int],
-                        au_pos: list[int]) -> tuple[np.dtype, np.dtype]:
-    """np.loadtxt dtypes for the number cells of a row in column order, the
-    two id cells cut out: one for a face row, with AU k in field "au{k}", and
-    one that reads the AU cells as text. The face flag is read as text too,
-    as only the exact cells 0 and 1 are flags."""
-    meta = {"frame_index": np.int64, "timestamp_s": np.float64, "face_detected": "U2"}
-    names = {meta_pos[name]: name for name in meta}
-    names.update((p, f"au{k}") for k, p in enumerate(au_pos))
-    ordered = [names[p] for p in sorted(names)]
-    return tuple(np.dtype({"names": ordered, "formats": [meta.get(name, au) for name in ordered]})
-                 for au in (np.float64, "U1"))
-
-
-def _parse_block(lines: list[str], id_pos: tuple[int, int],
-                 row_dtypes: tuple[np.dtype, np.dtype]
-                 ) -> tuple[np.ndarray, list[tuple[str, str]]] | None:
+def _parse_block(lines: list[str]) -> tuple[np.ndarray, list[tuple[str, str]]] | None:
     """One block's rows as a read-only FRAME_DTYPE array plus each row's
     (video_id, ad_id), or None when a row fails a check."""
-    lo, hi = sorted(id_pos)
     try:
-        cells = [line.split(",", hi + 1) for line in lines]
-        ids = [(c[id_pos[0]], c[id_pos[1]]) for c in cells]
-        if hi == 1:  # the ids lead each row, as write_au_stream puts them
-            numbers = [c[2] for c in cells]
-        else:
-            numbers = [",".join(c[:lo] + c[lo + 1:hi] + c[hi + 1:]) for c in cells]
+        cells = [line.split(",", 2) for line in lines]
+        ids = [(c[0], c[1]) for c in cells]
+        numbers = [c[2] for c in cells]
     except IndexError:  # a row with too few cells
         return None
     del cells
@@ -387,11 +333,7 @@ def _parse_block(lines: list[str], id_pos: tuple[int, int],
             b"+" in text and text.count(b"+") != text.count(b"e+") + text.count(b"E+")):
         return None
     del text
-    index_col = row_dtypes[0].names.index("frame_index")
-    try:
-        index_cells = [n.split(",", index_col + 1)[index_col] for n in numbers]
-    except IndexError:
-        return None
+    index_cells = [n.partition(",")[0] for n in numbers]
     index_text = "".join(index_cells)
     if (max(map(len, index_cells)) > 18 or "." in index_text
             or "e" in index_text or "E" in index_text):
@@ -401,7 +343,7 @@ def _parse_block(lines: list[str], id_pos: tuple[int, int],
     # cells are next to each other; a face row with ",," fails either way.
     has_empty = np.fromiter(map(str.__contains__, numbers, repeat(",,")), bool, len(numbers))
     frames = np.zeros(len(numbers), dtype=FRAME_DTYPE)
-    for face, dtype in zip((True, False), row_dtypes):
+    for face, dtype in ((True, _FACE_ROW), (False, _NO_FACE_ROW)):
         rows = np.flatnonzero(has_empty != face)
         if not rows.size:
             continue
@@ -432,14 +374,13 @@ def write_au_stream(videos: Iterable[VideoRecord], path: str | Path) -> None:
     ids go through csv.writer, once per video, which quotes them as it would
     in a whole row. Each video's lines are written in one call.
     """
-    header = list(STREAM_META_COLUMNS) + list(STREAM_AU_COLUMNS)
     empty_aus = "," * (N_AUS - 1)
     ids = io.StringIO()
     # with "\r\n" as its terminator csv.writer quotes an id holding either
     # character; with "\n" it leaves a "\r" bare, which reads as a line end
     ids_writer = csv.writer(ids, lineterminator="\r\n")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
+        csv.writer(fh, lineterminator="\n").writerow(STREAM_COLUMNS)
         for video in videos:
             ids.seek(0)
             ids.truncate()

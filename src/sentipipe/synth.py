@@ -73,6 +73,8 @@ class SynthConfig:
             raise ConfigError("ad_duration_s must be finite and > 0")
         if not math.isfinite(self.fps) or self.fps <= 0:
             raise ConfigError("fps must be finite and > 0")
+        if not self.ad_duration_s * self.fps < np.iinfo(np.intp).max:
+            raise ConfigError("ad_duration_s * fps is more frames than an array can hold")
         try:
             lo, hi = self.moments_per_ad
         except (TypeError, ValueError):

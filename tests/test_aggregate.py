@@ -22,6 +22,7 @@ from sentipipe.aggregate import (
 )
 from sentipipe.core import Interval
 from sentipipe.errors import (
+    ConfigError,
     EmptyInterval,
     NoPredictions,
     SchemaError,
@@ -47,6 +48,15 @@ class TestNBins:
 
     def test_default_step(self):
         assert n_bins_for(60.0) == 120
+
+    @pytest.mark.parametrize("duration, step", [(20.0, 1e-300), (1e308, 0.5), (2.0 ** 63, 1.0)])
+    def test_count_beyond_an_array(self, duration, step):
+        # np.zeros refuses such a count, and math.ceil refuses an infinite one
+        with pytest.raises(ConfigError, match="more bins than an array can hold"):
+            n_bins_for(duration, step)
+
+    def test_large_count_inside_an_array(self):
+        assert n_bins_for(2.0 ** 62, 1.0) == 2 ** 62
 
 
 class TestScoreVideo:

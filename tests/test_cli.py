@@ -349,6 +349,32 @@ class TestExitCodes:
         assert code == 2
         assert flag.lstrip("-").replace("-", "_") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["predict step", "evaluate step", "annotations duration",
+                                      "simulate duration"])
+    def test_count_beyond_an_array_exits_2(self, chain, tmp_path, capsys, case):
+        test = chain["out"] / "test"
+        annotations = test / "annotations.json"
+        if case == "annotations duration":
+            ads = json.loads(annotations.read_text())
+            ads[0]["duration_s"] = 1e308
+            annotations = tmp_path / "annotations.json"
+            annotations.write_text(json.dumps(ads))
+        config = tmp_path / "synth.json"
+        config.write_text(json.dumps({**TINY, "ad_duration_s": 1e308}))
+        inputs = ["--annotations", str(annotations), "--streams", str(test / "au_streams.csv"),
+                  "--model", str(chain["model"])]
+        argv = {
+            "predict step": ["predict", *inputs, "--out", str(tmp_path / "c.csv"),
+                             "--step-s", "1e-300"],
+            "evaluate step": ["evaluate", *inputs, "--report-out", str(tmp_path / "r.json"),
+                              "--step-s", "1e-300"],
+            "annotations duration": ["predict", *inputs, "--out", str(tmp_path / "c.csv")],
+            "simulate duration": ["simulate", "--out", str(tmp_path / "x"),
+                                  "--config", str(config)],
+        }[case]
+        assert main(argv) == 2
+        assert "than an array can hold" in capsys.readouterr().err
+
     def test_label_bad_threshold(self, tmp_path, capsys):
         ann = tmp_path / "annotations.json"
         ann.write_text("[]")

@@ -17,11 +17,12 @@ from sentipipe.core import (
     VideoRecord,
     canonical_au_index,
 )
-from sentipipe.aggregate import read_curves_csv
+from sentipipe.aggregate import CURVE_CSV_COLUMNS, read_curves_csv, write_curves_csv
 from sentipipe.errors import ConfigError, SchemaError, UnknownAuName, ValidationError
+from sentipipe.ingest import STREAM_COLUMNS, parse_au_stream, write_au_stream
 from sentipipe.weak_label import LabelingConfig, extract_examples
 
-from conftest import au_vec, make_video
+from conftest import au_vec, curve_of, make_video
 
 
 def test_canonical_order_is_frozen():
@@ -345,3 +346,52 @@ class TestCurves:
         assert self.curve(scores=[0.1]) != self.curve(scores=[0.2])
         assert self.curve(counts=[1]) != self.curve(counts=[2])
         assert self.curve(step_s=0.5) != self.curve(step_s=1.0)
+
+
+# each CSV reader with its header and a writer of a valid file of three lines
+CSV_READERS = {
+    "streams": (parse_au_stream, STREAM_COLUMNS, lambda path: write_au_stream(
+        [make_video("v", "a", [(0.0, True, [0.5] * 20), (0.5, False, None)])], path)),
+    "curves": (read_curves_csv, CURVE_CSV_COLUMNS,
+               lambda path: write_curves_csv([curve_of([0.25, 0.5])], path)),
+}
+
+
+@pytest.mark.parametrize("edit", ["empty file", "short header", "long header", "renamed column",
+                                  "wrong cell count", "cell over the field limit", "not UTF-8"])
+@pytest.mark.parametrize("reader", sorted(CSV_READERS))
+def test_csv_reading_frame(tmp_path, reader, edit):
+    """Both CSV readers refuse the same defects of the file's frame, with the
+    same error at the same file:line."""
+    read, header, write = CSV_READERS[reader]
+    n = len(header)
+    path = tmp_path / "in.csv"
+    write(path)
+    lines = path.read_bytes().split(b"\n")
+    line, message = {
+        "empty file": (None, "empty file"),
+        "short header": (1, f"header column {n} is missing, expected {header[-1]!r}"),
+        "long header": (1, f"header column {n + 1} is 'extra', expected no more columns"),
+        "renamed column": (1, f"header column 2 is {header[1].upper()!r}, "
+                              f"expected {header[1]!r}"),
+        "wrong cell count": (3, f"expected {n} cells, got {n + 1}"),
+        "cell over the field limit": (3, "field larger than field limit (131072)"),
+        "not UTF-8": (3, "not UTF-8 text (invalid start byte)"),
+    }[edit]
+    if edit == "short header":
+        lines[0] = lines[0].rsplit(b",", 1)[0]
+    elif edit == "long header":
+        lines[0] += b",extra"
+    elif edit == "renamed column":
+        lines[0] = lines[0].replace(header[1].encode(), header[1].upper().encode())
+    elif edit == "wrong cell count":
+        lines[2] += b",0"
+    elif edit == "cell over the field limit":
+        lines[2] = b"x" * 200_000 + lines[2]
+    elif edit == "not UTF-8":
+        lines[2] = b"\xff" + lines[2]
+    path.write_bytes(b"" if edit == "empty file" else b"\n".join(lines))
+    with pytest.raises(SchemaError) as caught:
+        read(path)
+    assert str(caught.value) == (f"{path}: {message}" if line is None
+                                 else f"{path}:{line}: {message}")

@@ -205,9 +205,8 @@ class TestAuStream:
         assert videos == sample_videos()
 
     def test_au_columns_matched_by_name(self, tmp_path):
-        header = ("video_id,ad_id,frame_index,timestamp_s,face_detected,"
-                  "au_smile,au_1")
-        # all AU columns are required; build a full header with two swapped
+        # the header must be exactly STREAM_COLUMNS: two swapped AU columns
+        # are refused, naming the first column out of place
         full = ["video_id", "ad_id", "frame_index", "timestamp_s", "face_detected"]
         aus = ["au_1", "au_2", "au_4", "au_5", "au_6", "au_7", "au_9", "au_10",
                "au_14", "au_15", "au_17", "au_18", "au_20", "au_24", "au_25",
@@ -219,9 +218,10 @@ class TestAuStream:
         path = tmp_path / "s.csv"
         path.write_text(",".join(full + aus) + "\n"
                         + ",".join(["v", "a", "0", "0.0", "1"] + values) + "\n")
-        video = parse_au_stream(path)[0]
-        assert video.frames[0].aus[18] == 0.9  # Smile
-        assert video.frames[0].aus[0] == 0.4   # AU1
+        assert _parse_stream_blocks(path) is None
+        with pytest.raises(SchemaError, match=re.escape(
+                ":1: header column 6 is 'au_smile', expected 'au_1'")):
+            parse_au_stream(path)
 
     def _base(self, tmp_path, mutate):
         path = tmp_path / "s.csv"
@@ -281,14 +281,17 @@ class TestAuStream:
     def test_duplicate_column(self, tmp_path):
         path = self._base(tmp_path, lambda ls: ls.__setitem__(
             0, ls[0] + ",au_smile"))
-        with pytest.raises(SchemaError, match="duplicate"):
+        with pytest.raises(SchemaError, match=re.escape(
+                ":1: header column 26 is 'au_smile', expected no more columns")):
             parse_au_stream(path)
 
     @pytest.mark.parametrize("column", ["au_SMILE", "au_e_y_e_closure", "au_eyeclosure"])
     def test_au_columns_need_their_exact_names(self, tmp_path, column):
-        path = self._base(tmp_path, lambda ls: ls.__setitem__(
-            0, ls[0].replace("au_smile" if "SMILE" in column else "au_eye_closure", column)))
-        with pytest.raises(SchemaError, match=f"unrecognized column '{column}'"):
+        name = "au_smile" if "SMILE" in column else "au_eye_closure"
+        path = self._base(tmp_path, lambda ls: ls.__setitem__(0, ls[0].replace(name, column)))
+        k = STREAM_AU_COLUMNS.index(name) + len(STREAM_META_COLUMNS) + 1
+        with pytest.raises(SchemaError, match=re.escape(
+                f":1: header column {k} is '{column}', expected '{name}'")):
             parse_au_stream(path)
 
     def test_unknown_column(self, tmp_path):
@@ -305,7 +308,8 @@ class TestAuStream:
                 del cells[3]
                 ls[i] = ",".join(cells)
         path = self._base(tmp_path, drop)
-        with pytest.raises(SchemaError, match="missing columns"):
+        with pytest.raises(SchemaError, match=re.escape(
+                ":1: header column 4 is 'face_detected', expected 'timestamp_s'")):
             parse_au_stream(path)
 
     def test_non_increasing_frame_index(self, tmp_path):
@@ -368,13 +372,17 @@ class TestStreamArrayPath:
         assert parse_au_stream(path) == videos
 
     def test_ids_after_the_numbers(self, tmp_path):
+        # nothing writes this order, so both paths refuse it
         path = tmp_path / "s.csv"
         write_au_stream(sample_videos(), path)
         with open(path, newline="", encoding="utf-8") as fh:
             rows = [row[2:] + row[1::-1] for row in csv.reader(fh)]
         with open(path, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh, lineterminator="\n").writerows(rows)
-        assert _parse_stream_blocks(path) == sample_videos()
+        assert _parse_stream_blocks(path) is None
+        with pytest.raises(SchemaError, match=re.escape(
+                ":1: header column 1 is 'frame_index', expected 'video_id'")):
+            parse_au_stream(path)
 
     def test_rows_spread_over_blocks(self, tmp_path, monkeypatch):
         monkeypatch.setattr(ingest, "_BLOCK_BYTES", 100)

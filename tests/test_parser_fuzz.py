@@ -7,19 +7,23 @@ SentiPipeError subclass. Any other exception fails the test.
 
 The AU stream parser has two paths, an array path over blocks and a row
 parser that names the failing file:line. Differential cases run both on every
-drawn file.
+drawn file, header edits included: the array path declines a file whose header
+is not exactly STREAM_COLUMNS, and the row parser names the first column that
+differs.
 """
 
 import copy
 import csv
 import json
+from itertools import zip_longest
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sentipipe.aggregate import read_curves_csv, write_curves_csv
 from sentipipe.core import AdLabel, AdSpec, Examples, Interval
-from sentipipe.errors import SentiPipeError
+from sentipipe.errors import SchemaError, SentiPipeError
 from sentipipe.ingest import (
+    STREAM_COLUMNS,
     _DECIMAL,
     _parse_stream_blocks,
     _parse_stream_rows,
@@ -65,9 +69,10 @@ number_texts = st.one_of(
 )
 
 # whole-line edits: some break the file, some only keep it from the array path
+HEADER_EDITS = ["swap columns", "rename column", "drop column", "add column"]
 line_edits = st.sampled_from(["blank line", "crlf", "quote", "nul", "duplicate", "swap",
                               "drop final newline", "extra cell", "drop last cell",
-                              "cut after ids"])
+                              "cut after ids", *HEADER_EDITS])
 
 
 def json_paths(value, prefix=()):
@@ -112,11 +117,13 @@ def stream_outcome(parse, path):
 
 def array_path_takes(path):
     """Whether the array path takes the file: no quote, carriage return or
-    NUL, no blank line and no line over the csv field limit."""
+    NUL, no blank line, no line over the csv field limit and no frame_index
+    cell over 18 characters."""
     text = path.read_bytes().decode("utf-8")
     lines = text.removesuffix("\n").split("\n")
     return (not any(c in text for c in '"\r\0') and "" not in lines
-            and max(map(len, lines)) <= csv.field_size_limit())
+            and max(map(len, lines)) <= csv.field_size_limit()
+            and not any(len(cell) > 18 for line in lines[1:] for cell in line.split(",")[2:3]))
 
 
 def assert_stream_paths_agree(path):
@@ -210,8 +217,21 @@ def test_curves_parser(tmp_path, data):
 
 
 def edited_lines(text, edit, i, j):
+    """text with one edit at lines i and j, or for a header edit at header
+    columns i and j."""
     lines = text.removesuffix("\n").split("\n")
-    if edit == "blank line":
+    if edit in HEADER_EDITS:
+        cells = lines[0].split(",")
+        if edit == "swap columns":
+            cells[i], cells[j] = cells[j], cells[i]
+        elif edit == "rename column":
+            cells[i] = cells[j].upper()
+        elif edit == "drop column":
+            del cells[i]
+        else:
+            cells.insert(i, cells[j])
+        lines[0] = ",".join(cells)
+    elif edit == "blank line":
         lines.insert(i, "")
     elif edit == "crlf":
         return text.replace("\n", "\r\n")
@@ -254,9 +274,22 @@ def test_stream_paths_agree_on_line_edits(tmp_path, data):
     write_au_stream(VIDEOS, path)
     n_lines = len(path.read_text().splitlines())
     edit = data.draw(line_edits)
-    i, j = (data.draw(st.integers(1, n_lines - 1)) for _ in range(2))
+    if edit in HEADER_EDITS:
+        n = len(STREAM_COLUMNS)
+        i = data.draw(st.integers(0, n if edit == "add column" else n - 1))
+        j = data.draw(st.integers(0, n - 1))
+    else:
+        i, j = (data.draw(st.integers(1, n_lines - 1)) for _ in range(2))
     path.write_bytes(edited_lines(path.read_text(), edit, i, j).encode("utf-8"))
     assert_stream_paths_agree(path)
+    header = path.read_text().split("\n", 1)[0].split(",")
+    differs = [k for k, pair in enumerate(zip_longest(header, STREAM_COLUMNS))
+               if pair[0] != pair[1]]
+    if edit in HEADER_EDITS and differs:
+        assert _parse_stream_blocks(path) is None
+        error, message = stream_outcome(_parse_stream_rows, path)
+        assert error is SchemaError
+        assert message.startswith(f"{path}:1: header column {differs[0] + 1} is ")
 
 
 # any id text; ids the writer must quote send the file to the row parser

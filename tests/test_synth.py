@@ -95,6 +95,12 @@ class TestSynthConfig:
         with pytest.raises(ConfigError, match=f"^{message}$"):
             SynthConfig(**{name: value})
 
+    @pytest.mark.parametrize("duration, fps", [(1e308, 5.0), (1e300, 1e300), (2.0 ** 63, 1.0)])
+    def test_frame_count_beyond_an_array(self, duration, fps):
+        # the generator would fail on int(inf) or on an array it cannot shape
+        with pytest.raises(ConfigError, match="more frames than an array can hold"):
+            SynthConfig(ad_duration_s=duration, fps=fps)
+
     def test_accepts_numpy_numbers(self):
         config = SynthConfig(participants_per_ad=np.int64(2), fps=np.float32(5.0),
                              moments_per_ad=[np.int64(1), 2], signal_aus={np.int8(3)})
