@@ -19,8 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (_DECIMAL, _INTEGER, AggregateCurve, Interval, VideoRecord, csv_rows,
-                   number_cells)
+from .core import (_DECIMAL, _INTEGER, N_AUS, AggregateCurve, Interval, VideoRecord,
+                   csv_rows, number_cells)
 from .errors import ConfigError, EmptyInterval, NoPredictions, SchemaError, ValidationError
 from .mlp import MlpParams, _forward_batch
 
@@ -37,12 +37,12 @@ def n_bins_for(duration_s: float, step_s: float = DEFAULT_STEP_S) -> int:
         raise ValidationError(f"duration_s must be finite and > 0, got {duration_s}")
     if not math.isfinite(step_s) or step_s <= 0:
         raise ConfigError(f"step_s must be finite and > 0, got {step_s}")
-    # the 1e-9 slack keeps exact multiples (10.0 / 0.5) from gaining a bin
-    # when the quotient lands a hair above an integer
+    # the 1e-9 slack keeps exact multiples (10.0 / 0.5) from gaining a bin when the quotient
+    # lands a hair above an integer; numpy shapes no array of over intp.max bytes
     bins = duration_s / step_s - 1e-9
-    if not bins < np.iinfo(np.intp).max:
-        raise ConfigError(f"duration_s {duration_s} over step_s {step_s} "
-                          f"is more bins than an array can hold")
+    if not bins < np.iinfo(np.intp).max // (8 * N_AUS):
+        raise ConfigError(f"duration_s {duration_s} over step_s {step_s} is more bins "
+                          f"than a {N_AUS}-column float64 array can hold")
     return max(1, math.ceil(bins))
 
 

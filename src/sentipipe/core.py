@@ -122,17 +122,16 @@ def csv_rows(path: str | Path, header: Sequence[str]) -> Iterator[tuple[str, lis
             if first is None:
                 raise SchemaError(f"{path}: empty file")
             if first != list(header):
-                k, (cell, want) = next((k, pair) for k, pair in enumerate(zip_longest(first, header))
-                                       if pair[0] != pair[1])
+                k, cell, want = next((k, cell, want) for k, (cell, want)
+                                     in enumerate(zip_longest(first, header)) if cell != want)
                 raise SchemaError(
                     f"{path}:{reader.line_num}: header column {k + 1} is "
                     f"{'missing' if cell is None else repr(cell)}, expected "
                     f"{'no more columns' if want is None else repr(want)}")
-            n = len(header)
             for row in reader:
                 where = f"{path}:{reader.line_num}"
-                if len(row) != n:
-                    raise SchemaError(f"{where}: expected {n} cells, got {len(row)}")
+                if len(row) != len(header):
+                    raise SchemaError(f"{where}: expected {len(header)} cells, got {len(row)}")
                 yield where, row
         except csv.Error as exc:
             raise SchemaError(f"{path}:{reader.line_num}: {exc}") from exc

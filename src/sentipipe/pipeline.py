@@ -112,10 +112,11 @@ def run_baselines(
     test: Dataset,
     step_s: float = DEFAULT_STEP_S,
     guard_s: float = 0.0,
-    min_coverage: float = DEFAULT_MIN_COVERAGE,
+    min_coverage: float | None = DEFAULT_MIN_COVERAGE,  # None: the videos are filtered already
 ) -> tuple[KpiReport, list[KpiReport]]:
     """(chance report, per-AU reports in canonical order) on one test split."""
-    kept, _ = filter_by_coverage(test.videos, min_coverage)
+    kept = (test.videos if min_coverage is None
+            else filter_by_coverage(test.videos, min_coverage)[0])
     by_ad = grouped_by_ad(kept, test.ads)
     if not by_ad:
         raise ValidationError("no videos left after the coverage filter")

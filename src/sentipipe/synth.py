@@ -20,8 +20,8 @@ from functools import partial
 
 import numpy as np
 
-from .core import (AdLabel, AdSpec, Interval, N_AUS, VideoRecord, canonical_au_index, got,
-                   require_int, require_real)
+from .core import (FRAME_DTYPE, N_AUS, AdLabel, AdSpec, Interval, VideoRecord,
+                   canonical_au_index, got, require_int, require_real)
 from .errors import ConfigError, UnknownAuName
 from .ingest import Dataset
 from .weak_label import frame_in_moments
@@ -73,8 +73,8 @@ class SynthConfig:
             raise ConfigError("ad_duration_s must be finite and > 0")
         if not math.isfinite(self.fps) or self.fps <= 0:
             raise ConfigError("fps must be finite and > 0")
-        if not self.ad_duration_s * self.fps < np.iinfo(np.intp).max:
-            raise ConfigError("ad_duration_s * fps is more frames than an array can hold")
+        if not self.ad_duration_s * self.fps < np.iinfo(np.intp).max // FRAME_DTYPE.itemsize:
+            raise ConfigError("ad_duration_s * fps is more frames than a frame array can hold")
         try:
             lo, hi = self.moments_per_ad
         except (TypeError, ValueError):

@@ -49,14 +49,21 @@ class TestNBins:
     def test_default_step(self):
         assert n_bins_for(60.0) == 120
 
-    @pytest.mark.parametrize("duration, step", [(20.0, 1e-300), (1e308, 0.5), (2.0 ** 63, 1.0)])
+    @pytest.mark.parametrize("duration, step", [(20.0, 1e-300), (1e308, 0.5), (20.0, 1e-17),
+                                                (2.0 ** 56, 1.0)])
     def test_count_beyond_an_array(self, duration, step):
-        # np.zeros refuses such a count, and math.ceil refuses an infinite one
-        with pytest.raises(ConfigError, match="more bins than an array can hold"):
+        # numpy refuses to shape the baselines' (bins, 20) float64 array for
+        # such a count, and math.ceil refuses an infinite one
+        with pytest.raises(ConfigError, match="more bins than a 20-column float64 array can hold"):
             n_bins_for(duration, step)
 
     def test_large_count_inside_an_array(self):
-        assert n_bins_for(2.0 ** 62, 1.0) == 2 ** 62
+        # a (2**55, 20) float64 shape fits intp.max bytes; numpy refuses the
+        # (2**56, 20) one before it allocates anything
+        assert n_bins_for(2.0 ** 55, 1.0) == 2 ** 55
+        assert 2 ** 55 * 20 * 8 <= np.iinfo(np.intp).max
+        with pytest.raises(ValueError, match="too big"):
+            np.empty((2 ** 56, 20))
 
 
 class TestScoreVideo:

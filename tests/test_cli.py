@@ -373,7 +373,7 @@ class TestExitCodes:
                                   "--config", str(config)],
         }[case]
         assert main(argv) == 2
-        assert "than an array can hold" in capsys.readouterr().err
+        assert "array can hold" in capsys.readouterr().err
 
     def test_label_bad_threshold(self, tmp_path, capsys):
         ann = tmp_path / "annotations.json"

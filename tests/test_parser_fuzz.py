@@ -117,13 +117,11 @@ def stream_outcome(parse, path):
 
 def array_path_takes(path):
     """Whether the array path takes the file: no quote, carriage return or
-    NUL, no blank line, no line over the csv field limit and no frame_index
-    cell over 18 characters."""
+    NUL, no blank line and no line over the csv field limit."""
     text = path.read_bytes().decode("utf-8")
     lines = text.removesuffix("\n").split("\n")
     return (not any(c in text for c in '"\r\0') and "" not in lines
-            and max(map(len, lines)) <= csv.field_size_limit()
-            and not any(len(cell) > 18 for line in lines[1:] for cell in line.split(",")[2:3]))
+            and max(map(len, lines)) <= csv.field_size_limit())
 
 
 def assert_stream_paths_agree(path):

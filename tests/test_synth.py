@@ -5,7 +5,7 @@ import statistics
 import numpy as np
 import pytest
 
-from sentipipe.core import AdLabel
+from sentipipe.core import FRAME_DTYPE, AdLabel
 from sentipipe.errors import ConfigError
 from sentipipe.ingest import filter_by_coverage, face_coverage
 from sentipipe.synth import (
@@ -95,11 +95,17 @@ class TestSynthConfig:
         with pytest.raises(ConfigError, match=f"^{message}$"):
             SynthConfig(**{name: value})
 
-    @pytest.mark.parametrize("duration, fps", [(1e308, 5.0), (1e300, 1e300), (2.0 ** 63, 1.0)])
+    @pytest.mark.parametrize("duration, fps", [(1e308, 5.0), (1e300, 1e300), (2.0 ** 62, 1.0),
+                                               (2.0 ** 56, 1.0)])
     def test_frame_count_beyond_an_array(self, duration, fps):
-        # the generator would fail on int(inf) or on an array it cannot shape
-        with pytest.raises(ConfigError, match="more frames than an array can hold"):
+        # the generator would fail on int(inf), or on a frame array of more
+        # than intp.max bytes, which numpy refuses to shape
+        with pytest.raises(ConfigError, match="more frames than a frame array can hold"):
             SynthConfig(ad_duration_s=duration, fps=fps)
+
+    def test_large_frame_count_inside_an_array(self):
+        assert SynthConfig(ad_duration_s=2.0 ** 55, fps=1.0).ad_duration_s == 2.0 ** 55
+        assert 2 ** 55 * FRAME_DTYPE.itemsize <= np.iinfo(np.intp).max
 
     def test_accepts_numpy_numbers(self):
         config = SynthConfig(participants_per_ad=np.int64(2), fps=np.float32(5.0),
