@@ -179,10 +179,14 @@ FRAME_DTYPE = np.dtype([
 
 def _read_only(values, dtype) -> np.ndarray:
     """``values`` as an array of ``dtype`` that nothing can change: a writable
-    array is copied first."""
+    array is copied first, into np.zeros, whose padding bytes stay zero.
+    (ndarray.copy and np.zeros_like leave a structured dtype's padding
+    undefined.)"""
     array = np.asarray(values, dtype=dtype)
     if array.flags.writeable:
-        array = array.copy()
+        copy = np.zeros(array.shape, dtype)
+        copy[...] = array
+        array = copy
         array.flags.writeable = False
     return array
 
@@ -231,7 +235,7 @@ class VideoRecord:
     def from_columns(cls, video_id: str, ad_id: str, frame_index, timestamp_s,
                      face_detected, aus) -> VideoRecord:
         """Build a record from per-frame columns (aus shaped (n, 20))."""
-        frames = np.empty(len(timestamp_s), dtype=FRAME_DTYPE)
+        frames = np.zeros(len(timestamp_s), dtype=FRAME_DTYPE)  # padding bytes too
         for name, column in zip(FRAME_DTYPE.names, (frame_index, timestamp_s, face_detected, aus)):
             frames[name] = column
         frames.flags.writeable = False  # nothing else holds it, so no copy is needed

@@ -4,6 +4,11 @@ Parsers accept nothing malformed. A malformed row aborts the whole parse instead
 of being skipped, because silently dropped rows would bias every KPI computed
 downstream. Writers emit the exact same formats the parsers accept, with full
 float precision, so a parse -> write -> parse cycle is lossless.
+
+write_au_stream also writes a binary sidecar next to the CSV that holds the
+frames it wrote, and parse_au_stream returns those frames instead of parsing
+the CSV again while the CSV's bytes are the ones written. The CSV stays the
+only input that decides a result: any sidecar that fails a check is ignored.
 """
 
 from __future__ import annotations
@@ -12,6 +17,9 @@ import csv
 import io
 import json
 import math
+import os
+import struct
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 from itertools import groupby, repeat
@@ -34,6 +42,11 @@ from .core import (
     require_real,
 )
 from .errors import ConfigError, SchemaError, ValidationError
+
+try:  # not hashlib: importing it loads OpenSSL, about 3.5 MB more per process
+    from _blake2 import blake2b
+except ImportError:  # a Python without it writes and reads no sidecars
+    blake2b = None
 
 DEFAULT_MIN_COVERAGE = 0.90
 
@@ -66,6 +79,18 @@ _NUMBER_BYTES = b"0123456789.eE+-,\n"
 # The array path parses a stream in blocks of about this many bytes, so that
 # it never holds more of the file's text than one block.
 _BLOCK_BYTES = 1 << 20
+
+# The sidecar of an AU stream CSV is the file named as the CSV plus
+# SIDECAR_SUFFIX. It holds a head (magic, version, the digest of the CSV's
+# bytes, the digest of the rest of the sidecar, and where its table starts
+# and how long it is), then each video's frames in FRAME_DTYPE layout with
+# the padding zeroed, then the table: JSON of FRAME_DTYPE's descr and one
+# [video_id, ad_id, frame count] per video, in the CSV's order.
+SIDECAR_SUFFIX = ".frames"
+_SIDECAR_MAGIC = b"SPFRAMES"
+_SIDECAR_VERSION = 1
+_SIDECAR_HEAD = struct.Struct("<8sI4x32s32sQQ")
+_FRAME_DESCR = str(FRAME_DTYPE.descr)
 
 _ANNOTATION_KEYS = {"ad_id", "label", "duration_s", "moments"}
 _LABEL_BY_STRING = {label.value: label for label in AdLabel}
@@ -156,13 +181,21 @@ def parse_au_stream(path: str | Path) -> list[VideoRecord]:
     frame_index cell must match ``-?[0-9]+`` and every other number cell
     ``-?([0-9]+(\\.[0-9]*)?|\\.[0-9]+)([eE][+-]?[0-9]+)?``, in ASCII.
 
-    A file whose first line is the header, with no quote, carriage return or
-    NUL, no blank line and no line over the csv field limit, is checked as
-    arrays, one block of about 1 MB at a time. Any other file, and any file
-    that fails a check there, is read again row by row from the top, so that
-    an error names its ``file:line``.
+    When the CSV has a sidecar (see SIDECAR_SUFFIX) whose digest is that of
+    the CSV's current bytes and whose version, dtype, table and frames pass
+    every check, the records are read-only views of the sidecar's frames, and
+    the CSV is only hashed. Any other sidecar is ignored, so the result, or
+    the error, is always the one the CSV gives.
+
+    Otherwise a file whose first line is the header, with no quote, carriage
+    return or NUL, no blank line and no line over the csv field limit, is
+    checked as arrays, one block of about 1 MB at a time. Any other file, and
+    any file that fails a check there, is read again row by row from the top,
+    so that an error names its ``file:line``.
     """
-    videos = _parse_stream_blocks(path)
+    videos = _read_sidecar(path)
+    if videos is None:
+        videos = _parse_stream_blocks(path)
     return _parse_stream_rows(path) if videos is None else videos
 
 
@@ -318,13 +351,13 @@ def _parse_block(lines: list[str]) -> tuple[np.ndarray, list[tuple[str, str]]] |
     if "" in numbers:  # a row of ids and one empty cell, which np.loadtxt skips
         return None
     # Every number cell is ASCII out of these bytes, with a "+" only right
-    # after the exponent's e, and every frame_index cell is at most 18 of
-    # them with no ".", "e" or "E", so it fits an int64 or is no integer.
-    # (numpy 1.23 and some later releases read any other frame_index cell,
-    # such as 3.0, 3e0 or 20 digits, into an int64 field via float, with only
-    # a DeprecationWarning.) np.loadtxt then takes a cell exactly when it is
-    # an _INTEGER or a _DECIMAL, and it checks the cell count of each row
-    # because it is given no usecols.
+    # after the exponent's e, and every frame_index cell has no ".", "e" or
+    # "E" and at most 18 characters after its sign and leading zeros, so it
+    # fits an int64 or is no integer. (numpy 1.23 and some later releases read
+    # any other frame_index cell, such as 3.0, 3e0 or 20 digits, into an
+    # int64 field via float, with only a DeprecationWarning.) np.loadtxt then
+    # takes a cell exactly when it is an _INTEGER or a _DECIMAL, and it checks
+    # the cell count of each row because it is given no usecols.
     text = "\n".join(numbers)
     if not text.isascii():
         return None
@@ -335,8 +368,9 @@ def _parse_block(lines: list[str]) -> tuple[np.ndarray, list[tuple[str, str]]] |
     del text
     index_cells = [n.partition(",")[0] for n in numbers]
     index_text = "".join(index_cells)
-    if (max(map(len, index_cells)) > 18 or "." in index_text
-            or "e" in index_text or "E" in index_text):
+    if "." in index_text or "e" in index_text or "E" in index_text or (
+            max(map(len, index_cells)) > 18
+            and any(len(c.lstrip("-").lstrip("0")) > 18 for c in index_cells)):
         return None
     del index_cells, index_text
     # A row with no face leaves 20 of its 23 number cells empty, so two empty
@@ -368,7 +402,8 @@ def _parse_block(lines: list[str]) -> tuple[np.ndarray, list[tuple[str, str]]] |
 
 
 def write_au_stream(videos: Iterable[VideoRecord], path: str | Path) -> None:
-    """Serialize videos to the AU stream CSV format with full float precision.
+    """Serialize videos to the AU stream CSV format with full float precision,
+    and write the CSV's sidecar (see _SidecarWriter) next to it.
 
     Numbers never need CSV quoting, so rows are built as strings; only the two
     ids go through csv.writer, once per video, which quotes them as it would
@@ -379,20 +414,181 @@ def write_au_stream(videos: Iterable[VideoRecord], path: str | Path) -> None:
     # with "\r\n" as its terminator csv.writer quotes an id holding either
     # character; with "\n" it leaves a "\r" bare, which reads as a line end
     ids_writer = csv.writer(ids, lineterminator="\r\n")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(STREAM_COLUMNS)
-        for video in videos:
-            ids.seek(0)
-            ids.truncate()
-            ids_writer.writerow([video.video_id, video.ad_id])
-            prefix = ids.getvalue()[:-2]
-            f = video.frames
-            fh.write("".join(
-                f"{prefix},{index},{ts!r},1,{','.join(map(repr, aus))}\n" if face
-                else f"{prefix},{index},{ts!r},0,{empty_aus}\n"
-                for index, ts, face, aus in zip(
-                    f.frame_index.tolist(), f.timestamp_s.tolist(),
-                    f.face_detected.tolist(), f.aus.tolist())))
+    sidecar = _SidecarWriter(path)
+    try:
+        with open(path, "wb") as fh:
+            header = (",".join(STREAM_COLUMNS) + "\n").encode()
+            fh.write(header)
+            sidecar.add(header)
+            for video in videos:
+                ids.seek(0)
+                ids.truncate()
+                ids_writer.writerow([video.video_id, video.ad_id])
+                prefix = ids.getvalue()[:-2]
+                f = video.frames
+                lines = "".join(
+                    f"{prefix},{index},{ts!r},1,{','.join(map(repr, aus))}\n" if face
+                    else f"{prefix},{index},{ts!r},0,{empty_aus}\n"
+                    for index, ts, face, aus in zip(
+                        f.frame_index.tolist(), f.timestamp_s.tolist(),
+                        f.face_detected.tolist(), f.aus.tolist())).encode("utf-8")
+                fh.write(lines)
+                sidecar.add(lines, video)
+    except BaseException:
+        sidecar.discard()
+        raise
+    sidecar.finish()
+
+
+def _sidecar_path(path: str | Path) -> Path:
+    return Path(os.fspath(path) + SIDECAR_SUFFIX)
+
+
+class _SidecarWriter:
+    """Writes the sidecar of one stream CSV while the CSV is written, one
+    video's frames at a time, and its head last.
+
+    It removes the sidecar instead, a stale one included, when the CSV could
+    parse back to other records than those written (an empty id, a repeated
+    video_id or an id over the csv field limit), when the write fails and
+    when the sidecar itself cannot be written. Without blake2b it does
+    nothing.
+    """
+
+    def __init__(self, csv_path: str | Path) -> None:
+        self.path = _sidecar_path(csv_path)
+        self.fh: BinaryIO | None = None
+        if blake2b is None:
+            return
+        self.csv_digest, self.body_digest = blake2b(digest_size=32), blake2b(digest_size=32)
+        self.table: list[list] = []
+        self.video_ids: set[str] = set()
+        try:
+            self.fh = open(self.path, "wb")
+            self.fh.write(bytes(_SIDECAR_HEAD.size))
+        except OSError:
+            self.discard()
+
+    def add(self, csv_bytes: bytes, video: VideoRecord | None = None) -> None:
+        """Take the next bytes written to the CSV, which hold ``video``'s rows
+        if one is given."""
+        if self.fh is None:
+            return
+        self.csv_digest.update(csv_bytes)
+        if video is None:
+            return
+        video_id, ad_id = video.video_id, video.ad_id
+        if (not video_id or not ad_id or video_id in self.video_ids
+                or max(len(video_id), len(ad_id)) > csv.field_size_limit()):
+            self.discard()
+            return
+        self.video_ids.add(video_id)
+        self.table.append([video_id, ad_id, len(video.frames)])
+        # the frames as the CSV parses back to them: padding zeroed, and the
+        # empty AU cells of a row without a face read as +0.0
+        frames = np.zeros(len(video.frames), dtype=FRAME_DTYPE)
+        face = video.frames.face_detected
+        for name in ("frame_index", "timestamp_s", "face_detected"):
+            frames[name] = video.frames[name]
+        frames["aus"][face] = video.frames.aus[face]
+        self._write(frames.data)
+
+    def _write(self, data) -> None:
+        self.body_digest.update(data)
+        try:
+            self.fh.write(data)
+        except OSError:
+            self.discard()
+
+    def finish(self) -> None:
+        if self.fh is None:
+            return
+        table = json.dumps({"dtype": _FRAME_DESCR, "videos": self.table},
+                           separators=(",", ":")).encode()
+        table_at = self.fh.tell()
+        self._write(table)
+        try:
+            if self.fh is not None:
+                self.fh.seek(0)
+                self.fh.write(_SIDECAR_HEAD.pack(
+                    _SIDECAR_MAGIC, _SIDECAR_VERSION, self.csv_digest.digest(),
+                    self.body_digest.digest(), table_at, len(table)))
+                self.fh.close()
+        except OSError:
+            self.discard()
+
+    def discard(self) -> None:
+        fh, self.fh = self.fh, None
+        with suppress(OSError):
+            if fh is not None:
+                fh.close()
+        with suppress(OSError):
+            self.path.unlink(missing_ok=True)
+
+
+def _read_sidecar(path: str | Path) -> list[VideoRecord] | None:
+    """parse_au_stream's records of the CSV at path, read from the CSV's
+    sidecar; None, raising nothing, when there is no sidecar or it fails a
+    check. Its magic, version and dtype must be this module's, its body must
+    match its digest, its table must give unique non-empty ids within the
+    csv field limit and a frame count > 0 that add up to its frames, the
+    CSV's current bytes must match the CSV digest, and each video's frames
+    must pass VideoRecord's checks."""
+    if blake2b is None:
+        return None
+    try:
+        data = _sidecar_path(path).read_bytes()
+    except OSError:
+        return None
+    head = _SIDECAR_HEAD.size
+    if len(data) < head:
+        return None
+    magic, version, csv_digest, body_digest, table_at, table_len = _SIDECAR_HEAD.unpack_from(data)
+    if (magic != _SIDECAR_MAGIC or version != _SIDECAR_VERSION or table_at < head
+            or table_at + table_len != len(data)
+            or blake2b(memoryview(data)[head:], digest_size=32).digest() != body_digest):
+        return None
+    try:
+        table = json.loads(data[table_at:])
+    except (ValueError, RecursionError):
+        return None
+    if not isinstance(table, dict) or table.get("dtype") != _FRAME_DESCR:
+        return None
+    entries = table.get("videos")
+    limit = csv.field_size_limit()
+    if (not isinstance(entries, list) or not all(
+            isinstance(e, list) and len(e) == 3 and type(e[2]) is int and e[2] > 0
+            and all(type(i) is str and 0 < len(i) <= limit for i in e[:2]) for e in entries)
+            or len({e[0] for e in entries}) != len(entries)):
+        return None
+    n_frames = sum(e[2] for e in entries)
+    if head + n_frames * FRAME_DTYPE.itemsize != table_at:
+        return None
+    try:
+        if _file_digest(path) != csv_digest:
+            return None
+    except OSError:
+        return None
+    frames = np.frombuffer(data, dtype=FRAME_DTYPE, count=n_frames, offset=head)
+    videos, start = [], 0
+    try:
+        for video_id, ad_id, n in entries:
+            videos.append(VideoRecord(video_id, ad_id, frames[start:start + n]))
+            start += n
+    except ValidationError:
+        return None
+    return videos
+
+
+def _file_digest(path: str | Path) -> bytes:
+    """The blake2b digest of a file's bytes, read in blocks of _BLOCK_BYTES."""
+    digest = blake2b(digest_size=32)
+    block = bytearray(_BLOCK_BYTES)
+    view = memoryview(block)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(block):
+            digest.update(view[:n])
+    return digest.digest()
 
 
 def face_coverage(video: VideoRecord) -> float:

@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import re
+import shutil
 import subprocess
 import sys
 
@@ -12,7 +13,7 @@ from sentipipe import cli
 from sentipipe.aggregate import read_curves_csv
 from sentipipe.cli import main
 from sentipipe.core import AdLabel, AdSpec, Interval
-from sentipipe.ingest import Dataset, write_dataset
+from sentipipe.ingest import SIDECAR_SUFFIX, Dataset, write_dataset
 from sentipipe.metrics import read_kpi_report
 from sentipipe.mlp import MlpParams, TrainConfig, load_model, save_model
 from sentipipe.synth import SynthConfig
@@ -194,6 +195,37 @@ class TestChain:
         assert first.read_bytes() == again.read_bytes()
         assert (chain["out"] / "train" / "annotations.json").read_bytes() == \
             (chain["root"] / "again" / "train" / "annotations.json").read_bytes()
+
+
+    def test_sidecars_change_no_output(self, chain, tmp_path, capsys):
+        # simulate leaves a sidecar next to each stream and the readers make no
+        # file there; with the sidecars deleted, so that label, predict and
+        # evaluate parse the CSVs, the chain writes the same bytes
+        out = chain["out"]
+        assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*.*")) == [
+            f"{split}/{name}" for split in ("test", "train")
+            for name in ("annotations.json", "au_streams.csv", "au_streams.csv" + SIDECAR_SUFFIX)]
+        data = tmp_path / "data"
+        shutil.copytree(out, data)
+        for sidecar in data.rglob("*" + SIDECAR_SUFFIX):
+            sidecar.unlink()
+        test = ["--annotations", str(data / "test" / "annotations.json"),
+                "--streams", str(data / "test" / "au_streams.csv"), "--model", str(tmp_path / "model.json")]
+        for argv in (
+                ["label", "--annotations", str(data / "train" / "annotations.json"),
+                 "--streams", str(data / "train" / "au_streams.csv"),
+                 "--out", str(tmp_path / "examples.jsonl")],
+                ["train", "--examples", str(tmp_path / "examples.jsonl"), "--model-out",
+                 str(tmp_path / "model.json"), "--loss-out", str(tmp_path / "loss.csv"),
+                 "--epochs", "40", "--seed", "0"],
+                ["predict", *test, "--out", str(tmp_path / "curves.csv")],
+                ["evaluate", *test, "--report-out", str(tmp_path / "report.json"),
+                 "--table-out", str(tmp_path / "table.csv")]):
+            assert main(argv) == 0
+        capsys.readouterr()
+        for name in ("examples", "model", "losses", "curves", "report", "table"):
+            assert chain[name].read_bytes() == (tmp_path / chain[name].name).read_bytes(), name
+        assert not list(data.rglob("*" + SIDECAR_SUFFIX))
 
 
 class TestExitCodes:

@@ -151,6 +151,19 @@ class TestVideoRecord:
         with pytest.raises(ValueError):
             v.frames.aus[0, 0] = 0.5
 
+    def test_padding_bytes_are_zero(self):
+        # 7 bytes after face_detected in each row; a copy by numpy leaves them
+        # undefined, so equal records could differ in frames.tobytes()
+        frames = np.zeros(3, FRAME_DTYPE)
+        frames["frame_index"] = [0, 1, 2]
+        frames.view(np.uint8).reshape(3, -1)[:, 17:24] = 0xAB
+        built = VideoRecord.from_columns("v", "a", [0, 1, 2], [0.0] * 3, [False] * 3,
+                                         np.zeros((3, N_AUS)))
+        copied = VideoRecord("v", "a", frames)
+        assert built == copied
+        assert built.frames.tobytes() == copied.frames.tobytes()
+        assert not np.frombuffer(built.frames.tobytes(), np.uint8).reshape(3, -1)[:, 17:24].any()
+
     def test_equality_by_value(self):
         a = record([0, 1], [0.0, 0.5], [True, False], [[0.5] * N_AUS, [0.0] * N_AUS])
         b = record([0, 1], [0.0, 0.5], [True, False], [[0.5] * N_AUS, [0.0] * N_AUS])

@@ -2,15 +2,18 @@ import csv
 import io
 import json
 import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sentipipe import ingest
-from sentipipe.core import AdLabel, AdSpec, Interval
-from sentipipe.errors import ConfigError, SchemaError, ValidationError
+from sentipipe.core import AdLabel, AdSpec, Interval, VideoRecord
+from sentipipe.errors import ConfigError, SchemaError, SentiPipeError, ValidationError
 from sentipipe.ingest import (
     DEFAULT_MIN_COVERAGE,
+    SIDECAR_SUFFIX,
     STREAM_AU_COLUMNS,
     STREAM_META_COLUMNS,
     Dataset,
@@ -479,10 +482,10 @@ class TestStreamArrayPath:
             parse_au_stream(path)
 
     def test_frame_index_with_many_leading_zeros(self, tmp_path):
-        # int() refuses strings of over 4300 digits; a frame_index of over
-        # 18 characters is left to the row parser
+        # int() refuses strings of over 4300 digits, np.loadtxt does not; the
+        # 18-character bound of the array path counts no sign or leading zero
         path = stream_with_cell(tmp_path, 3, "frame_index", "0" * 5000 + "1")
-        assert _parse_stream_blocks(path) is None
+        assert _parse_stream_blocks(path) == sample_videos()
         assert parse_au_stream(path) == sample_videos()
 
     @pytest.mark.parametrize("cell", ["9" * 18, "0" * 17 + "1"])
@@ -495,6 +498,231 @@ class TestStreamArrayPath:
         videos = _parse_stream_blocks(path)
         assert videos == _parse_stream_rows(path)
         assert videos[0].frames[0].frame_index == int(cell)
+
+
+class WithoutSidecars:
+    """Sidecars off, as on a Python without _blake2: nothing writes or reads
+    one, so the CSV parser reads every file, the unchanged ones too."""
+
+    @pytest.fixture(autouse=True)
+    def _no_sidecars(self, monkeypatch):
+        monkeypatch.setattr(ingest, "blake2b", None)
+
+
+class TestAuStreamWithoutSidecars(WithoutSidecars, TestAuStream):
+    pass
+
+
+class TestStreamArrayPathWithoutSidecars(WithoutSidecars, TestStreamArrayPath):
+    pass
+
+
+def sidecar_of(path):
+    return Path(str(path) + SIDECAR_SUFFIX)
+
+
+def outcome(path):
+    """parse_au_stream's records with their frame bytes, or the type and
+    message of its SentiPipeError."""
+    try:
+        return [(v.video_id, v.ad_id, v.frames.tobytes()) for v in parse_au_stream(path)]
+    except SentiPipeError as exc:
+        return type(exc), str(exc)
+
+
+def rewrite_sidecar(sidecar, frames=None, table=None):
+    """The sidecar with its frame bytes edited in place by ``frames`` or its
+    table replaced by ``table(old table)``, and its head made to match the
+    new body, so that only the reader's other checks can refuse it."""
+    data = sidecar.read_bytes()
+    head = ingest._SIDECAR_HEAD
+    fields = list(head.unpack_from(data))
+    table_at = fields[4]
+    body = bytearray(data[head.size:table_at])
+    if frames is not None:
+        frames(body)
+    old_table = json.loads(data[table_at:])
+    new_table = json.dumps(old_table if table is None else table(old_table)).encode()
+    body += new_table
+    fields[3] = ingest.blake2b(bytes(body), digest_size=32).digest()
+    fields[5] = len(new_table)
+    sidecar.write_bytes(head.pack(*fields) + body)
+
+
+def break_invariant(sidecar):
+    # the first frame's first AU score set to 2.0
+    offset = ingest.FRAME_DTYPE.fields["aus"][1]
+    rewrite_sidecar(sidecar, frames=lambda body: body.__setitem__(
+        slice(offset, offset + 8), np.float64(2.0).tobytes()))
+
+
+def table_edit(edit):
+    """A damage that applies ``edit`` to the table's list of [video_id,
+    ad_id, frame count]."""
+    def damage(sidecar):
+        def change(table):
+            videos = json.loads(json.dumps(table["videos"]))
+            edit(videos)
+            return {**table, "videos": videos}
+        rewrite_sidecar(sidecar, table=change)
+    return damage
+
+
+def wrong_version(sidecar):
+    data = bytearray(sidecar.read_bytes())
+    data[8:12] = (ingest._SIDECAR_VERSION + 1).to_bytes(4, "little")
+    sidecar.write_bytes(bytes(data))
+
+
+SIDECAR_DAMAGE = {
+    "missing": lambda sidecar: sidecar.unlink(),
+    "truncated in the head": lambda sidecar: sidecar.write_bytes(sidecar.read_bytes()[:40]),
+    "truncated in the frames": lambda sidecar: sidecar.write_bytes(
+        sidecar.read_bytes()[:sidecar.stat().st_size // 2]),
+    "garbage": lambda sidecar: sidecar.write_bytes(
+        np.random.default_rng(0).bytes(sidecar.stat().st_size)),
+    "wrong version": wrong_version,
+    "frames that break an invariant": break_invariant,
+    "a table that is no object": lambda sidecar: rewrite_sidecar(
+        sidecar, table=lambda table: table["videos"]),
+    "another dtype": lambda sidecar: rewrite_sidecar(
+        sidecar, table=lambda table: {**table, "dtype": "<f8"}),
+    "a repeated video_id": table_edit(lambda videos: videos[1].__setitem__(0, videos[0][0])),
+    "an empty ad_id": table_edit(lambda videos: videos[0].__setitem__(1, "")),
+    "frame counts that do not add up": table_edit(
+        lambda videos: videos[0].__setitem__(2, videos[0][2] + 1)),
+    "a frame count of 0": table_edit(lambda videos: (videos[0].__setitem__(2, 0),
+                                                     videos[1].__setitem__(2, videos[1][2] + 3))),
+    "a frame changed": lambda sidecar: sidecar.write_bytes(
+        sidecar.read_bytes().replace(np.float64(0.25).tobytes(), np.float64(0.125).tobytes(), 1)),
+    "a directory": lambda sidecar: (sidecar.unlink(), sidecar.mkdir()),
+}
+
+# CSV edits that keep the file's size, so only its bytes tell it from the
+# file written: a valid AU value changed, and one made out of range
+CSV_EDITS = {
+    "unchanged": lambda text: text,
+    "one cell changed": lambda text: text.replace(",0.25,", ",0.75,", 1),
+    "one cell out of range": lambda text: text.replace(",0.25,", ",1.25,", 1),
+}
+
+
+class TestStreamSidecar:
+    def test_writer_writes_it_and_the_csv_is_not_parsed(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.csv"
+        write_au_stream(sample_videos(), path)
+        assert sidecar_of(path).is_file()
+
+        def no_parse(path):
+            raise AssertionError("the CSV was parsed")
+        monkeypatch.setattr(ingest, "_parse_stream_blocks", no_parse)
+        monkeypatch.setattr(ingest, "_parse_stream_rows", no_parse)
+        videos = parse_au_stream(path)
+        assert videos == sample_videos()
+        assert all(not v.frames.flags.writeable for v in videos)
+
+    def test_three_paths_give_equal_bytes(self, tmp_path, monkeypatch):
+        # -0.0 scores on a row without a face read back from the CSV as 0.0
+        aus = np.zeros((3, 20))
+        aus[0], aus[1] = 0.25, -0.0
+        videos = [VideoRecord.from_columns("v", "a", [0, 1, 2], [-0.0, 0.5, 1.0],
+                                           [True, False, True], aus),
+                  *sample_videos()]
+        path = tmp_path / "s.csv"
+        write_au_stream(videos, path)
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", 300)  # v1 spans blocks
+        by_sidecar = parse_au_stream(path)
+        by_blocks = _parse_stream_blocks(path)
+        by_rows = _parse_stream_rows(path)
+        assert by_sidecar == by_blocks == by_rows == videos
+        for records in zip(by_sidecar, by_blocks, by_rows):
+            assert len({v.frames.tobytes() for v in records}) == 1
+
+    def test_bytes_are_deterministic(self, tmp_path):
+        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_au_stream(sample_videos(), p1)
+        write_au_stream(parse_au_stream(p1), p2)
+        assert sidecar_of(p1).read_bytes() == sidecar_of(p2).read_bytes()
+
+    @pytest.mark.parametrize("edit", CSV_EDITS)
+    @pytest.mark.parametrize("damage", SIDECAR_DAMAGE)
+    def test_any_other_sidecar_gives_what_the_csv_gives(self, tmp_path, damage, edit):
+        path = tmp_path / "s.csv"
+        write_au_stream(sample_videos(), path)
+        text = path.read_text()
+        path.write_text(CSV_EDITS[edit](text))
+        assert len(path.read_text()) == len(text)
+        SIDECAR_DAMAGE[damage](sidecar_of(path))
+        assert ingest._read_sidecar(path) is None
+        got = outcome(path)
+        if sidecar_of(path).is_dir():
+            sidecar_of(path).rmdir()
+        else:
+            sidecar_of(path).unlink(missing_ok=True)
+        assert got == outcome(path)
+        if edit == "one cell out of range":
+            assert got == (ValidationError, f"{path}:2: AU scores must lie in [0, 1]")
+
+    def test_stale_after_a_same_size_edit(self, tmp_path):
+        path = tmp_path / "s.csv"
+        write_au_stream(sample_videos(), path)
+        path.write_text(path.read_text().replace(",0.25,", ",0.75,", 1))
+        assert sidecar_of(path).is_file()
+        videos = parse_au_stream(path)
+        assert videos[0].frames.aus[0].tolist() == [0.75] + [0.25] * 19
+        assert videos == _parse_stream_rows(path)
+
+    @pytest.mark.parametrize("ids", [
+        [("v1", "a1"), ("", "a2")],
+        [("v1", "a1"), ("v2", "")],
+        [("v1", "a1"), ("v1", "a2")],
+        [("v1", "a1"), ("v" * (csv.field_size_limit() + 1), "a2")],
+    ], ids=["empty video_id", "empty ad_id", "repeated video_id", "id over the field limit"])
+    def test_no_sidecar_for_ids_that_do_not_read_back(self, tmp_path, ids):
+        path = tmp_path / "s.csv"
+        write_au_stream(sample_videos(), path)
+        assert sidecar_of(path).is_file()
+        videos = [make_video(video_id, ad_id, [(0.0, True, [0.5] * 20)]) for video_id, ad_id in ids]
+        write_au_stream(videos, path)
+        assert not sidecar_of(path).exists()
+
+    def test_failed_write_leaves_no_sidecar(self, tmp_path):
+        path = tmp_path / "s.csv"
+        write_au_stream(sample_videos(), path)
+        # a lone surrogate is no UTF-8
+        videos = [*sample_videos(), make_video("v\ud800", "a", [(0.0, True, [0.5] * 20)])]
+        with pytest.raises(UnicodeEncodeError):
+            write_au_stream(videos, path)
+        assert not sidecar_of(path).exists()
+
+    @pytest.mark.parametrize("keep", [True, False], ids=["sidecar", "no sidecar"])
+    def test_readers_create_or_change_no_file(self, tmp_path, keep):
+        path = tmp_path / "s.csv"
+        write_au_stream(sample_videos(), path)
+        if not keep:
+            sidecar_of(path).unlink()
+        before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        parse_au_stream(path)
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_missing_csv_with_a_sidecar(self, tmp_path):
+        path = tmp_path / "s.csv"
+        write_au_stream(sample_videos(), path)
+        path.unlink()
+        with pytest.raises(FileNotFoundError, match=re.escape(str(path))):
+            parse_au_stream(path)
+
+    def test_without_blake2_no_sidecar_is_written_or_read(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.csv"
+        write_au_stream(sample_videos(), path)
+        sidecar = sidecar_of(path).read_bytes()
+        path.write_text(path.read_text().replace(",0.25,", ",1.25,", 1))
+        sidecar_of(path).write_bytes(sidecar)
+        monkeypatch.setattr(ingest, "blake2b", None)
+        with pytest.raises(ValidationError, match=":2: AU scores"):
+            parse_au_stream(path)
+        write_au_stream(sample_videos(), tmp_path / "t.csv")
+        assert not sidecar_of(tmp_path / "t.csv").exists()
 
 
 class TestCoverage:

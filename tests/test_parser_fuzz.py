@@ -9,20 +9,24 @@ The AU stream parser has two paths, an array path over blocks and a row
 parser that names the failing file:line. Differential cases run both on every
 drawn file, header edits included: the array path declines a file whose header
 is not exactly STREAM_COLUMNS, and the row parser names the first column that
-differs.
+differs. Every edited file keeps the stale sidecar its write left, so
+parse_au_stream is run past it too. Written streams are also parsed with their
+sidecar and without it.
 """
 
 import copy
 import csv
 import json
 from itertools import zip_longest
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sentipipe.aggregate import read_curves_csv, write_curves_csv
-from sentipipe.core import AdLabel, AdSpec, Examples, Interval
+from sentipipe.core import AdLabel, AdSpec, Examples, Interval, VideoRecord
 from sentipipe.errors import SchemaError, SentiPipeError
 from sentipipe.ingest import (
+    SIDECAR_SUFFIX,
     STREAM_COLUMNS,
     _DECIMAL,
     _parse_stream_blocks,
@@ -309,3 +313,36 @@ def test_stream_paths_agree_on_written_streams(tmp_path, ids, ad_ids, rows, stam
     write_au_stream(videos, path)
     assert_stream_paths_agree(path)
     assert parse_au_stream(path) == videos
+
+
+@FUZZ
+@given(ids=st.lists(stream_ids | st.just(""), min_size=1, max_size=4),
+       ad_ids=st.lists(stream_ids | st.just(""), min_size=4, max_size=4), rows=frame_rows,
+       stamps=st.lists(st.floats(0.0, 1e18) | st.just(-0.0), min_size=4, max_size=4),
+       no_face_score=st.sampled_from([0.0, -0.0]))
+def test_sidecar_gives_what_the_csv_gives(tmp_path, ids, ad_ids, rows, stamps, no_face_score):
+    """Where the writer leaves a sidecar, parse_au_stream gives the same
+    records with it as without it, frame bytes included. It leaves one
+    exactly when every id is non-empty and no video_id repeats."""
+    stamps = sorted(stamps[:len(rows)])
+    faces = [face for face, _ in rows]
+    aus = [scores if face else [no_face_score] * 20 for face, scores in rows]
+    videos = [VideoRecord.from_columns(video_id, ad_id, range(len(rows)), stamps, faces, aus)
+              for video_id, ad_id in zip(ids, ad_ids)]
+    path = tmp_path / "s.csv"
+    write_au_stream(videos, path)
+    sidecar = Path(str(path) + SIDECAR_SUFFIX)
+    ids_read_back = all(ids) and all(ad_ids[:len(ids)]) and len(set(ids)) == len(ids)
+    assert sidecar.exists() == ids_read_back
+
+    def outcome():
+        try:
+            return [(v.video_id, v.ad_id, v.frames.tobytes()) for v in parse_au_stream(path)]
+        except SentiPipeError as exc:
+            return type(exc), str(exc)
+
+    with_sidecar = outcome()
+    sidecar.unlink(missing_ok=True)
+    assert outcome() == with_sidecar
+    if ids_read_back:
+        assert parse_au_stream(path) == videos
