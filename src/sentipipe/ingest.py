@@ -19,6 +19,7 @@ import json
 import math
 import os
 import struct
+import zlib
 from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
@@ -81,15 +82,16 @@ _NUMBER_BYTES = b"0123456789.eE+-,\n"
 _BLOCK_BYTES = 1 << 20
 
 # The sidecar of an AU stream CSV is the file named as the CSV plus
-# SIDECAR_SUFFIX. It holds a head (magic, version, the digest of the CSV's
-# bytes, the digest of the rest of the sidecar, and where its table starts
-# and how long it is), then each video's frames in FRAME_DTYPE layout with
-# the padding zeroed, then the table: JSON of FRAME_DTYPE's descr and one
-# [video_id, ad_id, frame count] per video, in the CSV's order.
+# SIDECAR_SUFFIX. It holds a head (magic, version, the CRC-32 of the rest of
+# the sidecar, the blake2b digest of the CSV's bytes, and where its table
+# starts and how long it is), then each video's frames in FRAME_DTYPE layout
+# with the padding zeroed, then the table: JSON of FRAME_DTYPE's descr and
+# one [video_id, ad_id, frame count] per video, in the CSV's order. The CRC
+# only guards the sidecar against damage, at a third of blake2b's cost.
 SIDECAR_SUFFIX = ".frames"
 _SIDECAR_MAGIC = b"SPFRAMES"
 _SIDECAR_VERSION = 1
-_SIDECAR_HEAD = struct.Struct("<8sI4x32s32sQQ")
+_SIDECAR_HEAD = struct.Struct("<8sII32sQQ")
 _FRAME_DESCR = str(FRAME_DTYPE.descr)
 
 _ANNOTATION_KEYS = {"ad_id", "label", "duration_s", "moments"}
@@ -460,7 +462,7 @@ class _SidecarWriter:
         self.fh: BinaryIO | None = None
         if blake2b is None:
             return
-        self.csv_digest, self.body_digest = blake2b(digest_size=32), blake2b(digest_size=32)
+        self.csv_digest, self.body_crc = blake2b(digest_size=32), 0
         self.table: list[list] = []
         self.video_ids: set[str] = set()
         try:
@@ -494,7 +496,7 @@ class _SidecarWriter:
         self._write(frames.data)
 
     def _write(self, data) -> None:
-        self.body_digest.update(data)
+        self.body_crc = zlib.crc32(data, self.body_crc)
         try:
             self.fh.write(data)
         except OSError:
@@ -511,8 +513,8 @@ class _SidecarWriter:
             if self.fh is not None:
                 self.fh.seek(0)
                 self.fh.write(_SIDECAR_HEAD.pack(
-                    _SIDECAR_MAGIC, _SIDECAR_VERSION, self.csv_digest.digest(),
-                    self.body_digest.digest(), table_at, len(table)))
+                    _SIDECAR_MAGIC, _SIDECAR_VERSION, self.body_crc,
+                    self.csv_digest.digest(), table_at, len(table)))
                 self.fh.close()
         except OSError:
             self.discard()
@@ -530,7 +532,7 @@ def _read_sidecar(path: str | Path) -> list[VideoRecord] | None:
     """parse_au_stream's records of the CSV at path, read from the CSV's
     sidecar; None, raising nothing, when there is no sidecar or it fails a
     check. Its magic, version and dtype must be this module's, its body must
-    match its digest, its table must give unique non-empty ids within the
+    match its CRC, its table must give unique non-empty ids within the
     csv field limit and a frame count > 0 that add up to its frames, the
     CSV's current bytes must match the CSV digest, and each video's frames
     must pass VideoRecord's checks."""
@@ -543,10 +545,10 @@ def _read_sidecar(path: str | Path) -> list[VideoRecord] | None:
     head = _SIDECAR_HEAD.size
     if len(data) < head:
         return None
-    magic, version, csv_digest, body_digest, table_at, table_len = _SIDECAR_HEAD.unpack_from(data)
+    magic, version, body_crc, csv_digest, table_at, table_len = _SIDECAR_HEAD.unpack_from(data)
     if (magic != _SIDECAR_MAGIC or version != _SIDECAR_VERSION or table_at < head
             or table_at + table_len != len(data)
-            or blake2b(memoryview(data)[head:], digest_size=32).digest() != body_digest):
+            or zlib.crc32(memoryview(data)[head:]) != body_crc):
         return None
     try:
         table = json.loads(data[table_at:])

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import re
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -544,7 +545,7 @@ def rewrite_sidecar(sidecar, frames=None, table=None):
     old_table = json.loads(data[table_at:])
     new_table = json.dumps(old_table if table is None else table(old_table)).encode()
     body += new_table
-    fields[3] = ingest.blake2b(bytes(body), digest_size=32).digest()
+    fields[2] = zlib.crc32(body)
     fields[5] = len(new_table)
     sidecar.write_bytes(head.pack(*fields) + body)
 
