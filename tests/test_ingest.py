@@ -562,7 +562,7 @@ def table_edit(edit):
     ad_id, frame count]."""
     def damage(sidecar):
         def change(table):
-            videos = json.loads(json.dumps(table["videos"]))
+            videos = [list(video) for video in table["videos"]]
             edit(videos)
             return {**table, "videos": videos}
         rewrite_sidecar(sidecar, table=change)
