@@ -8,7 +8,9 @@ float precision, so a parse -> write -> parse cycle is lossless.
 write_au_stream also writes a binary sidecar next to the CSV that holds the
 frames it wrote, and parse_au_stream returns those frames instead of parsing
 the CSV again while the CSV's bytes are the ones written. The CSV stays the
-only input that decides a result: any sidecar that fails a check is ignored.
+only input that decides a result: any sidecar that fails a check is ignored,
+and the CSV is then read row by row, each row checked by core.csv_rows and
+number_cells, so that an error names its ``file:line``.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ import zlib
 from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
-from itertools import groupby, repeat
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterable
 
 import numpy as np
 
@@ -66,19 +67,8 @@ STREAM_COLUMNS = STREAM_META_COLUMNS + STREAM_AU_COLUMNS
 _META_NUMBERS = (("frame_index", _INTEGER), ("timestamp_s", _DECIMAL))
 _check_meta_numbers = number_cells(_META_NUMBERS)
 _check_face_numbers = number_cells(_META_NUMBERS + tuple((c, _DECIMAL) for c in STREAM_AU_COLUMNS))
-# np.loadtxt dtypes for the number cells of a row, the cells after the two
-# ids: one for a face row, with AU k in field "au{k}", and one that reads the
-# AU cells as text. The face flag is read as text too, as only the exact
-# cells 0 and 1 are flags.
-_FACE_ROW, _NO_FACE_ROW = (
-    np.dtype({"names": ["frame_index", "timestamp_s", "face_detected",
-                        *(f"au{k}" for k in range(N_AUS))],
-              "formats": [np.int64, np.float64, "U2", *[au] * N_AUS]})
-    for au in (np.float64, "U1"))
-# The bytes the number cells of a block may consist of, separators included.
-_NUMBER_BYTES = b"0123456789.eE+-,\n"
-# The array path parses a stream in blocks of about this many bytes, so that
-# it never holds more of the file's text than one block.
+# A stream CSV is hashed in blocks of this many bytes, so that checking a
+# sidecar never holds the CSV's text.
 _BLOCK_BYTES = 1 << 20
 
 # The sidecar of an AU stream CSV is the file named as the CSV plus
@@ -189,15 +179,10 @@ def parse_au_stream(path: str | Path) -> list[VideoRecord]:
     the CSV is only hashed. Any other sidecar is ignored, so the result, or
     the error, is always the one the CSV gives.
 
-    Otherwise a file whose first line is the header, with no quote, carriage
-    return or NUL, no blank line and no line over the csv field limit, is
-    checked as arrays, one block of about 1 MB at a time. Any other file, and
-    any file that fails a check there, is read again row by row from the top,
-    so that an error names its ``file:line``.
+    Otherwise the CSV is read row by row, and an error names its
+    ``file:line``.
     """
     videos = _read_sidecar(path)
-    if videos is None:
-        videos = _parse_stream_blocks(path)
     return _parse_stream_rows(path) if videos is None else videos
 
 
@@ -261,146 +246,13 @@ def _parse_stream_rows(path: str | Path) -> list[VideoRecord]:
 
 def _frame_index_value(cell: str) -> int | None:
     """The value of an _INTEGER cell if it fits the int64 column and is not
-    negative, else None. Leading zeros go first: int() refuses a cell of more
-    than 4300 digits, and np.loadtxt does not."""
+    negative, else None. Leading zeros go first, as int() refuses a cell of
+    more than 4300 digits."""
     digits = cell.lstrip("-").lstrip("0") or "0"
     if len(digits) > 19 or (cell.startswith("-") and digits != "0"):
         return None
     value = int(digits)
     return value if value < 2 ** 63 else None
-
-
-def _parse_stream_blocks(path: str | Path) -> list[VideoRecord] | None:
-    """parse_au_stream with every row check run as array operations, one block
-    of about _BLOCK_BYTES at a time. Returns None, raising nothing, for a file
-    it does not take or one that fails a check.
-
-    What it keeps between blocks is each block's frames and one (video_id,
-    ad_id) pair per run of rows, so memory grows with the frames returned and
-    not with the file's text.
-    """
-    with open(path, "rb") as fh:
-        if fh.readline() != ",".join(STREAM_COLUMNS).encode() + b"\n":
-            return None
-        runs: list[tuple[tuple[str, str], np.ndarray]] = []
-        for block in _line_blocks(fh):
-            lines = _plain_lines(block)
-            parsed = None if lines is None else _parse_block(lines)
-            if parsed is None:
-                return None
-            frames, ids = parsed
-            start = 0
-            for key, rows in groupby(ids):
-                stop = start + len(list(rows))
-                runs.append((key, frames[start:stop]))
-                start = stop
-
-    ads: dict[str, str] = {}
-    pieces: dict[str, list[np.ndarray]] = {}
-    for (video_id, ad_id), frames in runs:
-        if not video_id or not ad_id or ads.setdefault(video_id, ad_id) != ad_id:
-            return None
-        pieces.setdefault(video_id, []).append(frames)
-    try:  # VideoRecord checks frame_index, timestamps and AU ranges per video
-        return [VideoRecord(video_id, ads[video_id],
-                            parts[0] if len(parts) == 1 else np.concatenate(parts))
-                for video_id, parts in pieces.items()]
-    except ValidationError:
-        return None
-
-
-def _line_blocks(fh: BinaryIO) -> Iterator[bytes]:
-    """The rest of a binary file in pieces of about _BLOCK_BYTES that each end
-    at a line end, the final newline of each piece cut off."""
-    pending = b""
-    while chunk := fh.read(_BLOCK_BYTES):
-        chunk = pending + chunk
-        end = chunk.rfind(b"\n")
-        pending = chunk[end + 1:]
-        if end >= 0:
-            yield chunk[:end]
-    if pending:
-        yield pending
-
-
-def _plain_lines(data: bytes) -> list[str] | None:
-    """The lines of UTF-8 text in which every CSV row is ``line.split(",")``:
-    no quote, carriage return or NUL (which the csv module rejects before
-    Python 3.11), no blank line, and no line longer than the csv module's
-    field limit. None for any other text."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError:
-        return None
-    if '"' in text or "\r" in text or "\0" in text:
-        return None
-    lines = text.split("\n")
-    if "" in lines or max(map(len, lines)) > csv.field_size_limit():
-        return None
-    return lines
-
-
-def _parse_block(lines: list[str]) -> tuple[np.ndarray, list[tuple[str, str]]] | None:
-    """One block's rows as a read-only FRAME_DTYPE array plus each row's
-    (video_id, ad_id), or None when a row fails a check."""
-    try:
-        cells = [line.split(",", 2) for line in lines]
-        ids = [(c[0], c[1]) for c in cells]
-        numbers = [c[2] for c in cells]
-    except IndexError:  # a row with too few cells
-        return None
-    del cells
-    if "" in numbers:  # a row of ids and one empty cell, which np.loadtxt skips
-        return None
-    # Every number cell is ASCII out of these bytes, with a "+" only right
-    # after the exponent's e, and every frame_index cell has no ".", "e" or
-    # "E" and at most 18 characters after its sign and leading zeros, so it
-    # fits an int64 or is no integer. (numpy 1.23 and some later releases read
-    # any other frame_index cell, such as 3.0, 3e0 or 20 digits, into an
-    # int64 field via float, with only a DeprecationWarning.) np.loadtxt then
-    # takes a cell exactly when it is an _INTEGER or a _DECIMAL, and it checks
-    # the cell count of each row because it is given no usecols.
-    text = "\n".join(numbers)
-    if not text.isascii():
-        return None
-    text = text.encode("ascii")
-    if text.translate(None, _NUMBER_BYTES) or (
-            b"+" in text and text.count(b"+") != text.count(b"e+") + text.count(b"E+")):
-        return None
-    del text
-    index_cells = [n.partition(",")[0] for n in numbers]
-    index_text = "".join(index_cells)
-    if "." in index_text or "e" in index_text or "E" in index_text or (
-            max(map(len, index_cells)) > 18
-            and any(len(c.lstrip("-").lstrip("0")) > 18 for c in index_cells)):
-        return None
-    del index_cells, index_text
-    # A row with no face leaves 20 of its 23 number cells empty, so two empty
-    # cells are next to each other; a face row with ",," fails either way.
-    has_empty = np.fromiter(map(str.__contains__, numbers, repeat(",,")), bool, len(numbers))
-    frames = np.zeros(len(numbers), dtype=FRAME_DTYPE)
-    for face, dtype in ((True, _FACE_ROW), (False, _NO_FACE_ROW)):
-        rows = np.flatnonzero(has_empty != face)
-        if not rows.size:
-            continue
-        try:
-            got = np.loadtxt([numbers[i] for i in rows.tolist()], delimiter=",",
-                             comments=None, dtype=dtype, ndmin=1)
-        except ValueError:
-            return None
-        if len(got) != rows.size:
-            return None
-        aus = [got[f"au{k}"] for k in range(N_AUS)]
-        if (got["face_detected"] != ("1" if face else "0")).any() or (
-                not face and any((cells != "").any() for cells in aus)):
-            return None
-        frames["frame_index"][rows] = got["frame_index"]
-        frames["timestamp_s"][rows] = got["timestamp_s"]
-        frames["face_detected"][rows] = face
-        if face:
-            frames["aus"][rows] = np.stack(aus, axis=1)
-    frames.flags.writeable = False
-    return frames, ids
 
 
 def write_au_stream(videos: Iterable[VideoRecord], path: str | Path) -> None:

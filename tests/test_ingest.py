@@ -27,7 +27,7 @@ from sentipipe.ingest import (
     write_au_stream,
     write_dataset,
 )
-from sentipipe.ingest import _parse_stream_blocks, _parse_stream_rows
+from sentipipe.ingest import _parse_stream_rows
 from sentipipe.pipeline import grouped_by_ad
 
 from conftest import constant_video, make_video
@@ -147,6 +147,18 @@ def sample_videos():
     return [v1, v2]
 
 
+def stream_with_cell(tmp_path, line, column, cell):
+    """sample_videos() written out, with one cell replaced."""
+    path = tmp_path / "s.csv"
+    write_au_stream(sample_videos(), path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    rows[line - 1][rows[0].index(column)] = cell
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    return path
+
+
 class TestAuStream:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -222,7 +234,6 @@ class TestAuStream:
         path = tmp_path / "s.csv"
         path.write_text(",".join(full + aus) + "\n"
                         + ",".join(["v", "a", "0", "0.0", "1"] + values) + "\n")
-        assert _parse_stream_blocks(path) is None
         with pytest.raises(SchemaError, match=re.escape(
                 ":1: header column 6 is 'au_smile', expected 'au_1'")):
             parse_au_stream(path)
@@ -343,59 +354,24 @@ class TestAuStream:
         with pytest.raises(SchemaError, match=":3:"):
             parse_au_stream(path)
 
-
-
-def stream_with_cell(tmp_path, line, column, cell):
-    """sample_videos() written out, with one cell replaced."""
-    path = tmp_path / "s.csv"
-    write_au_stream(sample_videos(), path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    rows[line - 1][rows[0].index(column)] = cell
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
-    return path
-
-
-class TestStreamArrayPath:
-    """A file with no quote, carriage return or NUL and no blank line is
-    checked as arrays; any other file, and one that fails a check, is read
-    again row by row, which names the failing file:line."""
-
-    def test_plain_file_takes_array_path(self, tmp_path):
-        path = tmp_path / "s.csv"
-        write_au_stream(sample_videos(), path)
-        assert _parse_stream_blocks(path) == sample_videos()
-
     @pytest.mark.parametrize("ids", [("#v 1", " a#1 "), (" v", "a # 2 ")])
     def test_hash_and_spaces_in_ids(self, tmp_path, ids):
         videos = [make_video(*ids, [(0.0, True, [0.5] * 20), (0.5, False, None)])]
         path = tmp_path / "s.csv"
         write_au_stream(videos, path)
-        assert _parse_stream_blocks(path) == videos
         assert parse_au_stream(path) == videos
 
     def test_ids_after_the_numbers(self, tmp_path):
-        # nothing writes this order, so both paths refuse it
+        # nothing writes this order, and the header check refuses it
         path = tmp_path / "s.csv"
         write_au_stream(sample_videos(), path)
         with open(path, newline="", encoding="utf-8") as fh:
             rows = [row[2:] + row[1::-1] for row in csv.reader(fh)]
         with open(path, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh, lineterminator="\n").writerows(rows)
-        assert _parse_stream_blocks(path) is None
         with pytest.raises(SchemaError, match=re.escape(
                 ":1: header column 1 is 'frame_index', expected 'video_id'")):
             parse_au_stream(path)
-
-    def test_rows_spread_over_blocks(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(ingest, "_BLOCK_BYTES", 100)
-        path = tmp_path / "s.csv"
-        write_au_stream(sample_videos(), path)
-        lines = path.read_text().splitlines()
-        # v1 row, v2 rows, remaining v1 rows: v1 is two runs in other blocks
-        path.write_text("\n".join([lines[0], lines[1], *lines[4:], *lines[2:4]]))
-        assert _parse_stream_blocks(path) == sample_videos()
 
     @pytest.mark.parametrize("edit", ["quoted ids", "crlf"])
     def test_other_files_are_read_by_rows(self, tmp_path, edit):
@@ -406,7 +382,6 @@ class TestStreamArrayPath:
         write_au_stream(videos, path)
         if edit == "crlf":
             path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-        assert _parse_stream_blocks(path) is None
         assert parse_au_stream(path) == videos
 
     @pytest.mark.parametrize("edit, error", [
@@ -425,7 +400,6 @@ class TestStreamArrayPath:
         else:
             lines[2] = "v" * 200_000 + lines[2][2:]
         path.write_text("\n".join(lines) + "\n")
-        assert _parse_stream_blocks(path) is None
         with pytest.raises(SchemaError, match=f":3: {error}"):
             parse_au_stream(path)
 
@@ -433,29 +407,26 @@ class TestStreamArrayPath:
     @pytest.mark.parametrize("column", ["frame_index", "timestamp_s", "au_smirk"])
     def test_number_grammar_rejects(self, tmp_path, column, cell):
         path = stream_with_cell(tmp_path, 2, column, cell)
-        assert _parse_stream_blocks(path) is None
         with pytest.raises(SchemaError, match=re.escape(f":2: column '{column}' holds {cell!r}, not a")):
             parse_au_stream(path)
 
     @pytest.mark.parametrize("cell", ["3.0", "3.", "3e0", "3E0", "3.7", "3e+0"])
     def test_frame_index_takes_no_decimal(self, tmp_path, cell):
-        # numpy 1.23 and some later releases read such a cell into an int64
-        # field via float, with only a DeprecationWarning
+        # frame_index is an _INTEGER cell, so even a whole value is refused
+        # with a decimal point or an exponent
         path = stream_with_cell(tmp_path, 2, "frame_index", cell)
-        assert _parse_stream_blocks(path) is None
         with pytest.raises(SchemaError, match=re.escape(
                 f":2: column 'frame_index' holds {cell!r}, not an integer")):
             parse_au_stream(path)
 
     @pytest.mark.parametrize("rows_before", [0, 1, 3])
     def test_row_with_only_ids(self, tmp_path, rows_before):
-        # "w,b," leaves no number text; np.loadtxt would skip it as a blank line
+        # "w,b," is a row of three cells, not a blank line
         path = tmp_path / "s.csv"
         write_au_stream(sample_videos(), path)
         lines = path.read_text().splitlines()
         lines.insert(1 + rows_before, "w,b,")
         path.write_text("\n".join(lines[:2 + rows_before]) + "\n")
-        assert _parse_stream_blocks(path) is None
         with pytest.raises(SchemaError, match=f":{2 + rows_before}: expected 25 cells, got 3"):
             parse_au_stream(path)
 
@@ -463,8 +434,15 @@ class TestStreamArrayPath:
     @pytest.mark.parametrize("column", ["timestamp_s", "au_smirk"])
     def test_number_grammar_accepts(self, tmp_path, column, cell):
         path = stream_with_cell(tmp_path, 2, column, cell)
-        videos = _parse_stream_blocks(path)
-        assert videos == _parse_stream_rows(path)
+        v1, v2 = sample_videos()
+        stamps, aus = v1.frames.timestamp_s.copy(), v1.frames.aus.copy()
+        if column == "timestamp_s":
+            stamps[0] = float(cell)
+        else:
+            aus[0, -1] = float(cell)
+        videos = parse_au_stream(path)
+        assert videos == [VideoRecord.from_columns("v1", "a1", v1.frames.frame_index, stamps,
+                                                   v1.frames.face_detected, aus), v2]
         frame = videos[0].frames[0]
         value = frame.timestamp_s if column == "timestamp_s" else frame.aus[-1]
         assert value == float(cell)
@@ -478,15 +456,13 @@ class TestStreamArrayPath:
     ])
     def test_out_of_range_numbers(self, tmp_path, column, cell, error):
         path = stream_with_cell(tmp_path, 2, column, cell)
-        assert _parse_stream_blocks(path) is None
         with pytest.raises(ValidationError, match=f":2: {error}"):
             parse_au_stream(path)
 
     def test_frame_index_with_many_leading_zeros(self, tmp_path):
-        # int() refuses strings of over 4300 digits, np.loadtxt does not; the
-        # 18-character bound of the array path counts no sign or leading zero
+        # int() refuses strings of over 4300 digits, so the leading zeros go
+        # before the value is read
         path = stream_with_cell(tmp_path, 3, "frame_index", "0" * 5000 + "1")
-        assert _parse_stream_blocks(path) == sample_videos()
         assert parse_au_stream(path) == sample_videos()
 
     @pytest.mark.parametrize("cell", ["9" * 18, "0" * 17 + "1"])
@@ -496,8 +472,9 @@ class TestStreamArrayPath:
         lines = path.read_text().splitlines()
         lines[1] = lines[1].replace(",0,", f",{cell},", 1)
         path.write_text("\n".join(lines) + "\n")
-        videos = _parse_stream_blocks(path)
-        assert videos == _parse_stream_rows(path)
+        videos = parse_au_stream(path)
+        assert videos == [VideoRecord.from_columns("v", "a", [int(cell)], [0.0], [True],
+                                                   np.full((1, 20), 0.5))]
         assert videos[0].frames[0].frame_index == int(cell)
 
 
@@ -511,10 +488,6 @@ class WithoutSidecars:
 
 
 class TestAuStreamWithoutSidecars(WithoutSidecars, TestAuStream):
-    pass
-
-
-class TestStreamArrayPathWithoutSidecars(WithoutSidecars, TestStreamArrayPath):
     pass
 
 
@@ -616,13 +589,12 @@ class TestStreamSidecar:
 
         def no_parse(path):
             raise AssertionError("the CSV was parsed")
-        monkeypatch.setattr(ingest, "_parse_stream_blocks", no_parse)
         monkeypatch.setattr(ingest, "_parse_stream_rows", no_parse)
         videos = parse_au_stream(path)
         assert videos == sample_videos()
         assert all(not v.frames.flags.writeable for v in videos)
 
-    def test_three_paths_give_equal_bytes(self, tmp_path, monkeypatch):
+    def test_sidecar_and_rows_give_equal_bytes(self, tmp_path):
         # -0.0 scores on a row without a face read back from the CSV as 0.0
         aus = np.zeros((3, 20))
         aus[0], aus[1] = 0.25, -0.0
@@ -631,13 +603,11 @@ class TestStreamSidecar:
                   *sample_videos()]
         path = tmp_path / "s.csv"
         write_au_stream(videos, path)
-        monkeypatch.setattr(ingest, "_BLOCK_BYTES", 300)  # v1 spans blocks
         by_sidecar = parse_au_stream(path)
-        by_blocks = _parse_stream_blocks(path)
         by_rows = _parse_stream_rows(path)
-        assert by_sidecar == by_blocks == by_rows == videos
-        for records in zip(by_sidecar, by_blocks, by_rows):
-            assert len({v.frames.tobytes() for v in records}) == 1
+        assert by_sidecar == by_rows == videos
+        for a, b in zip(by_sidecar, by_rows):
+            assert a.frames.tobytes() == b.frames.tobytes()
 
     def test_bytes_are_deterministic(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -5,13 +5,12 @@ value or one CSV cell. The parser must then either parse the file, and the
 result must survive a write -> parse round trip unchanged, or raise a
 SentiPipeError subclass. Any other exception fails the test.
 
-The AU stream parser has two paths, an array path over blocks and a row
-parser that names the failing file:line. Differential cases run both on every
-drawn file, header edits included: the array path declines a file whose header
-is not exactly STREAM_COLUMNS, and the row parser names the first column that
-differs. Every edited file keeps the stale sidecar its write left, so
-parse_au_stream is run past it too. Written streams are also parsed with their
-sidecar and without it.
+The AU stream parser reads a valid sidecar, or else the CSV row by row,
+naming the failing file:line. Every edited file keeps the stale sidecar its
+write left, and differential cases check that parse_au_stream, run past it,
+gives what the row parser gives, header edits included: the row parser names
+the first header column that differs. Written streams are also parsed with
+their sidecar and without it.
 """
 
 import copy
@@ -29,7 +28,6 @@ from sentipipe.ingest import (
     SIDECAR_SUFFIX,
     STREAM_COLUMNS,
     _DECIMAL,
-    _parse_stream_blocks,
     _parse_stream_rows,
     parse_ad_annotations,
     parse_au_stream,
@@ -72,7 +70,7 @@ number_texts = st.one_of(
                      "0" * 30 + "1", "9" * 19, "2", "01", "1.0"]),
 )
 
-# whole-line edits: some break the file, some only keep it from the array path
+# whole-line edits: some break the file, some (crlf, no final newline) do not
 HEADER_EDITS = ["swap columns", "rename column", "drop column", "add column"]
 line_edits = st.sampled_from(["blank line", "crlf", "quote", "nul", "duplicate", "swap",
                               "drop final newline", "extra cell", "drop last cell",
@@ -119,26 +117,11 @@ def stream_outcome(parse, path):
         return type(exc), str(exc)
 
 
-def array_path_takes(path):
-    """Whether the array path takes the file: no quote, carriage return or
-    NUL, no blank line and no line over the csv field limit."""
-    text = path.read_bytes().decode("utf-8")
-    lines = text.removesuffix("\n").split("\n")
-    return (not any(c in text for c in '"\r\0') and "" not in lines
-            and max(map(len, lines)) <= csv.field_size_limit())
-
-
 def assert_stream_paths_agree(path):
-    """parse_au_stream gives what the row parser gives. The array path gives
-    the same records, or declines a file that the row parser rejects or that
-    it does not take."""
-    by_rows = stream_outcome(_parse_stream_rows, path)
-    assert stream_outcome(parse_au_stream, path) == by_rows
-    by_blocks = _parse_stream_blocks(path)
-    if by_blocks is None:
-        assert isinstance(by_rows, tuple) or not array_path_takes(path)
-    else:
-        assert by_blocks == by_rows
+    """parse_au_stream, run past the sidecar the file's write left (stale
+    after an edit), gives what the row parser gives: the same records, or the
+    same error type and message."""
+    assert stream_outcome(parse_au_stream, path) == stream_outcome(_parse_stream_rows, path)
 
 
 ADS = {
@@ -288,13 +271,12 @@ def test_stream_paths_agree_on_line_edits(tmp_path, data):
     differs = [k for k, pair in enumerate(zip_longest(header, STREAM_COLUMNS))
                if pair[0] != pair[1]]
     if edit in HEADER_EDITS and differs:
-        assert _parse_stream_blocks(path) is None
         error, message = stream_outcome(_parse_stream_rows, path)
         assert error is SchemaError
         assert message.startswith(f"{path}:1: header column {differs[0] + 1} is ")
 
 
-# any id text; ids the writer must quote send the file to the row parser
+# any id text, ids the writer must quote included
 stream_ids = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=5)
 frame_rows = st.lists(st.tuples(st.booleans(), st.lists(
     st.floats(0.0, 1.0), min_size=20, max_size=20)), min_size=1, max_size=4)
