@@ -341,6 +341,21 @@ class TestAuStream:
         with pytest.raises(ValidationError, match="both ads"):
             parse_au_stream(path)
 
+    def test_decreasing_timestamps(self, tmp_path):
+        # v1 frame 2 keeps its index but goes back before frame 1's 0.5 s
+        path = self._base(tmp_path, lambda ls: ls.__setitem__(
+            3, ls[3].replace("v1,a1,2,1.0,", "v1,a1,2,0.25,", 1)))
+        with pytest.raises(ValidationError, match=re.escape(
+                ":4: video 'v1' timestamps must be non-decreasing")):
+            parse_au_stream(path)
+
+    @pytest.mark.parametrize("ids", [",a2", "v2,"], ids=["empty video_id", "empty ad_id"])
+    def test_empty_id(self, tmp_path, ids):
+        path = self._base(tmp_path, lambda ls: ls.__setitem__(
+            5, ls[5].replace("v2,a2", ids, 1)))
+        with pytest.raises(SchemaError, match=":6: empty video_id or ad_id"):
+            parse_au_stream(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("")
