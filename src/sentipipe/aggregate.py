@@ -64,19 +64,75 @@ def score_video(params: MlpParams, video: VideoRecord) -> tuple[np.ndarray, np.n
     return ts, p
 
 
-def _frame_bins(ts: np.ndarray, n: int, step_s: float) -> tuple[np.ndarray, np.ndarray]:
-    """Each frame's bin index, and which frames fall inside the n bins."""
-    b = np.floor(ts / step_s).astype(np.int64)
-    return b, (b >= 0) & (b < n)
+def _bin_frames(
+    ad_id: str, stamps: Sequence[np.ndarray], n: int, step_s: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bin the frames of all participants in one pass.
+
+    Each participant p gets n + 1 cells: its n bins, then one for its frames
+    outside [0, n * step_s). Returns each frame's cell index p * (n + 1) + b,
+    over the participants' timestamps concatenated in order; the (p, n)
+    frame counts of the bins; and per bin, the number of participants with
+    frames in it. Raises ValidationError for a NaN or infinite timestamp and
+    NoPredictions when no frame falls inside the bins."""
+    ts = np.concatenate(stamps) if stamps else np.empty(0)
+    if not np.isfinite(ts).all():
+        raise ValidationError(f"ad {ad_id!r}: frame timestamps must be finite")
+    # compared in float before the int64 cast, so a finite timestamp far
+    # outside the domain, or one whose quotient overflows to inf, is dropped
+    with np.errstate(over="ignore"):
+        b = np.floor(ts / step_s)
+    b = np.where((b >= 0) & (b < n), b, n).astype(np.int64)
+    cells = np.repeat(np.arange(0, len(stamps) * (n + 1), n + 1),
+                      [len(t) for t in stamps]) + b
+    frames = np.bincount(cells, minlength=len(stamps) * (n + 1)).reshape(-1, n + 1)[:, :n]
+    counts = np.count_nonzero(frames, axis=0)
+    if not counts.any():
+        raise NoPredictions(f"ad {ad_id!r}: no scored frames fall inside [0, {n * step_s})")
+    return cells, frames, counts
 
 
-def _populated_bins(ad_id: str, counts: np.ndarray, step_s: float) -> np.ndarray:
-    """Indices of the bins some participant has frames in; NoPredictions if none."""
-    populated = np.flatnonzero(counts)
-    if populated.size == 0:
-        raise NoPredictions(
-            f"ad {ad_id!r}: no scored frames fall inside [0, {len(counts) * step_s})")
-    return populated
+def _two_sum_cascade(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s, err) for a (p, c) array, p >= 1: s the float sum of each column,
+    added row after row, and err (p - 1, c) the rounding error of each of
+    those additions (Knuth's TwoSum), so that each column's exact sum is s
+    plus the exact sum of err's column, barring overflow."""
+    err = np.empty((len(x) - 1, x.shape[1]))
+    s = x[0]
+    # a numpy call per row: on a row of all (bin, column) cells, a loop runs
+    # faster than np.cumsum or a pairwise tree over the whole array
+    for b, row_err in zip(x[1:], err):
+        t = s + b
+        b_part = t - s
+        np.add(s - (t - b_part), b - b_part, out=row_err)
+        s = t
+    return s, err
+
+
+def _exact_sum(x: np.ndarray) -> np.ndarray:
+    """Column sums of a (p, c) float64 array of finite values, p >= 1, each
+    bit-equal to ``math.fsum`` of its column: the exact sum rounded once, so
+    independent of the row order. Raises ValidationError where a sum
+    overflows float64."""
+    if len(x) == 1:
+        return x[0] + 0.0  # fsum gives +0.0 for -0.0
+    # a column whose partial sums overflow ends in the fsum fallback below
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, err = _two_sum_cascade(x)
+        e, err2 = _two_sum_cascade(err)
+        # where err2 is all 0, e is err's exact sum and the column's exact sum
+        # is s + e; one IEEE addition rounds that as fsum does, ties to even.
+        # TwoSum never gives an error of -0.0, so e is no -0.0 and a zero sum
+        # comes out as fsum's +0.0
+        total = s + e
+    for j in np.flatnonzero((err2 != 0).any(axis=0) | ~np.isfinite(total)):
+        try:
+            total[j] = math.fsum(x[:, j])
+        except OverflowError:
+            total[j] = math.inf
+    if not np.isfinite(total).all():
+        raise ValidationError("a bin's sum over participants overflows float64")
+    return total
 
 
 def participant_counts(
@@ -87,14 +143,14 @@ def participant_counts(
 ) -> np.ndarray:
     """Per bin of one ad's curve, the number of participants with a frame in
     it: the ``counts`` that ``aggregate_columns`` gives for these frame
-    timestamps, whatever the scores. Raises NoPredictions when all are 0."""
+    timestamps, whatever the scores. All participants' frames are binned in
+    one pass. Raises ValidationError for a NaN or infinite timestamp and
+    NoPredictions when every count is 0."""
     n = n_bins_for(duration_s, step_s)
-    counts = np.zeros(n, dtype=np.int64)
-    for ts in per_participant:
-        b, keep = _frame_bins(np.asarray(ts, dtype=np.float64), n, step_s)
-        counts += np.bincount(b[keep], minlength=n) > 0
-    _populated_bins(ad_id, counts, step_s)
-    return counts
+    stamps = [np.asarray(ts, dtype=np.float64) for ts in per_participant]
+    if any(ts.ndim != 1 for ts in stamps):
+        raise ValidationError("each participant's timestamps must be a 1-D array")
+    return _bin_frames(ad_id, stamps, n, step_s)[2]
 
 
 def aggregate_columns(
@@ -107,35 +163,39 @@ def aggregate_columns(
 
     Each participant gives (timestamps (f,), scores (f, k)); the result holds
     k curves, column j's curve equal to ``aggregate_scores`` on column j
-    alone. Frames outside the bin domain are ignored. The result is
-    independent of participant order: the across-participant mean uses exact
-    summation.
+    alone. Frames outside the bin domain are ignored. All participants'
+    frames are binned together by two ``np.bincount`` calls, which add each
+    participant's frames of a bin in frame order. A bin's participant means
+    are summed exactly and rounded once, bit-equal to ``math.fsum``, so the
+    result is independent of participant order. Raises ValidationError for a
+    NaN or infinite timestamp or score, and for a bin sum that overflows
+    float64.
     """
     n = n_bins_for(duration_s, step_s)
-    counts = np.zeros(n, dtype=np.int64)  # participants with frames in each bin
-    means = []  # per participant: (n, k) bin means, 0.0 where it has no frames
+    stamps, columns = [], []
     for ts, scores in per_participant:
         ts, scores = np.asarray(ts, dtype=np.float64), np.asarray(scores, dtype=np.float64)
         if ts.ndim != 1 or scores.ndim != 2 or len(scores) != len(ts) or (
-                means and scores.shape[1] != means[0].shape[1]):
+                columns and scores.shape[1] != columns[0].shape[1]):
             raise ValidationError("timestamps and scores must have equal length, "
                                   "and every participant the same score columns")
-        k = scores.shape[1]
-        b, keep = _frame_bins(ts, n, step_s)
-        b, scores = b[keep], scores[keep]
-        frames = np.bincount(b, minlength=n)
-        # bincount adds in frame order, so each (bin, column) sum is the one a
-        # bincount over that column alone gives
-        sums = np.bincount((b[:, None] * k + np.arange(k)).ravel(),
-                           weights=scores.ravel(), minlength=n * k)
-        means.append(sums.reshape(n, k) / np.maximum(frames, 1)[:, None])
-        counts += frames > 0
-    populated = _populated_bins(ad_id, counts, step_s)
-    # fsum is exactly rounded, so a bin's mean does not depend on the order
-    # participants were listed in, and an absent one's 0.0 changes nothing
-    rows = np.stack(means)[:, populated].reshape(len(means), -1).T.tolist()
-    knots = (np.fromiter(map(math.fsum, rows), float, len(rows)).reshape(-1, k)
-             / counts[populated, None])
+        stamps.append(ts)
+        columns.append(scores)
+    scores = np.concatenate(columns) if columns else np.empty((0, 1))
+    if not np.isfinite(scores).all():
+        raise ValidationError(f"ad {ad_id!r}: frame scores must be finite")
+    cells, frames, counts = _bin_frames(ad_id, stamps, n, step_s)
+    p, k = len(columns), scores.shape[1]
+    populated = np.flatnonzero(counts)
+    # bincount adds each (participant, bin, column) cell's frames in frame
+    # order, so each sum is the one a bincount over that participant alone gives
+    sums = np.bincount((cells[:, None] * k + np.arange(k)).ravel(), weights=scores.ravel(),
+                       minlength=p * (n + 1) * k).reshape(p, n + 1, k)[:, populated]
+    if not np.isfinite(sums).all():
+        raise ValidationError(f"ad {ad_id!r}: a participant's bin sum overflows float64")
+    # 0.0 where a participant has no frames in the bin: it adds nothing to the sum
+    means = sums / np.maximum(frames[:, populated], 1)[:, :, None]
+    knots = _exact_sum(means.reshape(p, -1)).reshape(-1, k) / counts[populated, None]
     values = np.empty((k, n))
     for j in range(k):
         values[j] = np.interp(np.arange(n), populated, knots[:, j])

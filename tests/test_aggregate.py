@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sentipipe import aggregate
 from sentipipe.aggregate import (
     CURVE_CSV_COLUMNS,
     DEFAULT_STEP_S,
@@ -19,6 +20,7 @@ from sentipipe.aggregate import (
     read_curves_csv,
     score_video,
     write_curves_csv,
+    _exact_sum,
 )
 from sentipipe.core import Interval
 from sentipipe.errors import (
@@ -251,6 +253,118 @@ class TestAggregateColumns:
     def test_scores_need_a_column_axis(self):
         with pytest.raises(ValidationError):
             aggregate_columns("ad", [(np.array([0.0]), np.array([0.2]))], duration_s=1.0)
+
+
+def _reference_columns(parts, duration_s, step_s):
+    """aggregate_columns as it was before its participants were binned in one
+    pass: a bincount per participant and a math.fsum per (bin, column)."""
+    n, k = n_bins_for(duration_s, step_s), parts[0][1].shape[1]
+    counts, means = np.zeros(n, dtype=np.int64), []
+    for ts, scores in parts:
+        b = np.floor(ts / step_s).astype(np.int64)
+        keep = (b >= 0) & (b < n)
+        b, scores = b[keep], scores[keep]
+        frames = np.bincount(b, minlength=n)
+        sums = np.bincount((b[:, None] * k + np.arange(k)).ravel(),
+                           weights=scores.ravel(), minlength=n * k)
+        means.append(sums.reshape(n, k) / np.maximum(frames, 1)[:, None])
+        counts += frames > 0
+    populated = np.flatnonzero(counts)
+    if populated.size == 0:
+        return NoPredictions
+    rows = np.stack(means)[:, populated].reshape(len(means), -1).T.tolist()
+    knots = np.array([math.fsum(r) for r in rows]).reshape(-1, k) / counts[populated, None]
+    values = np.array([np.interp(np.arange(n), populated, knots[:, j]) for j in range(k)])
+    values[:, populated] = knots.T
+    return np.clip(values, 0.0, 1.0), counts
+
+
+@settings(max_examples=100, deadline=None)
+@given(score_columns())
+def test_columns_bit_equal_to_per_participant_fsum_reference(parts_and_perm):
+    parts, _ = parts_and_perm
+    want = _reference_columns(parts, 10.0, 0.5)
+    curves = _curves_or_error("ad", parts)
+    if want is NoPredictions:
+        assert curves is NoPredictions
+        return
+    values, counts = want
+    assert [c.scores.tobytes() for c in curves] == [row.tobytes() for row in values]
+    assert all(c.counts.tolist() == counts.tolist() for c in curves)
+
+
+# exact ties and near-ties at 1, zeros of both signs and subnormals, each
+# possibly scaled by 2**-1000 or 2**1000
+_sum_terms = st.builds(
+    math.ldexp,
+    st.one_of(st.floats(-1.0, 1.0),
+              st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0,
+                               1 + 2 ** -52, 1 - 2 ** -53, 2 ** -53, -2 ** -53, 2 ** -54,
+                               3 * 2 ** -54, 2 ** -106])),
+    st.sampled_from([-1000, 0, 1000]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40).flatmap(
+    lambda p: st.lists(st.lists(_sum_terms, min_size=p, max_size=p), min_size=1, max_size=3)))
+def test_exact_sum_is_fsum(columns):
+    x = np.array(columns, dtype=np.float64).T  # (participants, columns)
+    want = np.array([math.fsum(col) for col in columns], dtype=np.float64)
+    assert _exact_sum(x).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("column", [[-0.0], [-0.0, -0.0], [-0.0, -0.0, -0.0], [0.5, -0.5],
+                                    [-0.0, 0.0, -0.0]])
+def test_exact_sum_of_zero_is_positive_zero(column):
+    assert math.copysign(1.0, math.fsum(column)) == 1.0
+    assert _exact_sum(np.array(column)[:, None]).tobytes() == np.float64(0.0).tobytes()
+
+
+def test_exact_sum_falls_back_to_fsum_when_the_errors_round(monkeypatch):
+    # the first cascade's errors 2**-53 and 2**-106 sum to 2**-53 with a
+    # second-level error of 2**-106; 1 + 2**-53 alone is a tie that rounds
+    # down to 1.0, the exact sum rounds up
+    calls = []
+    fsum = math.fsum
+    monkeypatch.setattr(aggregate.math, "fsum", lambda xs: calls.append(xs) or fsum(xs))
+    x = np.array([[1.0, 0.5], [2 ** -53, 0.25], [2 ** -106, 0.125]])
+    assert _exact_sum(x).tolist() == [1 + 2 ** -52, 0.875]
+    assert [list(c) for c in calls] == [[1.0, 2 ** -53, 2 ** -106]]
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_timestamp(self, bad):
+        parts = [(np.array([0.0, bad]), np.array([[0.2], [0.4]]))]
+        with pytest.raises(ValidationError, match="timestamps must be finite"):
+            aggregate_columns("ad", parts, duration_s=1.0, step_s=0.5)
+        with pytest.raises(ValidationError, match="timestamps must be finite"):
+            participant_counts("ad", [ts for ts, _ in parts], duration_s=1.0, step_s=0.5)
+
+    @pytest.mark.parametrize("scores", [[math.nan, 0.4], [math.inf, 0.4], [math.inf, -math.inf]])
+    def test_score(self, scores):
+        # an infinite score once clipped to a bin value of 1.0; +inf and -inf
+        # in one bin made fsum raise ValueError
+        p = (np.array([0.0, 0.1]), np.array(scores))
+        with pytest.raises(ValidationError, match="scores must be finite"):
+            aggregate_scores("ad", [p], duration_s=1.0, step_s=0.5)
+
+    @pytest.mark.parametrize("far", [1e300, -1e300, 1.7e308, -1.7e308])
+    def test_finite_timestamp_far_outside_is_ignored(self, far):
+        # binned in float before the int64 cast, so no cast or overflow warning
+        p = (np.array([0.0, far]), np.array([0.2, 0.9]))
+        assert aggregate_scores("ad", [p], duration_s=1.0, step_s=0.5).bin_scores() == (0.2, 0.2)
+        assert participant_counts("ad", [p[0]], duration_s=1.0, step_s=0.5).tolist() == [1, 0]
+
+    def test_sum_over_participants_overflows(self):
+        parts = [(np.array([0.0]), np.array([1e308])), (np.array([0.1]), np.array([1e308]))]
+        with pytest.raises(ValidationError, match="overflows float64"):
+            aggregate_scores("ad", parts, duration_s=1.0, step_s=0.5)
+
+    def test_one_participants_bin_sum_overflows(self):
+        p = (np.array([0.0, 0.1]), np.array([1e308, 1e308]))
+        with pytest.raises(ValidationError, match="overflows float64"):
+            aggregate_scores("ad", [p], duration_s=1.0, step_s=0.5)
 
 
 class TestMaxOverInterval:
