@@ -110,10 +110,10 @@ def _two_sum_cascade(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _exact_sum(x: np.ndarray) -> np.ndarray:
-    """Column sums of a (p, c) float64 array of finite values, p >= 1, each
-    bit-equal to ``math.fsum`` of its column: the exact sum rounded once, so
-    independent of the row order. Raises ValidationError where a sum
-    overflows float64."""
+    """Column sums of a (p, c) float64 array of finite values, p >= 1: the
+    exact sum rounded once, so independent of the row order, and bit-equal
+    to ``math.fsum`` of the column wherever fsum gives a finite sum. Raises
+    ValidationError where a sum, or fsum's partial sums, overflow float64."""
     if len(x) == 1:
         return x[0] + 0.0  # fsum gives +0.0 for -0.0
     # a column whose partial sums overflow ends in the fsum fallback below

@@ -254,6 +254,10 @@ class TestAggregateColumns:
         with pytest.raises(ValidationError):
             aggregate_columns("ad", [(np.array([0.0]), np.array([0.2]))], duration_s=1.0)
 
+    def test_counts_need_flat_timestamps(self):
+        with pytest.raises(ValidationError, match="1-D"):
+            participant_counts("ad", [np.array([[0.0, 0.6]])], duration_s=1.0)
+
 
 def _reference_columns(parts, duration_s, step_s):
     """aggregate_columns as it was before its participants were binned in one
