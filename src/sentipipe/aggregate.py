@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import (_DECIMAL, _INTEGER, N_AUS, AggregateCurve, Interval, VideoRecord,
                    csv_rows, number_cells)
-from .errors import ConfigError, EmptyInterval, NoPredictions, SchemaError, ValidationError
+from .errors import ConfigError, DegenerateData, SchemaError, ValidationError
 from .mlp import MlpParams, _forward_batch
 
 DEFAULT_STEP_S = 0.5
@@ -49,8 +49,9 @@ def n_bins_for(duration_s: float, step_s: float = DEFAULT_STEP_S) -> int:
 def face_frames(video: VideoRecord) -> tuple[np.ndarray, np.ndarray]:
     """(timestamps (n,), AU scores (n, 20)) over the face-detected frames,
     as float64 arrays in frame order."""
-    f = video.frames
-    return f.timestamp_s[f.face_detected], f.aus[f.face_detected]
+    f = video.frames.view(np.ndarray)  # plain field lookups: recarray attributes cost more
+    face = f["face_detected"]
+    return f["timestamp_s"][face], f["aus"][face]
 
 
 def score_video(params: MlpParams, video: VideoRecord) -> tuple[np.ndarray, np.ndarray]:
@@ -74,7 +75,7 @@ def _bin_frames(
     over the participants' timestamps concatenated in order; the (p, n)
     frame counts of the bins; and per bin, the number of participants with
     frames in it. Raises ValidationError for a NaN or infinite timestamp and
-    NoPredictions when no frame falls inside the bins."""
+    DegenerateData when no frame falls inside the bins."""
     ts = np.concatenate(stamps) if stamps else np.empty(0)
     if not np.isfinite(ts).all():
         raise ValidationError(f"ad {ad_id!r}: frame timestamps must be finite")
@@ -88,7 +89,7 @@ def _bin_frames(
     frames = np.bincount(cells, minlength=len(stamps) * (n + 1)).reshape(-1, n + 1)[:, :n]
     counts = np.count_nonzero(frames, axis=0)
     if not counts.any():
-        raise NoPredictions(f"ad {ad_id!r}: no scored frames fall inside [0, {n * step_s})")
+        raise DegenerateData(f"ad {ad_id!r}: no scored frames fall inside [0, {n * step_s})")
     return cells, frames, counts
 
 
@@ -145,7 +146,7 @@ def participant_counts(
     it: the ``counts`` that ``aggregate_columns`` gives for these frame
     timestamps, whatever the scores. All participants' frames are binned in
     one pass. Raises ValidationError for a NaN or infinite timestamp and
-    NoPredictions when every count is 0."""
+    DegenerateData when every count is 0."""
     n = n_bins_for(duration_s, step_s)
     stamps = [np.asarray(ts, dtype=np.float64) for ts in per_participant]
     if any(ts.ndim != 1 for ts in stamps):
@@ -235,7 +236,7 @@ def max_over_interval(curve: AggregateCurve, interval: Interval) -> float:
     """Maximum bin value over the bins whose start lies in [start, end).
 
     When the interval is too narrow to contain any bin start, it falls back
-    to the single bin containing its start. Raises EmptyInterval when the
+    to the single bin containing its start. Raises DegenerateData when the
     interval lies entirely outside the curve domain.
     """
     n = curve.n_bins
@@ -245,7 +246,7 @@ def max_over_interval(curve: AggregateCurve, interval: Interval) -> float:
     if first >= last_excl:
         k = math.floor(interval.start_s / step + 1e-9)
         if not 0 <= k < n:
-            raise EmptyInterval(
+            raise DegenerateData(
                 f"interval [{interval.start_s}, {interval.end_s}) lies outside "
                 f"the curve domain [0, {curve.domain_end_s})")
         first, last_excl = k, k + 1

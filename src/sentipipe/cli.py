@@ -8,7 +8,8 @@ rewrites byte-identical outputs.
 
 Exit codes: 2 bad flags or config, 3 I/O failure, 4 malformed or inconsistent
 input data, 5 data that is structurally valid but degenerate for the stage
-(e.g. a single-class training set).
+(e.g. a single-class training set). Each error class carries its code (see
+errors.py); an OSError exits 3.
 """
 
 from __future__ import annotations
@@ -32,20 +33,7 @@ from .aggregate import (
     write_curves_csv,
 )
 from .core import AggregateCurve, read_json
-from .errors import (
-    ConfigError,
-    DegenerateComplement,
-    DegenerateTrainingSet,
-    EmptyInterval,
-    EmptyScoreList,
-    InsufficientAds,
-    NoMoments,
-    NoPredictions,
-    SchemaError,
-    UnknownAdId,
-    UnknownAuName,
-    ValidationError,
-)
+from .errors import ConfigError, SentiPipeError, ValidationError
 from .ingest import (
     DEFAULT_MIN_COVERAGE,
     load_dataset,
@@ -62,15 +50,6 @@ from .weak_label import (
     label_summary,
     read_examples_jsonl,
     write_examples_jsonl,
-)
-
-# the exit code of each class of failure, tried in this order
-_EXIT_CODES = (
-    ((ConfigError,), 2),
-    ((OSError,), 3),
-    ((SchemaError, ValidationError, UnknownAuName, UnknownAdId), 4),
-    ((DegenerateTrainingSet, NoPredictions, InsufficientAds, NoMoments,
-      DegenerateComplement, EmptyScoreList, EmptyInterval), 5),
 )
 
 ANNOTATIONS_NAME = "annotations.json"
@@ -246,7 +225,7 @@ def cmd_export_curves(args: argparse.Namespace) -> dict:
     svg_names = _svg_filenames(curves)
     for curve in curves:  # before any output, as the name check above
         if curve.ad_id not in ads:
-            raise UnknownAdId(f"curve references unknown ad {curve.ad_id!r}")
+            raise ValidationError(f"curve references unknown ad {curve.ad_id!r}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for curve, name in zip(curves, svg_names):
@@ -336,9 +315,9 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         summary = args.func(args)
-    except tuple(kind for kinds, _ in _EXIT_CODES for kind in kinds) as exc:
+    except (SentiPipeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
+        return 3 if isinstance(exc, OSError) else exc.exit_code
     summary["elapsed_s"] = time.perf_counter() - start
     print(json.dumps(summary))
     return 0

@@ -22,7 +22,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, SchemaError, SentiPipeError, UnknownAuName, ValidationError
+from .errors import ConfigError, SchemaError, SentiPipeError, ValidationError
 
 # Fixed AU ordering used for every score vector, file column set, and report
 # column. The last three entries are compound expressions emitted by the same
@@ -164,7 +164,7 @@ def canonical_au_index(name: str) -> int:
     try:
         return _INDEX_BY_LOWER_NAME[name.lower()]
     except (KeyError, AttributeError):
-        raise UnknownAuName(f"unknown AU name: {name!r}") from None
+        raise ConfigError(f"unknown AU name: {name!r}") from None
 
 
 # One row per analyzed video frame. ``aus`` holds the twenty scores in

@@ -1,59 +1,45 @@
-"""Exception taxonomy shared across the pipeline.
+"""Exception taxonomy shared across the pipeline: one class per exit code.
 
-Every error raised on purpose by this package derives from SentiPipeError,
-so callers (including the CLI) can map failure classes to behavior without
-string matching. Plain OSError is left alone: file system problems are
-reported by the standard library better than a wrapper would.
+Every error raised on purpose by this package derives from SentiPipeError
+and carries the CLI exit code of its class:
+
+- ConfigError, 2: a flag, config value or override is invalid;
+- SchemaError and ValidationError, 4: an input does not have the expected
+  structure, or well-formed data breaks a semantic invariant (callers
+  re-raise one as the other, so they share a code);
+- DegenerateData, 5: the data is valid but degenerate for the stage (a
+  single-class training set, an ad with no scored frame).
+
+Plain OSError is left alone and exits 3: file system problems are reported
+by the standard library better than a wrapper would.
 """
 
 
 class SentiPipeError(Exception):
     """Base class for all deliberate pipeline errors."""
 
-
-class SchemaError(SentiPipeError):
-    """A file or payload does not have the expected structure."""
-
-
-class ValidationError(SentiPipeError):
-    """Structurally well-formed data violates a semantic invariant."""
-
-
-class UnknownAuName(SentiPipeError):
-    """An AU name outside the canonical twenty-name set."""
-
-
-class UnknownAdId(SentiPipeError):
-    """A video references an ad that is not in the annotation map."""
+    exit_code: int
 
 
 class ConfigError(SentiPipeError):
     """A configuration value or override is invalid."""
 
-
-class DegenerateTrainingSet(SentiPipeError):
-    """The training examples do not contain both classes."""
+    exit_code = 2
 
 
-class NoPredictions(SentiPipeError):
-    """No participant contributed a single scored frame to an ad."""
+class SchemaError(SentiPipeError):
+    """A file or payload does not have the expected structure."""
+
+    exit_code = 4
 
 
-class EmptyInterval(SentiPipeError):
-    """An interval does not overlap the curve domain."""
+class ValidationError(SentiPipeError):
+    """Structurally well-formed data violates a semantic invariant."""
+
+    exit_code = 4
 
 
-class EmptyScoreList(SentiPipeError):
-    """ROC-AUC needs at least one positive and one negative score."""
+class DegenerateData(SentiPipeError):
+    """Valid data that cannot feed the stage: one class, no frames, no gap."""
 
-
-class InsufficientAds(SentiPipeError):
-    """A KPI needs at least one ad of each class."""
-
-
-class NoMoments(SentiPipeError):
-    """An ad that should carry labeled moments has none."""
-
-
-class DegenerateComplement(SentiPipeError):
-    """Labeled moments cover the whole ad; no negative region remains."""
+    exit_code = 5

@@ -28,17 +28,8 @@ from .core import (
     AggregateCurve,
     Interval,
     VideoRecord,
-    read_json,
 )
-from .errors import (
-    ConfigError,
-    DegenerateComplement,
-    EmptyScoreList,
-    InsufficientAds,
-    NoMoments,
-    UnknownAdId,
-    ValidationError,
-)
+from .errors import ConfigError, DegenerateData, ValidationError
 
 
 def roc_auc(pos_scores: Sequence[float], neg_scores: Sequence[float]) -> float:
@@ -51,7 +42,7 @@ def roc_auc(pos_scores: Sequence[float], neg_scores: Sequence[float]) -> float:
     pos = [float(s) for s in pos_scores]
     neg = [float(s) for s in neg_scores]
     if not pos or not neg:
-        raise EmptyScoreList(
+        raise DegenerateData(
             f"need scores on both sides, got {len(pos)} positive and "
             f"{len(neg)} negative")
     for s in pos + neg:
@@ -104,66 +95,6 @@ def complement_intervals(
     return tuple(gaps)
 
 
-def _ad_of(curve: AggregateCurve, ads: Mapping[str, AdSpec]) -> AdSpec:
-    ad = ads.get(curve.ad_id)
-    if ad is None:
-        raise UnknownAdId(f"curve references unknown ad {curve.ad_id!r}")
-    return ad
-
-
-def _roc_ad(peaks: Sequence[tuple[AdSpec, float]]) -> float:
-    pos = [peak for ad, peak in peaks if ad.is_sentimental]
-    neg = [peak for ad, peak in peaks if not ad.is_sentimental]
-    if not pos or not neg:
-        raise InsufficientAds(
-            f"need both ad classes, got {len(pos)} sentimental and "
-            f"{len(neg)} non-sentimental")
-    return roc_auc(pos, neg)
-
-
-def kpi_roc_ad(
-    curves: Sequence[AggregateCurve], ads: Mapping[str, AdSpec]
-) -> float:
-    """ROC-AUC of whole-curve maxima, sentimental vs non-sentimental ads."""
-    return _roc_ad([(_ad_of(curve, ads), curve_max(curve)) for curve in curves])
-
-
-def _moment_and_complement_max(
-    curve: AggregateCurve, ad: AdSpec, guard_s: float
-) -> tuple[float, float]:
-    if not ad.moments:
-        raise NoMoments(f"ad {curve.ad_id!r} has no labeled moments")
-    pos = max(max_over_interval(curve, m) for m in ad.moments)
-    gaps = complement_intervals(ad.moments, ad.duration_s, guard_s)
-    if not gaps:
-        raise DegenerateComplement(
-            f"ad {curve.ad_id!r}: moments (plus guard {guard_s}s) cover the "
-            f"whole ad, leaving no negative intervals")
-    neg = max(max_over_interval(curve, g) for g in gaps)
-    return pos, neg
-
-
-def _roc_sent(maxima: Sequence[tuple[float, float]]) -> float:
-    if not maxima:
-        raise NoMoments("no sentimental ad curves provided")
-    pos, neg = zip(*maxima)
-    return roc_auc(pos, neg)
-
-
-def kpi_roc_sent(
-    curves: Sequence[AggregateCurve],
-    ads: Mapping[str, AdSpec],
-    guard_s: float = 0.0,
-) -> float:
-    """ROC-AUC of within-ad maxima: labeled moments vs their complement.
-
-    Every curve must belong to a sentimental ad; each contributes exactly one
-    positive and one negative score.
-    """
-    return _roc_sent([_moment_and_complement_max(curve, _ad_of(curve, ads), guard_s)
-                      for curve in curves])
-
-
 @dataclass(frozen=True, slots=True)
 class AdScore:
     """Per-ad detail behind the KPIs. moment/complement maxima are None for
@@ -200,21 +131,42 @@ def evaluate_kpis(
 ) -> KpiReport:
     """Compute both KPIs over one set of per-ad curves.
 
-    Each ad's maxima are taken once and feed both the ROCs and the details.
+    ROC-Ad is the ROC-AUC of whole-curve maxima, sentimental vs
+    non-sentimental ads. ROC-Sent is the ROC-AUC of within-ad maxima over
+    the sentimental ads: each contributes one positive (its labeled moments)
+    and one negative (their complement, shrunk by guard_s). Each ad's maxima
+    are taken once and feed both the ROCs and the details.
     """
-    peaks = [(_ad_of(curve, ads), curve_max(curve)) for curve in curves]
-    roc_ad = _roc_ad(peaks)
+    peaks = []
+    for curve in curves:
+        ad = ads.get(curve.ad_id)
+        if ad is None:
+            raise ValidationError(f"curve references unknown ad {curve.ad_id!r}")
+        peaks.append((ad, curve_max(curve)))
+    pos = [peak for ad, peak in peaks if ad.is_sentimental]
+    neg = [peak for ad, peak in peaks if not ad.is_sentimental]
+    if not pos or not neg:
+        raise DegenerateData(
+            f"need both ad classes, got {len(pos)} sentimental and "
+            f"{len(neg)} non-sentimental")
+    roc_ad = roc_auc(pos, neg)
     details: dict[str, AdScore] = {}
     within: list[tuple[float, float]] = []
     for curve, (ad, peak) in zip(curves, peaks):
-        if ad.is_sentimental:
-            p, n = _moment_and_complement_max(curve, ad, guard_s)
-            within.append((p, n))
-            details[curve.ad_id] = AdScore(
-                label=ad.label.value, curve_max=peak, moment_max=p, complement_max=n)
-        else:
+        if not ad.is_sentimental:
             details[curve.ad_id] = AdScore(label=ad.label.value, curve_max=peak)
-    roc_sent = _roc_sent(within)
+            continue
+        p = max(max_over_interval(curve, m) for m in ad.moments)
+        gaps = complement_intervals(ad.moments, ad.duration_s, guard_s)
+        if not gaps:
+            raise DegenerateData(
+                f"ad {curve.ad_id!r}: moments (plus guard {guard_s}s) cover the "
+                f"whole ad, leaving no negative intervals")
+        n = max(max_over_interval(curve, g) for g in gaps)
+        within.append((p, n))
+        details[curve.ad_id] = AdScore(
+            label=ad.label.value, curve_max=peak, moment_max=p, complement_max=n)
+    roc_sent = roc_auc(*zip(*within))
     return KpiReport(
         roc_ad=roc_ad,
         roc_sent=roc_sent,
@@ -300,8 +252,3 @@ def write_kpi_table_csv(
             writer.writerow(
                 [row_name] + [repr(getattr(r, attr)) for _, r in columns])
 
-
-def read_kpi_report(path: str | Path) -> dict:
-    """Load a KPI report JSON as a plain dict (used by tooling and tests); a
-    file that is not UTF-8 or not valid JSON raises SchemaError."""
-    return read_json(path)

@@ -19,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from .core import CANONICAL_AU_NAMES, N_AUS, Examples, got, read_json, require_int, require_real
-from .errors import ConfigError, DegenerateTrainingSet, SchemaError, ValidationError
+from .errors import ConfigError, DegenerateData, SchemaError, ValidationError
 
 N_INPUT = N_AUS
 N_HIDDEN = 8
@@ -252,12 +252,12 @@ def train(
     slices, and its loss is taken over its stored scores after its last step.
     """
     if not examples:
-        raise DegenerateTrainingSet("no training examples")
+        raise DegenerateData("no training examples")
     x, y = examples.aus, examples.label.astype(np.float64)
     n_pos = int(y.sum())
     n_neg = len(y) - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise DegenerateTrainingSet(
+        raise DegenerateData(
             f"need both classes, got {n_pos} positives and {n_neg} negatives")
     rng = np.random.default_rng(config.rng_seed)
     theta = _glorot_init(rng)
@@ -354,7 +354,7 @@ def train(
 def evaluate_accuracy(params: MlpParams, examples: Examples) -> float:
     """Fraction of examples whose score, cut at 0.5, matches the label."""
     if not examples:
-        raise DegenerateTrainingSet("no examples to evaluate")
+        raise DegenerateData("no examples to evaluate")
     p, _ = _forward_batch(params, examples.aus)
     return float(np.mean((p >= 0.5) == (examples.label == 1)))
 

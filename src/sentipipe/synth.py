@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import (FRAME_DTYPE, N_AUS, AdLabel, AdSpec, Interval, VideoRecord,
                    canonical_au_index, got, require_int, require_real)
-from .errors import ConfigError, UnknownAuName
+from .errors import ConfigError
 from .ingest import Dataset
 from .weak_label import frame_in_moments
 
@@ -110,7 +110,7 @@ def _signal_au_index(value: object) -> int:
         return require_int("signal_aus index", value, 0)
     try:
         return canonical_au_index(value)
-    except UnknownAuName as exc:
+    except ConfigError as exc:
         raise ConfigError(f"signal_aus: {exc}") from None
 
 

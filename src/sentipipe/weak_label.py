@@ -30,7 +30,7 @@ import numpy as np
 
 from .core import (AdSpec, Examples, Interval, N_AUS, VideoRecord, got, read_text, require_int,
                    require_real)
-from .errors import ConfigError, SchemaError, UnknownAdId, ValidationError
+from .errors import ConfigError, SchemaError, ValidationError
 
 DEFAULT_ACTIVATION_THRESHOLD = 0.5
 
@@ -95,7 +95,7 @@ def extract_examples(
         previous = video.video_id
         ad = ads.get(video.ad_id)
         if ad is None:
-            raise UnknownAdId(
+            raise ValidationError(
                 f"video {video.video_id!r} references unknown ad {video.ad_id!r}")
         if not ad.is_sentimental and not config.include_nonsentimental_ads:
             continue

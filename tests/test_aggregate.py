@@ -25,8 +25,7 @@ from sentipipe.aggregate import (
 from sentipipe.core import Interval
 from sentipipe.errors import (
     ConfigError,
-    EmptyInterval,
-    NoPredictions,
+    DegenerateData,
     SchemaError,
     ValidationError,
 )
@@ -135,11 +134,11 @@ class TestAggregateScores:
 
     def test_no_predictions_when_nothing_in_domain(self):
         p = (np.array([5.0]), np.array([0.9]))
-        with pytest.raises(NoPredictions):
+        with pytest.raises(DegenerateData, match="no scored frames fall inside"):
             aggregate_scores("ad", [p], duration_s=1.0, step_s=0.5)
 
     def test_no_predictions_when_no_participants(self):
-        with pytest.raises(NoPredictions):
+        with pytest.raises(DegenerateData, match="no scored frames fall inside"):
             aggregate_scores("ad", [], duration_s=1.0, step_s=0.5)
 
     def test_shape_mismatch(self):
@@ -205,8 +204,9 @@ def score_columns(draw):
 def _curves_or_error(ad_id, parts):
     try:
         return aggregate_columns(ad_id, parts, duration_s=10.0, step_s=0.5)
-    except NoPredictions:
-        return NoPredictions
+    except DegenerateData as exc:
+        assert "no scored frames fall inside" in str(exc)
+        return DegenerateData
 
 
 @settings(max_examples=100, deadline=None)
@@ -217,8 +217,8 @@ def test_columns_match_single_column_binning(parts_and_perm):
     k = parts[0][1].shape[1]
     for j in range(k):
         single = [(ts, sc[:, j]) for ts, sc in parts]
-        if curves is NoPredictions:
-            with pytest.raises(NoPredictions):
+        if curves is DegenerateData:
+            with pytest.raises(DegenerateData, match="no scored frames fall inside"):
                 aggregate_scores("ad", single, duration_s=10.0, step_s=0.5)
             continue
         curve = aggregate_scores("ad", single, duration_s=10.0, step_s=0.5)
@@ -227,8 +227,8 @@ def test_columns_match_single_column_binning(parts_and_perm):
     assert _curves_or_error("ad", [parts[i] for i in perm]) == curves
     # the counts alone, from the timestamps alone
     stamps = [ts for ts, _ in parts]
-    if curves is NoPredictions:
-        with pytest.raises(NoPredictions):
+    if curves is DegenerateData:
+        with pytest.raises(DegenerateData, match="no scored frames fall inside"):
             participant_counts("ad", stamps, duration_s=10.0, step_s=0.5)
     else:
         assert participant_counts("ad", stamps, duration_s=10.0, step_s=0.5).tolist() \
@@ -275,7 +275,7 @@ def _reference_columns(parts, duration_s, step_s):
         counts += frames > 0
     populated = np.flatnonzero(counts)
     if populated.size == 0:
-        return NoPredictions
+        return DegenerateData
     rows = np.stack(means)[:, populated].reshape(len(means), -1).T.tolist()
     knots = np.array([math.fsum(r) for r in rows]).reshape(-1, k) / counts[populated, None]
     values = np.array([np.interp(np.arange(n), populated, knots[:, j]) for j in range(k)])
@@ -289,8 +289,8 @@ def test_columns_bit_equal_to_per_participant_fsum_reference(parts_and_perm):
     parts, _ = parts_and_perm
     want = _reference_columns(parts, 10.0, 0.5)
     curves = _curves_or_error("ad", parts)
-    if want is NoPredictions:
-        assert curves is NoPredictions
+    if want is DegenerateData:
+        assert curves is DegenerateData
         return
     values, counts = want
     assert [c.scores.tobytes() for c in curves] == [row.tobytes() for row in values]
@@ -388,7 +388,7 @@ class TestMaxOverInterval:
         assert max_over_interval(self.CURVE, Interval(0.2, 0.4)) == 0.1
 
     def test_outside_domain(self):
-        with pytest.raises(EmptyInterval):
+        with pytest.raises(DegenerateData, match="lies outside the curve domain"):
             max_over_interval(self.CURVE, Interval(2.5, 3.0))
 
     def test_interval_beyond_domain_is_clipped(self):

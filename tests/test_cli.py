@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import inspect
 import json
 import math
 import re
@@ -9,12 +10,11 @@ import sys
 
 import pytest
 
-from sentipipe import cli
+from sentipipe import cli, errors
 from sentipipe.aggregate import read_curves_csv
 from sentipipe.cli import main
-from sentipipe.core import AdLabel, AdSpec, Interval
+from sentipipe.core import AdLabel, AdSpec, Interval, read_json
 from sentipipe.ingest import SIDECAR_SUFFIX, Dataset, write_dataset
-from sentipipe.metrics import read_kpi_report
 from sentipipe.mlp import MlpParams, TrainConfig, load_model, save_model
 from sentipipe.synth import SynthConfig
 from sentipipe.weak_label import LabelingConfig, read_examples_jsonl
@@ -153,7 +153,7 @@ class TestChain:
                         "test_sent_01.svg", "test_sent_02.svg"]
 
     def test_evaluate_outputs(self, chain):
-        payload = read_kpi_report(chain["report"])
+        payload = read_json(chain["report"])
         s = chain["summaries"]["evaluate"]
         assert payload["roc_ad"] == s["roc_ad"]
         assert payload["roc_sent"] == s["roc_sent"]
@@ -228,7 +228,36 @@ class TestChain:
         assert not list(data.rglob("*" + SIDECAR_SUFFIX))
 
 
+# the exit code of each error class in errors.py, and of OSError; SentiPipeError
+# itself is only a base and never raised
+EXIT_CODE_OF = {errors.ConfigError: 2, OSError: 3, errors.SchemaError: 4,
+                errors.ValidationError: 4, errors.DegenerateData: 5}
+ERROR_CLASSES = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+                 if cls.__module__ == errors.__name__ and cls is not errors.SentiPipeError]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("kind", [*ERROR_CLASSES, OSError], ids=lambda kind: kind.__name__)
+    def test_each_error_class_exits_with_its_code(self, kind, monkeypatch, tmp_path, capsys):
+        def fail(args):
+            raise kind(f"{kind.__name__} raised on purpose")
+        monkeypatch.setattr(cli, "cmd_simulate", fail)
+        assert main(["simulate", "--out", str(tmp_path)]) == EXIT_CODE_OF[kind]
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {kind.__name__} raised on purpose\n"
+        assert captured.out == ""
+
+    def test_every_error_class_has_an_exit_code(self):
+        # every subclass anywhere, so that none can end the CLI in a traceback
+        subclasses, todo = [], [errors.SentiPipeError]
+        while todo:
+            found = todo.pop().__subclasses__()
+            subclasses += found
+            todo += found
+        assert set(ERROR_CLASSES) <= set(subclasses)
+        for cls in subclasses:
+            assert cls.exit_code in {2, 4, 5}, cls
+
     def test_missing_required_flag(self):
         with pytest.raises(SystemExit) as exc:
             main(["simulate"])
@@ -650,7 +679,7 @@ class TestInterpolatedBins:
         assert evaluated["interpolated_bin_frac"] == 1 / 8
         counts = [c.counts.tolist() for c in read_curves_csv(tmp_path / "c.csv")]
         assert counts == [[1, 1, 0, 1], [1, 1, 1, 1]]
-        assert "interpolated_bin_frac" not in read_kpi_report(tmp_path / "r.json")["metadata"]
+        assert "interpolated_bin_frac" not in read_json(tmp_path / "r.json")["metadata"]
 
 
 class TestEntry:

@@ -18,7 +18,7 @@ from sentipipe.core import (
     canonical_au_index,
 )
 from sentipipe.aggregate import CURVE_CSV_COLUMNS, read_curves_csv, write_curves_csv
-from sentipipe.errors import ConfigError, SchemaError, UnknownAuName, ValidationError
+from sentipipe.errors import ConfigError, SchemaError, ValidationError
 from sentipipe.ingest import STREAM_COLUMNS, parse_au_stream, write_au_stream
 from sentipipe.weak_label import LabelingConfig, extract_examples
 
@@ -40,9 +40,9 @@ def test_canonical_au_index():
     assert canonical_au_index("Smile") == 18
     assert canonical_au_index("SMIRK") == 19
     assert canonical_au_index("eyeclosure") == 17
-    with pytest.raises(UnknownAuName):
+    with pytest.raises(ConfigError, match="unknown AU name: 'AU99'"):
         canonical_au_index("AU99")
-    with pytest.raises(UnknownAuName):
+    with pytest.raises(ConfigError, match="unknown AU name: ''"):
         canonical_au_index("")
 
 

@@ -5,18 +5,8 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sentipipe.core import CANONICAL_AU_NAMES, AdLabel, AdSpec, Interval
-from sentipipe.errors import (
-    ConfigError,
-    DegenerateComplement,
-    EmptyScoreList,
-    InsufficientAds,
-    NoMoments,
-    NoPredictions,
-    SchemaError,
-    UnknownAdId,
-    ValidationError,
-)
+from sentipipe.core import CANONICAL_AU_NAMES, AdLabel, AdSpec, Interval, read_json
+from sentipipe.errors import ConfigError, DegenerateData, SchemaError, ValidationError
 from sentipipe.metrics import (
     AdScore,
     KpiReport,
@@ -24,9 +14,6 @@ from sentipipe.metrics import (
     complement_intervals,
     curve_max,
     evaluate_kpis,
-    kpi_roc_ad,
-    kpi_roc_sent,
-    read_kpi_report,
     roc_auc,
     single_au_baselines,
     write_kpi_report,
@@ -62,9 +49,9 @@ class TestRocAuc:
         assert roc_auc([0.3], [0.3]) == 0.5
 
     def test_empty_side(self):
-        with pytest.raises(EmptyScoreList):
+        with pytest.raises(DegenerateData, match="need scores on both sides"):
             roc_auc([], [0.5])
-        with pytest.raises(EmptyScoreList):
+        with pytest.raises(DegenerateData, match="need scores on both sides"):
             roc_auc([0.5], [])
 
     def test_non_finite(self):
@@ -180,47 +167,48 @@ def kpi_fixture():
     return ads, curves
 
 
+NON_SENTIMENTAL_AD = AdSpec(ad_id="n", label=AdLabel.NON_SENTIMENTAL, duration_s=1.0)
+
+
 class TestKpiRocAd:
     def test_hand_case(self):
         ads, curves = kpi_fixture()
         # maxima: sentimental [0.9, 0.7] vs non-sentimental [0.3, 0.85]
-        assert kpi_roc_ad(curves, ads) == 0.75
+        assert evaluate_kpis(curves, ads).roc_ad == 0.75
 
     def test_one_class_missing(self):
         ads, curves = kpi_fixture()
-        with pytest.raises(InsufficientAds):
-            kpi_roc_ad(curves[:2], ads)
+        with pytest.raises(DegenerateData, match="need both ad classes"):
+            evaluate_kpis(curves[:2], ads)
 
     def test_unknown_ad(self):
         ads, _ = kpi_fixture()
-        with pytest.raises(UnknownAdId):
-            kpi_roc_ad([curve_of([0.5], ad_id="ghost")], ads)
+        with pytest.raises(ValidationError, match="curve references unknown ad 'ghost'"):
+            evaluate_kpis([curve_of([0.5], ad_id="ghost")], ads)
 
 
 class TestKpiRocSent:
     def test_hand_case(self):
         ads, curves = kpi_fixture()
         # per-ad moment max vs complement max: (0.9, 0.3) and (0.7, 0.4)
-        assert kpi_roc_sent(curves[:2], ads) == 1.0
+        assert evaluate_kpis(curves, ads).roc_sent == 1.0
 
     def test_guard_can_flip_the_outcome(self):
         ads = {"s1": AdSpec(ad_id="s1", label=AdLabel.SENTIMENTAL,
-                            duration_s=2.0, moments=(Interval(0.5, 1.0),))}
-        curve = curve_of([0.1, 0.9, 0.95, 0.2], ad_id="s1")
+                            duration_s=2.0, moments=(Interval(0.5, 1.0),)),
+               "n": NON_SENTIMENTAL_AD}
+        curves = [curve_of([0.1, 0.9, 0.95, 0.2], ad_id="s1"), curve_of([0.5, 0.5], ad_id="n")]
         # ungated complement includes the 0.95 bin right after the moment
-        assert kpi_roc_sent([curve], ads) == 0.0
-        assert kpi_roc_sent([curve], ads, guard_s=0.5) == 1.0
-
-    def test_no_curves(self):
-        ads, _ = kpi_fixture()
-        with pytest.raises(NoMoments):
-            kpi_roc_sent([], ads)
+        assert evaluate_kpis(curves, ads).roc_sent == 0.0
+        assert evaluate_kpis(curves, ads, guard_s=0.5).roc_sent == 1.0
 
     def test_moments_covering_everything(self):
         ads = {"s": AdSpec(ad_id="s", label=AdLabel.SENTIMENTAL,
-                           duration_s=1.0, moments=(Interval(0.0, 1.0),))}
-        with pytest.raises(DegenerateComplement):
-            kpi_roc_sent([curve_of([0.5, 0.5], ad_id="s")], ads)
+                           duration_s=1.0, moments=(Interval(0.0, 1.0),)),
+               "n": NON_SENTIMENTAL_AD}
+        curves = [curve_of([0.5, 0.5], ad_id="s"), curve_of([0.5, 0.5], ad_id="n")]
+        with pytest.raises(DegenerateData, match="leaving no negative intervals"):
+            evaluate_kpis(curves, ads)
 
 
 class TestEvaluateKpis:
@@ -286,7 +274,7 @@ class TestBaselines:
     def test_chance_needs_a_scored_frame_per_ad(self):
         ads, videos_by_ad = marker_fixture()
         videos_by_ad["n"] = [make_video("vn", "n", [(0.0, False, None), (2.0, True, [0.5] * 20)])]
-        with pytest.raises(NoPredictions, match=r"ad 'n': no scored frames fall inside \[0, 1.0\)"):
+        with pytest.raises(DegenerateData, match=r"ad 'n': no scored frames fall inside \[0, 1.0\)"):
             chance_baseline(videos_by_ad, ads)
 
 
@@ -298,7 +286,7 @@ class TestReportFiles:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "report.json"
         write_kpi_report(self._report(), path)
-        payload = read_kpi_report(path)
+        payload = read_json(path)
         assert payload["roc_ad"] == 0.75
         assert payload["roc_sent"] == 1.0
         assert payload["avg"] == 0.875
@@ -314,12 +302,12 @@ class TestReportFiles:
         path = tmp_path / "report.json"
         path.write_bytes(data)
         with pytest.raises(SchemaError, match=re.escape(str(path))):
-            read_kpi_report(path)
+            read_json(path)
 
     def test_metadata_passthrough(self, tmp_path):
         path = tmp_path / "report.json"
         write_kpi_report(self._report(), path, metadata={"step_s": 0.5})
-        assert read_kpi_report(path)["metadata"] == {"step_s": 0.5}
+        assert read_json(path)["metadata"] == {"step_s": 0.5}
 
     def test_trailing_newline(self, tmp_path):
         path = tmp_path / "report.json"

@@ -7,7 +7,7 @@ import pytest
 
 from sentipipe.errors import (
     ConfigError,
-    DegenerateTrainingSet,
+    DegenerateData,
     SchemaError,
     ValidationError,
 )
@@ -389,12 +389,12 @@ class TestTrain:
         assert evaluate_accuracy(params, examples_of(positives, [1] * 3)) == 1.0
 
     def test_empty_raises(self):
-        with pytest.raises(DegenerateTrainingSet):
+        with pytest.raises(DegenerateData, match="no training examples"):
             train(examples_of(np.empty((0, N_INPUT)), []), FAST)
 
     def test_single_class_raises(self):
         negatives = only_label(toy_examples(), 0)
-        with pytest.raises(DegenerateTrainingSet, match="0 positives"):
+        with pytest.raises(DegenerateData, match="0 positives"):
             train(examples_of(negatives, [0] * len(negatives)), FAST)
 
 
@@ -483,7 +483,7 @@ class TestEvaluateAccuracy:
         assert evaluate_accuracy(MlpParams.zeros(), examples) == 0.5
 
     def test_empty_raises(self):
-        with pytest.raises(DegenerateTrainingSet):
+        with pytest.raises(DegenerateData, match="no examples to evaluate"):
             evaluate_accuracy(MlpParams.zeros(), examples_of(np.empty((0, N_INPUT)), []))
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sentipipe.core import AdLabel, AdSpec, Examples, Interval
-from sentipipe.errors import ConfigError, SchemaError, UnknownAdId, ValidationError
+from sentipipe.errors import ConfigError, SchemaError, ValidationError
 from sentipipe.weak_label import (
     DEFAULT_ACTIVATION_THRESHOLD,
     LabelingConfig,
@@ -111,7 +111,7 @@ class TestExtractExamples:
 
     def test_unknown_ad(self):
         video = make_video("v", "ghost", [(0.0, True, QUIET)])
-        with pytest.raises(UnknownAdId):
+        with pytest.raises(ValidationError, match="references unknown ad 'ghost'"):
             extract_examples([video], ADS)
 
     def test_output_sorted_regardless_of_input_order(self):
