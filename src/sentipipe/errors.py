@@ -16,7 +16,8 @@ by the standard library better than a wrapper would.
 
 
 class SentiPipeError(Exception):
-    """Base class for all deliberate pipeline errors."""
+    """Base class for all deliberate pipeline errors; never raised itself.
+    Each subclass sets its exit_code."""
 
     exit_code: int
 
