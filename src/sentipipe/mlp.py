@@ -243,13 +243,28 @@ def train(
     before the update that it triggers. Weights that went non-finite raise
     ValidationError once training ends, when the returned MlpParams is built.
 
-    Each step runs forward, backward and Adam inline: the numpy calls of
-    _forward_batch, _backward_batch and adam_step in the same order, which
-    stay as the reference this loop is tested against bit for bit. The step
+    Each step runs forward, backward and Adam inline, with the float64
+    arithmetic of _forward_batch, _backward_batch and adam_step, which stay
+    as the reference this loop is tested against bit for bit. The step
     writes into views and scratch arrays built once per call, and reads its
-    constants from float64 0-d arrays built with them. Each epoch's
-    rows are gathered into one buffer, so that batches are contiguous
-    slices, and its loss is taken over its stored scores after its last step.
+    constants from float64 0-d arrays built with them. Four places make
+    fewer or cheaper numpy calls than the helpers and still give their bits:
+
+    - np.dot, not @, forms the four products: for these operands both
+      reach the same BLAS gemm/gemv calls, and np.dot takes less time to
+      get there.
+    - The sigmoid clips only from below, at -700, which keeps exp() finite.
+      For z >= 700, exp(-z) <= e**-700 < 2**-53, so 1 + exp(-z) rounds to
+      exactly 1.0 and the sigmoid is 1.0 with or without the upper clip;
+      NaN and +inf give the same result both ways too.
+    - m and v are the halves of one vector, so one multiply by a vector of
+      beta1s then beta2s and one add update both; each element gets
+      adam_step's operations in adam_step's order.
+    - Each epoch's rows are gathered into a fresh array, of which batches
+      are contiguous slices: np.take with out= and the index check
+      (mode "raise") copies through a temporary, so it takes longer.
+
+    An epoch's loss is taken over its stored scores after its last step.
     """
     if not examples:
         raise DegenerateData("no training examples")
@@ -267,13 +282,14 @@ def train(
     grad = np.empty(N_PARAMS)
     gw1, gb1, gw2, gb2 = _unpack(grad)
     gw2_row = gw2[0]
-    m, v = np.zeros(N_PARAMS), np.zeros(N_PARAMS)
-    step, denom = np.empty(N_PARAMS), np.empty(N_PARAMS)  # Adam scratch
+    moments = np.zeros(2 * N_PARAMS)  # m then v
+    m, v = moments[:N_PARAMS], moments[N_PARAMS:]
+    # Adam scratch: the moments' gains, then the step and its denominator
+    scratch = np.empty(2 * N_PARAMS)
+    step, denom = scratch[:N_PARAMS], scratch[N_PARAMS:]
     rows = _epoch_length(n_pos, n_neg, config.oversample_positives)
     batch = min(config.batch_size, rows)
     n_full, n_tail = divmod(rows, batch)
-    x_epoch = np.empty((rows, N_INPUT))
-    y_epoch = np.empty(rows)
     z_epoch = np.empty((rows, 1))  # output layer; holds the epoch's scores
     hidden, delta1, one_minus_h = (np.empty((batch, N_HIDDEN)) for _ in range(3))
     delta2 = np.empty(batch)
@@ -291,49 +307,46 @@ def train(
     for start in range(0, rows, batch):
         stop = start + batch
         z = z_epoch[start:stop]
-        batches.append((x_epoch[start:stop], y_epoch[start:stop], z, z[:, 0],
+        batches.append((slice(start, stop), z, z[:, 0],
                         *(full if stop <= rows else tail)))
-    low, high, one = f64(-700.0), f64(700.0), f64(1.0)
+    low, one = f64(-700.0), f64(1.0)
     beta1, beta2 = config.adam_beta1, config.adam_beta2
-    decay1, decay2 = f64(beta1), f64(beta2)
+    decay = np.repeat([beta1, beta2], N_PARAMS)
     gain1, gain2 = f64(1.0 - beta1), f64(1.0 - beta2)
     lr, eps = f64(config.learning_rate), f64(config.adam_epsilon)
-    # the step is ~40 short numpy calls, so they are looked up once, not per
+    # the step is ~35 short numpy calls, so they are looked up once, not per
     # call; np.add.reduce is np.sum without its Python-level wrapper
-    matmul, add, subtract, multiply, divide = (
-        np.matmul, np.add, np.subtract, np.multiply, np.divide)
-    maximum, minimum, negative, exp, sqrt = (
-        np.maximum, np.minimum, np.negative, np.exp, np.sqrt)
+    dot, add, subtract, multiply, divide = (
+        np.dot, np.add, np.subtract, np.multiply, np.divide)
+    maximum, negative, exp, sqrt = np.maximum, np.negative, np.exp, np.sqrt
     reduce = np.add.reduce
     t = 0
     losses: list[float] = []
     for _ in range(config.epochs):
         order = _balanced_epoch_order(rng, y, config.oversample_positives)
-        np.take(x, order, axis=0, out=x_epoch)
-        np.take(y, order, out=y_epoch)
-        for xb, yb, z, p, h, d2, d2_col, d1, d1_t, omh, n in batches:
-            # forward, as in _forward_batch: each layer through _sigmoid's calls
-            add(matmul(xb, w1t, out=h), b1, out=h)
-            minimum(maximum(h, low, out=h), high, out=h)
+        x_epoch, y_epoch = x.take(order, 0), y.take(order)
+        for batch_rows, z, p, h, d2, d2_col, d1, d1_t, omh, n in batches:
+            xb = x_epoch[batch_rows]
+            # forward, as in _forward_batch: each layer through _sigmoid
+            add(dot(xb, w1t, out=h), b1, out=h)
+            maximum(h, low, out=h)
             divide(one, add(one, exp(negative(h, out=h), out=h), out=h), out=h)
-            add(matmul(h, w2t, out=z), b2, out=z)
-            minimum(maximum(z, low, out=z), high, out=z)
+            add(dot(h, w2t, out=z), b2, out=z)
+            maximum(z, low, out=z)
             divide(one, add(one, exp(negative(z, out=z), out=z), out=z), out=z)
             # backward, as in _backward_batch
-            divide(subtract(p, yb, out=d2), n, out=d2)
+            divide(subtract(p, y_epoch[batch_rows], out=d2), n, out=d2)
             multiply(multiply(d2_col, w2, out=d1), h, out=d1)
             multiply(d1, subtract(one, h, out=omh), out=d1)
-            matmul(d1_t, xb, out=gw1)
+            dot(d1_t, xb, out=gw1)
             reduce(d1, axis=0, out=gb1)
-            matmul(d2, h, out=gw2_row)
+            dot(d2, h, out=gw2_row)
             reduce(d2, keepdims=True, out=gb2)
             # Adam, as in adam_step
             t += 1
-            multiply(m, decay1, out=m)
-            add(m, multiply(gain1, grad, out=step), out=m)
-            multiply(v, decay2, out=v)
-            multiply(gain2, grad, out=step)
-            add(v, multiply(step, grad, out=step), out=v)
+            multiply(gain1, grad, out=step)
+            multiply(multiply(gain2, grad, out=denom), grad, out=denom)
+            add(multiply(moments, decay, out=moments), scratch, out=moments)
             multiply(lr, divide(m, 1.0 - beta1 ** t, out=step), out=step)
             divide(v, 1.0 - beta2 ** t, out=denom)
             add(sqrt(denom, out=denom), eps, out=denom)

@@ -401,15 +401,16 @@ class TestTrain:
 def reference_train(examples, config):
     """train as a plain per-batch loop: fancy-indexed batches, each batch's
     loss summed on its own, every array allocated by the step that uses it.
-    Returns (flat params, per-epoch losses, Adam steps taken, and the largest
-    |pre-activation| seen in the hidden and in the output layer)."""
+    Returns (flat params, per-epoch losses, Adam steps taken, and the
+    (smallest, largest) pre-activation seen in the hidden and in the output
+    layer)."""
     x = np.array([ex.aus for ex in examples], dtype=np.float64)
     y = np.array([ex.label for ex in examples], dtype=np.float64)
     rng = np.random.default_rng(config.rng_seed)
     theta = _glorot_init(rng)
     layers = _unpack(theta)
     m, v, t = np.zeros(N_PARAMS), np.zeros(N_PARAMS), 0
-    losses, peak_hidden, peak_output = [], 0.0, 0.0
+    losses, spans = [], [[np.inf, -np.inf], [np.inf, -np.inf]]
     for _ in range(config.epochs):
         order = _balanced_epoch_order(rng, y, config.oversample_positives)
         loss_total = 0.0
@@ -417,14 +418,15 @@ def reference_train(examples, config):
             idx = order[start:start + config.batch_size]
             xb, yb = x[idx], y[idx]
             w1, b1, w2, b2 = layers
-            peak_hidden = max(peak_hidden, np.abs(xb @ w1.T + b1).max())
+            pre_hidden = xb @ w1.T + b1
             p, h = _forward_batch(layers, xb)
-            peak_output = max(peak_output, np.abs(h @ w2.T + b2).max())
+            for span, pre in zip(spans, (pre_hidden, h @ w2.T + b2)):
+                span[:] = min(span[0], pre.min()), max(span[1], pre.max())
             loss_total += float(_bce_batch(p, yb).sum())
             grad = _backward_batch(layers, xb, h, p, yb)
             t = adam_step(theta, grad, m, v, t, config)
         losses.append(loss_total / len(order))
-    return theta, losses, t, (peak_hidden, peak_output)
+    return theta, losses, t, spans
 
 
 def imbalanced_examples(n_pos=30, n_neg=170, seed=4):
@@ -450,17 +452,36 @@ class TestTrainMatchesReferenceLoop:
         # every Adam constant off its default, two of them given as ints
         TrainConfig(epochs=3, batch_size=16, learning_rate=1, adam_beta1=0,
                     adam_beta2=0.5, adam_epsilon=1e-3, rng_seed=6),
+        # Batch shapes on both sides of BLAS kernel block sizes, as full batches
+        # and as tails (340 rows oversampled, 200 plain): train multiplies with
+        # np.dot and the reference with @, which must not sum in another order.
+        TrainConfig(epochs=2, batch_size=2, oversample_positives=False, rng_seed=8),
+        TrainConfig(epochs=2, batch_size=3, rng_seed=9),  # tail of 1
+        TrainConfig(epochs=2, batch_size=63, rng_seed=10),  # tail of 25
+        TrainConfig(epochs=2, batch_size=65, oversample_positives=False,
+                    rng_seed=11),  # tail of 5
+        TrainConfig(epochs=2, batch_size=127, rng_seed=12),  # tail of 86
+        TrainConfig(epochs=2, batch_size=169, rng_seed=13),
+        TrainConfig(epochs=2, batch_size=197, oversample_positives=False, rng_seed=14),
+        TrainConfig(epochs=2, batch_size=137, oversample_positives=False, rng_seed=15),
+        TrainConfig(epochs=2, batch_size=275, rng_seed=16),
+        TrainConfig(epochs=2, batch_size=213, rng_seed=17),
     ], ids=["b64-oversampled", "b7-plain-tail", "b1", "b341-over-epoch", "b1e11",
-            "b68-no-tail", "lr1e3-clipped", "adam-off-default-ints"])
+            "b68-no-tail", "lr1e3-clipped", "adam-off-default-ints",
+            "b2", "b3", "b63", "b65", "b127", "tail2", "tail3", "tail63", "tail65",
+            "tail127"])
     def test_bit_equal(self, config):
         examples = imbalanced_examples()
         params, losses = train(examples, config)
-        theta, ref_losses, steps, peaks = reference_train(examples, config)
+        theta, ref_losses, steps, spans = reference_train(examples, config)
         assert flatten(params).tobytes() == theta.tobytes()
         assert np.array(losses).tobytes() == np.array(ref_losses).tobytes()
         assert steps == adam_steps(30, 170, config)
-        if config.learning_rate == 1e3:  # both layers' clips did work
-            assert min(peaks) > 700.0
+        if config.learning_rate == 1e3:
+            # both clips did work in both layers: train keeps only the lower
+            # one, the reference both
+            for lowest, highest in spans:
+                assert lowest < -700.0 and highest > 700.0
 
 
     def test_numpy_float_fields_train_as_plain_floats(self):
