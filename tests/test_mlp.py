@@ -452,9 +452,10 @@ class TestTrainMatchesReferenceLoop:
         # every Adam constant off its default, two of them given as ints
         TrainConfig(epochs=3, batch_size=16, learning_rate=1, adam_beta1=0,
                     adam_beta2=0.5, adam_epsilon=1e-3, rng_seed=6),
-        # Batch shapes on both sides of BLAS kernel block sizes, as full batches
-        # and as tails (340 rows oversampled, 200 plain): train multiplies with
-        # np.dot and the reference with @, which must not sum in another order.
+        # Batch shapes around powers of two, as full batches and as tails (340
+        # rows oversampled, 200 plain): train multiplies with np.dot and the
+        # reference with @, and a BLAS build where they sum in another order
+        # must fail here.
         TrainConfig(epochs=2, batch_size=2, oversample_positives=False, rng_seed=8),
         TrainConfig(epochs=2, batch_size=3, rng_seed=9),  # tail of 1
         TrainConfig(epochs=2, batch_size=63, rng_seed=10),  # tail of 25
