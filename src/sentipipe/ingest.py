@@ -5,12 +5,12 @@ of being skipped, because silently dropped rows would bias every KPI computed
 downstream. Writers emit the exact same formats the parsers accept, with full
 float precision, so a parse -> write -> parse cycle is lossless.
 
-write_au_stream also writes a binary sidecar next to the CSV that holds the
-frames it wrote, and parse_au_stream returns those frames instead of parsing
-the CSV again while the CSV's bytes are the ones written. The CSV stays the
-only input that decides a result: any sidecar that fails a check is ignored,
-and the CSV is then read row by row, each row checked by core.csv_rows and
-number_cells, so that an error names its ``file:line``.
+Once the CSV is closed, write_au_stream writes a sidecar next to it with the
+frames written and a digest of the CSV's bytes taken as they were written, and
+parse_au_stream returns those frames while the CSV's bytes are the ones written.
+The CSV stays the only input that decides a result: any sidecar that fails a
+check is ignored, and the CSV is then read row by row, each row checked by
+core.csv_rows and number_cells, so that an error names its ``file:line``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import zlib
 from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -71,13 +71,13 @@ _check_face_numbers = number_cells(_META_NUMBERS + tuple((c, _DECIMAL) for c in 
 # sidecar never holds the CSV's text.
 _BLOCK_BYTES = 1 << 20
 
-# The sidecar of an AU stream CSV is the file named as the CSV plus
-# SIDECAR_SUFFIX. It holds a head (magic, version, the CRC-32 of the rest of
-# the sidecar, the blake2b digest of the CSV's bytes, and where its table
-# starts and how long it is), then each video's frames in FRAME_DTYPE layout
-# with the padding zeroed, then the table: JSON of FRAME_DTYPE's descr and
-# one [video_id, ad_id, frame count] per video, in the CSV's order. The CRC
-# only guards the sidecar against damage, at a third of blake2b's cost.
+# The sidecar of an AU stream CSV, named as the CSV plus SIDECAR_SUFFIX, is
+# written after the CSV closes: a head (magic, version, the CRC-32 of the rest,
+# the blake2b digest of the CSV's bytes as written, where the table starts and
+# its length), each video's frames in FRAME_DTYPE layout with the padding
+# zeroed, then the table: JSON of FRAME_DTYPE's descr and one [video_id, ad_id,
+# frame count] per video, in the CSV's order. The CRC only guards the sidecar
+# against damage, at a third of blake2b's cost.
 SIDECAR_SUFFIX = ".frames"
 _SIDECAR_MAGIC = b"SPFRAMES"
 _SIDECAR_VERSION = 1
@@ -257,137 +257,103 @@ def _frame_index_value(cell: str) -> int | None:
 
 def write_au_stream(videos: Iterable[VideoRecord], path: str | Path) -> None:
     """Serialize videos to the AU stream CSV format with full float precision,
-    and write the CSV's sidecar (see _SidecarWriter) next to it.
+    hashing its bytes as they are written, then replace its sidecar.
 
     Numbers never need CSV quoting, so rows are built as strings; only the two
     ids go through csv.writer, once per video, which quotes them as it would
-    in a whole row. Each video's lines are written in one call.
+    in a whole row. Each video's lines are written in one call. No sidecar is
+    left without blake2b, when the ids do not read back or on an OSError.
     """
+    videos = tuple(videos)
+    sidecar = _sidecar_path(path)
+    with suppress(OSError):
+        sidecar.unlink(missing_ok=True)
+    csv_digest = None if blake2b is None else blake2b(digest_size=32)
     empty_aus = "," * (N_AUS - 1)
     ids = io.StringIO()
     # with "\r\n" as its terminator csv.writer quotes an id holding either
     # character; with "\n" it leaves a "\r" bare, which reads as a line end
     ids_writer = csv.writer(ids, lineterminator="\r\n")
-    sidecar = _SidecarWriter(path)
+    with open(path, "wb") as fh:
+        header = (",".join(STREAM_COLUMNS) + "\n").encode()
+        fh.write(header)
+        if csv_digest is not None:
+            csv_digest.update(header)
+        for video in videos:
+            ids.seek(0)
+            ids.truncate()
+            ids_writer.writerow([video.video_id, video.ad_id])
+            prefix = ids.getvalue()[:-2]
+            f = video.frames
+            lines = "".join(
+                f"{prefix},{index},{ts!r},1,{','.join(map(repr, aus))}\n" if face
+                else f"{prefix},{index},{ts!r},0,{empty_aus}\n"
+                for index, ts, face, aus in zip(
+                    f.frame_index.tolist(), f.timestamp_s.tolist(),
+                    f.face_detected.tolist(), f.aus.tolist())).encode("utf-8")
+            fh.write(lines)
+            if csv_digest is not None:
+                csv_digest.update(lines)
+    table = [[video.video_id, video.ad_id, len(video.frames)] for video in videos]
+    if csv_digest is None or not _ids_read_back(table):
+        return
     try:
-        with open(path, "wb") as fh:
-            header = (",".join(STREAM_COLUMNS) + "\n").encode()
-            fh.write(header)
-            sidecar.add(header)
-            for video in videos:
-                ids.seek(0)
-                ids.truncate()
-                ids_writer.writerow([video.video_id, video.ad_id])
-                prefix = ids.getvalue()[:-2]
-                f = video.frames
-                lines = "".join(
-                    f"{prefix},{index},{ts!r},1,{','.join(map(repr, aus))}\n" if face
-                    else f"{prefix},{index},{ts!r},0,{empty_aus}\n"
-                    for index, ts, face, aus in zip(
-                        f.frame_index.tolist(), f.timestamp_s.tolist(),
-                        f.face_detected.tolist(), f.aus.tolist())).encode("utf-8")
-                fh.write(lines)
-                sidecar.add(lines, video)
-    except BaseException:
-        sidecar.discard()
-        raise
-    sidecar.finish()
+        _write_sidecar(sidecar, csv_digest.digest(), videos, table)
+    except BaseException as exc:
+        with suppress(OSError):
+            sidecar.unlink(missing_ok=True)
+        if not isinstance(exc, OSError):
+            raise
 
 
 def _sidecar_path(path: str | Path) -> Path:
     return Path(os.fspath(path) + SIDECAR_SUFFIX)
 
 
-class _SidecarWriter:
-    """Writes the sidecar of one stream CSV while the CSV is written, one
-    video's frames at a time, and its head last.
+def _ids_read_back(table: object) -> bool:
+    """Whether a sidecar table's entries are [video_id, ad_id, count] as the CSV
+    parses back: non-empty str ids within the csv field limit, an int count > 0,
+    no repeated video_id."""
+    limit = csv.field_size_limit()
+    return (isinstance(table, list) and all(
+        isinstance(e, list) and len(e) == 3 and type(e[2]) is int and e[2] > 0
+        and all(type(i) is str and 0 < len(i) <= limit for i in e[:2]) for e in table)
+        and len({e[0] for e in table}) == len(table))
 
-    It removes the sidecar instead, a stale one included, when the CSV could
-    parse back to other records than those written (an empty id, a repeated
-    video_id or an id over the csv field limit), when the write fails and
-    when the sidecar itself cannot be written. Without blake2b it does
-    nothing.
-    """
 
-    def __init__(self, csv_path: str | Path) -> None:
-        self.path = _sidecar_path(csv_path)
-        self.fh: BinaryIO | None = None
-        if blake2b is None:
-            return
-        self.csv_digest, self.body_crc = blake2b(digest_size=32), 0
-        self.table: list[list] = []
-        self.video_ids: set[str] = set()
-        try:
-            self.fh = open(self.path, "wb")
-            self.fh.write(bytes(_SIDECAR_HEAD.size))
-        except OSError:
-            self.discard()
-
-    def add(self, csv_bytes: bytes, video: VideoRecord | None = None) -> None:
-        """Take the next bytes written to the CSV, which hold ``video``'s rows
-        if one is given."""
-        if self.fh is None:
-            return
-        self.csv_digest.update(csv_bytes)
-        if video is None:
-            return
-        video_id, ad_id = video.video_id, video.ad_id
-        if (not video_id or not ad_id or video_id in self.video_ids
-                or max(len(video_id), len(ad_id)) > csv.field_size_limit()):
-            self.discard()
-            return
-        self.video_ids.add(video_id)
-        self.table.append([video_id, ad_id, len(video.frames)])
-        # the frames as the CSV parses back to them: padding zeroed, and the
-        # empty AU cells of a row without a face read as +0.0
-        frames = np.zeros(len(video.frames), dtype=FRAME_DTYPE)
-        face = video.frames.face_detected
-        for name in ("frame_index", "timestamp_s", "face_detected"):
-            frames[name] = video.frames[name]
-        frames["aus"][face] = video.frames.aus[face]
-        self._write(frames.data)
-
-    def _write(self, data) -> None:
-        self.body_crc = zlib.crc32(data, self.body_crc)
-        try:
-            self.fh.write(data)
-        except OSError:
-            self.discard()
-
-    def finish(self) -> None:
-        if self.fh is None:
-            return
-        table = json.dumps({"dtype": _FRAME_DESCR, "videos": self.table},
-                           separators=(",", ":")).encode()
-        table_at = self.fh.tell()
-        self._write(table)
-        try:
-            if self.fh is not None:
-                self.fh.seek(0)
-                self.fh.write(_SIDECAR_HEAD.pack(
-                    _SIDECAR_MAGIC, _SIDECAR_VERSION, self.body_crc,
-                    self.csv_digest.digest(), table_at, len(table)))
-                self.fh.close()
-        except OSError:
-            self.discard()
-
-    def discard(self) -> None:
-        fh, self.fh = self.fh, None
-        with suppress(OSError):
-            if fh is not None:
-                fh.close()
-        with suppress(OSError):
-            self.path.unlink(missing_ok=True)
+def _write_sidecar(path: Path, csv_digest: bytes, videos: tuple, table: list) -> None:
+    """Write the sidecar of a CSV: a zeroed head, each video's frames, the table,
+    then the head with csv_digest, the CSV's blake2b digest."""
+    body_crc = 0
+    with open(path, "wb") as fh:
+        fh.write(bytes(_SIDECAR_HEAD.size))
+        for video in videos:
+            # the frames as the CSV parses back to them: padding zeroed, and
+            # the empty AU cells of a row without a face read as +0.0
+            frames = np.zeros(len(video.frames), dtype=FRAME_DTYPE)
+            face = video.frames.face_detected
+            for name in ("frame_index", "timestamp_s", "face_detected"):
+                frames[name] = video.frames[name]
+            frames["aus"][face] = video.frames.aus[face]
+            body_crc = zlib.crc32(frames.data, body_crc)
+            fh.write(frames.data)
+        table_json = json.dumps({"dtype": _FRAME_DESCR, "videos": table},
+                                separators=(",", ":")).encode()
+        table_at = fh.tell()
+        fh.write(table_json)
+        fh.seek(0)
+        fh.write(_SIDECAR_HEAD.pack(
+            _SIDECAR_MAGIC, _SIDECAR_VERSION, zlib.crc32(table_json, body_crc),
+            csv_digest, table_at, len(table_json)))
 
 
 def _read_sidecar(path: str | Path) -> list[VideoRecord] | None:
     """parse_au_stream's records of the CSV at path, read from the CSV's
     sidecar; None, raising nothing, when there is no sidecar or it fails a
     check. Its magic, version and dtype must be this module's, its body must
-    match its CRC, its table must give unique non-empty ids within the
-    csv field limit and a frame count > 0 that add up to its frames, the
-    CSV's current bytes must match the CSV digest, and each video's frames
-    must pass VideoRecord's checks."""
+    match its CRC, its table must pass _ids_read_back with frame counts that
+    add up to its frames, the CSV's current bytes must match the CSV digest,
+    and each video's frames must pass VideoRecord's checks."""
     if blake2b is None:
         return None
     try:
@@ -409,11 +375,7 @@ def _read_sidecar(path: str | Path) -> list[VideoRecord] | None:
     if not isinstance(table, dict) or table.get("dtype") != _FRAME_DESCR:
         return None
     entries = table.get("videos")
-    limit = csv.field_size_limit()
-    if (not isinstance(entries, list) or not all(
-            isinstance(e, list) and len(e) == 3 and type(e[2]) is int and e[2] > 0
-            and all(type(i) is str and 0 < len(i) <= limit for i in e[:2]) for e in entries)
-            or len({e[0] for e in entries}) != len(entries)):
+    if not _ids_read_back(entries):
         return None
     n_frames = sum(e[2] for e in entries)
     if head + n_frames * FRAME_DTYPE.itemsize != table_at:
@@ -483,7 +445,10 @@ def load_dataset(
     ads = parse_ad_annotations(annotations_path)
     videos = parse_au_stream(streams_path)
     kept, dropped = filter_by_coverage(videos, min_coverage)
-    return Dataset(ads=ads, videos=tuple(kept)), dropped
+    try:
+        return Dataset(ads=ads, videos=tuple(kept)), dropped
+    except ValidationError as exc:
+        raise ValidationError(f"{streams_path}: {exc} (ads read from {annotations_path})") from exc
 
 
 def write_dataset(

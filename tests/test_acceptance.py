@@ -232,8 +232,10 @@ def _chain_artifacts(root, config_path):
     return [
         out / "train" / "annotations.json",
         out / "train" / "au_streams.csv",
+        out / "train" / "au_streams.csv.frames",
         out / "test" / "annotations.json",
         out / "test" / "au_streams.csv",
+        out / "test" / "au_streams.csv.frames",
         examples, model, loss, curves, report, table,
     ]
 
@@ -246,6 +248,8 @@ GOLDEN_SHA256 = {
     "data/train/au_streams.csv": "d10a5b3ec958cec5706391b013ff94a39f7c1b844b3dd3fa385e9ea099dc8459",
     "data/test/annotations.json": "af93012663838c479668db0706b1b5cf9a475537d5c572ab9cc72f1b149e2d37",
     "data/test/au_streams.csv": "05dba4f78defea7736f85f0ceae6142c81818c8abc6d6c52f3e865720bc12af8",
+    "data/train/au_streams.csv.frames": "bc10abd3e7941fb37656102194dd73b7d21ecf4b311ca153e7af04ea30528e39",
+    "data/test/au_streams.csv.frames": "7dae6b58ccaafa413557ecb159d74d95f2d2bd284ec8dbb4bfc287b6c64e89a1",
     "examples.jsonl": "a3f289776518f59e95edec04f9074b259ccc16b807001bfff914b45ffc0d91d4",
     "model.json": "d93256484578a59c11d5411516d53cd36cc81d243961aa58c93caca3608dcc96",
     "loss.csv": "72bf2855736c271b7331605750c7793fe5926eb50f132235a0f6d7405596ef6b",

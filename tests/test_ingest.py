@@ -681,6 +681,57 @@ class TestStreamSidecar:
             write_au_stream(videos, path)
         assert not sidecar_of(path).exists()
 
+    def test_sidecar_path_is_a_directory(self, tmp_path):
+        path = tmp_path / "s.csv"
+        sidecar_of(path).mkdir()
+        write_au_stream(sample_videos(), path)
+        assert sidecar_of(path).is_dir()
+        assert _parse_stream_rows(path) == parse_au_stream(path) == sample_videos()
+
+    @staticmethod
+    def fail_sidecar_body(monkeypatch, error):
+        """Make the third write to a sidecar, the second video's frames after
+        the head and the first video's, raise ``error``."""
+        class FailingWrites:
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 3:
+                    raise error
+                return self.fh.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.fh.close()
+
+        def sidecar_open(file, mode="r", *args, **kwargs):
+            fh = open(file, mode, *args, **kwargs)
+            return FailingWrites(fh) if str(file).endswith(SIDECAR_SUFFIX) else fh
+        monkeypatch.setattr(ingest, "open", sidecar_open, raising=False)
+
+    def test_sidecar_write_error_leaves_the_csv_and_no_sidecar(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.csv"
+        write_au_stream(sample_videos(), path)
+        self.fail_sidecar_body(monkeypatch, OSError("disk full"))
+        write_au_stream(sample_videos(), path)
+        assert not sidecar_of(path).exists()
+        assert parse_au_stream(path) == sample_videos()
+
+    def test_interrupted_sidecar_write_propagates(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.csv"
+        write_au_stream(sample_videos(), path)
+        self.fail_sidecar_body(monkeypatch, KeyboardInterrupt())
+        with pytest.raises(KeyboardInterrupt):
+            write_au_stream(sample_videos(), path)
+        assert ingest._read_sidecar(path) is None
+
     @pytest.mark.parametrize("keep", [True, False], ids=["sidecar", "no sidecar"])
     def test_readers_create_or_change_no_file(self, tmp_path, keep):
         path = tmp_path / "s.csv"
@@ -739,10 +790,17 @@ class TestCoverage:
 
 
 class TestDataset:
-    def test_unknown_ad_rejected(self, two_ads):
+    def test_unknown_ad_rejected(self, tmp_path, two_ads):
         video = constant_video("v", "mystery_ad", [0.2] * 20, n_frames=2)
         with pytest.raises(ValidationError, match="unknown ad"):
             Dataset(ads=two_ads, videos=(video,))
+        ann, streams = tmp_path / "ads.json", tmp_path / "s.csv"
+        write_ad_annotations(two_ads, ann)
+        write_au_stream([video], streams)
+        with pytest.raises(ValidationError, match=(
+                f"^{re.escape(str(streams))}: video 'v' references unknown ad 'mystery_ad'"
+                f".*{re.escape(str(ann))}")):
+            load_dataset(ann, streams)
 
     def test_duplicate_video_id(self, two_ads):
         v1 = constant_video("v", "a1", [0.2] * 20, n_frames=2)
