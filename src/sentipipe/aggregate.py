@@ -65,34 +65,6 @@ def score_video(params: MlpParams, video: VideoRecord) -> tuple[np.ndarray, np.n
     return ts, p
 
 
-def _bin_frames(
-    ad_id: str, stamps: Sequence[np.ndarray], n: int, step_s: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bin the frames of all participants in one pass.
-
-    Each participant p gets n + 1 cells: its n bins, then one for its frames
-    outside [0, n * step_s). Returns each frame's cell index p * (n + 1) + b,
-    over the participants' timestamps concatenated in order; the (p, n)
-    frame counts of the bins; and per bin, the number of participants with
-    frames in it. Raises ValidationError for a NaN or infinite timestamp and
-    DegenerateData when no frame falls inside the bins."""
-    ts = np.concatenate(stamps) if stamps else np.empty(0)
-    if not np.isfinite(ts).all():
-        raise ValidationError(f"ad {ad_id!r}: frame timestamps must be finite")
-    # compared in float before the int64 cast, so a finite timestamp far
-    # outside the domain, or one whose quotient overflows to inf, is dropped
-    with np.errstate(over="ignore"):
-        b = np.floor(ts / step_s)
-    b = np.where((b >= 0) & (b < n), b, n).astype(np.int64)
-    cells = np.repeat(np.arange(0, len(stamps) * (n + 1), n + 1),
-                      [len(t) for t in stamps]) + b
-    frames = np.bincount(cells, minlength=len(stamps) * (n + 1)).reshape(-1, n + 1)[:, :n]
-    counts = np.count_nonzero(frames, axis=0)
-    if not counts.any():
-        raise DegenerateData(f"ad {ad_id!r}: no scored frames fall inside [0, {n * step_s})")
-    return cells, frames, counts
-
-
 def _two_sum_cascade(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(s, err) for a (p, c) array, p >= 1: s the float sum of each column,
     added row after row, and err (p - 1, c) the rounding error of each of
@@ -136,24 +108,6 @@ def _exact_sum(x: np.ndarray) -> np.ndarray:
     return total
 
 
-def participant_counts(
-    ad_id: str,
-    per_participant: Sequence[np.ndarray],
-    duration_s: float,
-    step_s: float = DEFAULT_STEP_S,
-) -> np.ndarray:
-    """Per bin of one ad's curve, the number of participants with a frame in
-    it: the ``counts`` that ``aggregate_columns`` gives for these frame
-    timestamps, whatever the scores. All participants' frames are binned in
-    one pass. Raises ValidationError for a NaN or infinite timestamp and
-    DegenerateData when every count is 0."""
-    n = n_bins_for(duration_s, step_s)
-    stamps = [np.asarray(ts, dtype=np.float64) for ts in per_participant]
-    if any(ts.ndim != 1 for ts in stamps):
-        raise ValidationError("each participant's timestamps must be a 1-D array")
-    return _bin_frames(ad_id, stamps, n, step_s)[2]
-
-
 def aggregate_columns(
     ad_id: str,
     per_participant: Sequence[tuple[np.ndarray, np.ndarray]],
@@ -168,15 +122,19 @@ def aggregate_columns(
     frames are binned together by two ``np.bincount`` calls, which add each
     participant's frames of a bin in frame order. A bin's participant means
     are summed exactly and rounded once, bit-equal to ``math.fsum``, so the
-    result is independent of participant order. Raises ValidationError for a
-    NaN or infinite timestamp or score, and for a bin sum that overflows
-    float64.
+    result is independent of participant order. The k curves share one
+    ``counts`` array, which depends on the timestamps alone. Raises
+    ValidationError for a NaN or infinite timestamp or score, and for a bin
+    sum that overflows float64; DegenerateData when no frame falls inside
+    the bins.
     """
     n = n_bins_for(duration_s, step_s)
     stamps, columns = [], []
     for ts, scores in per_participant:
         ts, scores = np.asarray(ts, dtype=np.float64), np.asarray(scores, dtype=np.float64)
-        if ts.ndim != 1 or scores.ndim != 2 or len(scores) != len(ts) or (
+        if ts.ndim != 1:
+            raise ValidationError("each participant's timestamps must be a 1-D array")
+        if scores.ndim != 2 or len(scores) != len(ts) or (
                 columns and scores.shape[1] != columns[0].shape[1]):
             raise ValidationError("timestamps and scores must have equal length, "
                                   "and every participant the same score columns")
@@ -185,8 +143,22 @@ def aggregate_columns(
     scores = np.concatenate(columns) if columns else np.empty((0, 1))
     if not np.isfinite(scores).all():
         raise ValidationError(f"ad {ad_id!r}: frame scores must be finite")
-    cells, frames, counts = _bin_frames(ad_id, stamps, n, step_s)
+    ts = np.concatenate(stamps) if stamps else np.empty(0)
+    if not np.isfinite(ts).all():
+        raise ValidationError(f"ad {ad_id!r}: frame timestamps must be finite")
+    # each participant p gets n + 1 cells: its n bins, then one for its frames
+    # outside [0, n * step_s). A bin index is compared in float before the
+    # int64 cast, so a finite timestamp far outside the domain, or one whose
+    # quotient overflows to inf, is dropped
+    with np.errstate(over="ignore"):
+        b = np.floor(ts / step_s)
+    b = np.where((b >= 0) & (b < n), b, n).astype(np.int64)
     p, k = len(columns), scores.shape[1]
+    cells = np.repeat(np.arange(0, p * (n + 1), n + 1), [len(t) for t in stamps]) + b
+    frames = np.bincount(cells, minlength=p * (n + 1)).reshape(p, n + 1)[:, :n]
+    counts = np.count_nonzero(frames, axis=0)
+    if not counts.any():
+        raise DegenerateData(f"ad {ad_id!r}: no scored frames fall inside [0, {n * step_s})")
     populated = np.flatnonzero(counts)
     # bincount adds each (participant, bin, column) cell's frames in frame
     # order, so each sum is the one a bincount over that participant alone gives

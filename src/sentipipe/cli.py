@@ -206,7 +206,7 @@ def cmd_evaluate(args: argparse.Namespace) -> dict:
     }
     write_kpi_report(report, _prepare_parent(args.report_out), metadata)
     if args.table_out is not None:
-        chance, per_au = run_baselines(dataset, args.step_s, args.guard_s, None)
+        chance, per_au = run_baselines(dataset, args.step_s, args.guard_s, args.min_coverage)
         write_kpi_table_csv(chance, per_au, report, _prepare_parent(args.table_out))
     return {
         "command": "evaluate",

@@ -265,10 +265,6 @@ class Interval:
         object.__setattr__(self, "start_s", start)
         object.__setattr__(self, "end_s", end)
 
-    @property
-    def length_s(self) -> float:
-        return self.end_s - self.start_s
-
 
 class AdLabel(str, Enum):
     SENTIMENTAL = "sentimental"
@@ -417,6 +413,3 @@ class AggregateCurve:
     @property
     def domain_end_s(self) -> float:
         return len(self.scores) * self.step_s
-
-    def bin_scores(self) -> tuple[float, ...]:
-        return tuple(self.scores.tolist())

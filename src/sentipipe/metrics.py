@@ -19,16 +19,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .aggregate import (DEFAULT_STEP_S, aggregate_columns, face_frames, max_over_interval,
-                        participant_counts)
-from .core import (
-    CANONICAL_AU_NAMES,
-    N_AUS,
-    AdSpec,
-    AggregateCurve,
-    Interval,
-    VideoRecord,
-)
+from .aggregate import max_over_interval
+from .core import CANONICAL_AU_NAMES, N_AUS, AdSpec, AggregateCurve, Interval
 from .errors import ConfigError, DegenerateData, ValidationError
 
 
@@ -61,10 +53,6 @@ def roc_auc(pos_scores: Sequence[float], neg_scores: Sequence[float]) -> float:
         seen += group
     u2 -= len(pos) * (len(pos) + 1)
     return u2 / (2 * len(pos) * len(neg))
-
-
-def curve_max(curve: AggregateCurve) -> float:
-    return float(curve.scores.max())
 
 
 def complement_intervals(
@@ -142,7 +130,7 @@ def evaluate_kpis(
         ad = ads.get(curve.ad_id)
         if ad is None:
             raise ValidationError(f"curve references unknown ad {curve.ad_id!r}")
-        peaks.append((ad, curve_max(curve)))
+        peaks.append((ad, float(curve.scores.max())))
     pos = [peak for ad, peak in peaks if ad.is_sentimental]
     neg = [peak for ad, peak in peaks if not ad.is_sentimental]
     if not pos or not neg:
@@ -176,42 +164,37 @@ def evaluate_kpis(
 
 
 def single_au_baselines(
-    videos_by_ad: Mapping[str, Sequence[VideoRecord]],
+    per_ad: Sequence[Sequence[AggregateCurve]],
     ads: Mapping[str, AdSpec],
-    step_s: float = DEFAULT_STEP_S,
     guard_s: float = 0.0,
 ) -> list[KpiReport]:
     """KPIs obtained by using each raw AU activation as the score.
 
-    Returns one report per AU in canonical order. These are the single-marker
-    reference points the trained model has to beat. Each ad's frames are
-    binned once, for all twenty AU columns together.
+    ``per_ad`` holds, for each ad, its 20 AU curves in canonical order, as
+    ``aggregate_columns`` gives them for the ad's face frames. Returns one
+    report per AU in canonical order. These are the single-marker reference
+    points the trained model has to beat.
     """
-    per_ad = [
-        aggregate_columns(ad_id, [face_frames(v) for v in videos],
-                          ads[ad_id].duration_s, step_s)
-        for ad_id, videos in videos_by_ad.items()]
     return [evaluate_kpis([curves[k] for curves in per_ad], ads, guard_s)
             for k in range(N_AUS)]
 
 
 def chance_baseline(
-    videos_by_ad: Mapping[str, Sequence[VideoRecord]],
+    per_ad: Sequence[Sequence[AggregateCurve]],
     ads: Mapping[str, AdSpec],
-    step_s: float = DEFAULT_STEP_S,
     guard_s: float = 0.0,
 ) -> KpiReport:
     """KPIs with every frame scored a constant 0.5: all-ties, so both land
     at 0.5 exactly. Kept as an explicit column to anchor the table.
 
-    Binning those scores gives 0.5 in every bin: a populated bin's mean of
-    0.5 per participant is exactly 0.5, and interpolating between 0.5 knots
-    stays 0.5. So each curve is built from its participant counts alone."""
-    curves = []
-    for ad_id, videos in videos_by_ad.items():
-        counts = participant_counts(ad_id, [face_frames(v)[0] for v in videos],
-                                    ads[ad_id].duration_s, step_s)
-        curves.append(AggregateCurve(ad_id, step_s, np.full(len(counts), 0.5), counts))
+    ``per_ad`` is what ``single_au_baselines`` takes. Binning constant 0.5
+    scores gives 0.5 in every bin: a populated bin's mean of 0.5 per
+    participant is exactly 0.5, and interpolating between 0.5 knots stays
+    0.5. So each ad's curve takes the ``step_s`` and ``counts`` of its first
+    AU curve: those counts depend on the frame timestamps alone, so they are
+    the counts that binning the 0.5 scores gives."""
+    curves = [AggregateCurve(c.ad_id, c.step_s, np.full(c.n_bins, 0.5), c.counts)
+              for c, *_ in per_ad]
     return evaluate_kpis(curves, ads, guard_s)
 
 

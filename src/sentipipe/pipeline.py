@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .aggregate import DEFAULT_STEP_S, AggregateCurve, aggregate_ad
+from .aggregate import (DEFAULT_STEP_S, AggregateCurve, aggregate_ad, aggregate_columns,
+                        face_frames)
 from .core import AdSpec, VideoRecord
 from .errors import ValidationError
 from .ingest import DEFAULT_MIN_COVERAGE, Dataset, filter_by_coverage
@@ -112,14 +113,20 @@ def run_baselines(
     test: Dataset,
     step_s: float = DEFAULT_STEP_S,
     guard_s: float = 0.0,
-    min_coverage: float | None = DEFAULT_MIN_COVERAGE,  # None: the videos are filtered already
+    min_coverage: float = DEFAULT_MIN_COVERAGE,
 ) -> tuple[KpiReport, list[KpiReport]]:
-    """(chance report, per-AU reports in canonical order) on one test split."""
-    kept = (test.videos if min_coverage is None
-            else filter_by_coverage(test.videos, min_coverage)[0])
+    """(chance report, per-AU reports in canonical order) on one test split.
+
+    Each ad's face frames are binned once, by one ``aggregate_columns`` call
+    for all twenty AU columns; those curves feed both the chance column and
+    the twenty single-AU columns."""
+    kept, _ = filter_by_coverage(test.videos, min_coverage)
     by_ad = grouped_by_ad(kept, test.ads)
     if not by_ad:
         raise ValidationError("no videos left after the coverage filter")
-    chance = chance_baseline(by_ad, test.ads, step_s, guard_s)
-    per_au = single_au_baselines(by_ad, test.ads, step_s, guard_s)
+    per_ad = [aggregate_columns(ad_id, [face_frames(v) for v in videos],
+                                test.ads[ad_id].duration_s, step_s)
+              for ad_id, videos in by_ad.items()]
+    chance = chance_baseline(per_ad, test.ads, guard_s)
+    per_au = single_au_baselines(per_ad, test.ads, guard_s)
     return chance, per_au

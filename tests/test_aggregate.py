@@ -16,7 +16,6 @@ from sentipipe.aggregate import (
     export_curve_svg,
     max_over_interval,
     n_bins_for,
-    participant_counts,
     read_curves_csv,
     score_video,
     write_curves_csv,
@@ -92,45 +91,45 @@ class TestAggregateScores:
         assert curve.n_bins == 4
         # participant means inside bin 0: (0.2 + 0.4) / 2 and 0.8
         b0 = math.fsum([(0.2 + 0.4) / 2, 0.8]) / 2
-        assert curve.bin_scores()[0] == b0
-        assert curve.bin_scores()[1] == 0.6
-        assert curve.bin_scores()[3] == 1.0
+        assert curve.scores.tolist()[0] == b0
+        assert curve.scores.tolist()[1] == 0.6
+        assert curve.scores.tolist()[3] == 1.0
         assert curve.counts.tolist() == [2, 1, 0, 1]
 
     def test_gap_is_linearly_interpolated(self):
         p1 = (np.array([0.6, 1.6]), np.array([0.6, 1.0]))
         curve = aggregate_scores("ad", [p1], duration_s=2.0, step_s=0.5)
         # bin 2 sits midway between the knots at bins 1 and 3
-        assert curve.bin_scores()[2] == pytest.approx(0.8, abs=1e-12)
+        assert curve.scores.tolist()[2] == pytest.approx(0.8, abs=1e-12)
         assert curve.counts[2] == 0
 
     def test_participants_weigh_equally_not_by_frame_count(self):
         many = (np.array([0.0, 0.1, 0.2, 0.3]), np.array([0.3, 0.3, 0.3, 0.3]))
         one = (np.array([0.05]), np.array([0.9]))
         curve = aggregate_scores("ad", [many, one], duration_s=0.5, step_s=0.5)
-        assert curve.bin_scores()[0] == pytest.approx(0.6, abs=1e-12)
+        assert curve.scores.tolist()[0] == pytest.approx(0.6, abs=1e-12)
 
     def test_leading_and_trailing_gaps_copy_nearest(self):
         p = (np.array([0.6, 1.2]), np.array([0.4, 0.8]))
         curve = aggregate_scores("ad", [p], duration_s=2.5, step_s=0.5)
         # populated bins are 1 and 2; 0 copies bin 1, bins 3 and 4 copy bin 2
-        assert curve.bin_scores() == (0.4, 0.4, 0.8, 0.8, 0.8)
+        assert tuple(curve.scores.tolist()) == (0.4, 0.4, 0.8, 0.8, 0.8)
         assert curve.counts.tolist() == [0, 1, 1, 0, 0]
 
     def test_single_populated_bin_fills_whole_curve(self):
         p = (np.array([1.0]), np.array([0.7]))
         curve = aggregate_scores("ad", [p], duration_s=2.0, step_s=0.5)
-        assert curve.bin_scores() == (0.7, 0.7, 0.7, 0.7)
+        assert tuple(curve.scores.tolist()) == (0.7, 0.7, 0.7, 0.7)
 
     def test_values_clipped_to_unit_interval(self):
         p = (np.array([0.0]), np.array([1.5]))
         curve = aggregate_scores("ad", [p], duration_s=0.5, step_s=0.5)
-        assert curve.bin_scores() == (1.0,)
+        assert tuple(curve.scores.tolist()) == (1.0,)
 
     def test_out_of_domain_frames_ignored(self):
         p = (np.array([0.0, 5.0, -1.0]), np.array([0.2, 0.9, 0.9]))
         curve = aggregate_scores("ad", [p], duration_s=1.0, step_s=0.5)
-        assert curve.bin_scores() == (0.2, 0.2)
+        assert tuple(curve.scores.tolist()) == (0.2, 0.2)
 
     def test_no_predictions_when_nothing_in_domain(self):
         p = (np.array([5.0]), np.array([0.9]))
@@ -153,7 +152,7 @@ class TestAggregateAd:
                   for i in range(3)]
         curve = aggregate_ad(MlpParams.zeros(), "a", videos, duration_s=10.0)
         assert curve.n_bins == 20
-        assert set(curve.bin_scores()) == {0.5}
+        assert set(curve.scores.tolist()) == {0.5}
         assert curve.counts.tolist() == [3] * 20
 
 
@@ -225,13 +224,14 @@ def test_columns_match_single_column_binning(parts_and_perm):
         assert curves[j] == curve
         assert curves[j].scores.tobytes() == curve.scores.tobytes()  # bit-equal
     assert _curves_or_error("ad", [parts[i] for i in perm]) == curves
-    # the counts alone, from the timestamps alone
-    stamps = [ts for ts, _ in parts]
+    # the counts come from the timestamps alone: constant 0.5 scores, as the
+    # chance baseline stands for, give the same
+    halves = [(ts, np.full((len(ts), 1), 0.5)) for ts, _ in parts]
     if curves is DegenerateData:
         with pytest.raises(DegenerateData, match="no scored frames fall inside"):
-            participant_counts("ad", stamps, duration_s=10.0, step_s=0.5)
+            aggregate_columns("ad", halves, duration_s=10.0, step_s=0.5)
     else:
-        assert participant_counts("ad", stamps, duration_s=10.0, step_s=0.5).tolist() \
+        assert aggregate_columns("ad", halves, duration_s=10.0, step_s=0.5)[0].counts.tolist() \
             == curves[0].counts.tolist()
 
 
@@ -240,8 +240,8 @@ class TestAggregateColumns:
         p1 = (np.array([0.0, 0.6]), np.array([[0.2, 0.9], [0.4, 0.1]]))
         p2 = (np.array([0.1]), np.array([[0.6, 0.3]]))
         a, b = aggregate_columns("ad", [p1, p2], duration_s=1.5, step_s=0.5)
-        assert a.bin_scores() == (math.fsum([0.2, 0.6]) / 2, 0.4, 0.4)
-        assert b.bin_scores() == (math.fsum([0.9, 0.3]) / 2, 0.1, 0.1)
+        assert tuple(a.scores.tolist()) == (math.fsum([0.2, 0.6]) / 2, 0.4, 0.4)
+        assert tuple(b.scores.tolist()) == (math.fsum([0.9, 0.3]) / 2, 0.1, 0.1)
         assert a.counts.tolist() == b.counts.tolist() == [2, 1, 0]
 
     def test_columns_must_agree(self):
@@ -250,13 +250,12 @@ class TestAggregateColumns:
         with pytest.raises(ValidationError):
             aggregate_columns("ad", [p1, p2], duration_s=1.0, step_s=0.5)
 
-    def test_scores_need_a_column_axis(self):
+    def test_timestamps_and_scores_need_their_axes(self):
         with pytest.raises(ValidationError):
             aggregate_columns("ad", [(np.array([0.0]), np.array([0.2]))], duration_s=1.0)
-
-    def test_counts_need_flat_timestamps(self):
         with pytest.raises(ValidationError, match="1-D"):
-            participant_counts("ad", [np.array([[0.0, 0.6]])], duration_s=1.0)
+            aggregate_columns("ad", [(np.array([[0.0, 0.6]]), np.array([[0.2], [0.4]]))],
+                              duration_s=1.0)
 
 
 def _reference_columns(parts, duration_s, step_s):
@@ -342,8 +341,6 @@ class TestNonFiniteInput:
         parts = [(np.array([0.0, bad]), np.array([[0.2], [0.4]]))]
         with pytest.raises(ValidationError, match="timestamps must be finite"):
             aggregate_columns("ad", parts, duration_s=1.0, step_s=0.5)
-        with pytest.raises(ValidationError, match="timestamps must be finite"):
-            participant_counts("ad", [ts for ts, _ in parts], duration_s=1.0, step_s=0.5)
 
     @pytest.mark.parametrize("scores", [[math.nan, 0.4], [math.inf, 0.4], [math.inf, -math.inf]])
     def test_score(self, scores):
@@ -357,8 +354,9 @@ class TestNonFiniteInput:
     def test_finite_timestamp_far_outside_is_ignored(self, far):
         # binned in float before the int64 cast, so no cast or overflow warning
         p = (np.array([0.0, far]), np.array([0.2, 0.9]))
-        assert aggregate_scores("ad", [p], duration_s=1.0, step_s=0.5).bin_scores() == (0.2, 0.2)
-        assert participant_counts("ad", [p[0]], duration_s=1.0, step_s=0.5).tolist() == [1, 0]
+        curve = aggregate_scores("ad", [p], duration_s=1.0, step_s=0.5)
+        assert tuple(curve.scores.tolist()) == (0.2, 0.2)
+        assert curve.counts.tolist() == [1, 0]
 
     def test_sum_over_participants_overflows(self):
         parts = [(np.array([0.0]), np.array([1e308])), (np.array([0.1]), np.array([1e308]))]

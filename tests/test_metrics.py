@@ -5,20 +5,22 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sentipipe.aggregate import aggregate_columns, face_frames
 from sentipipe.core import CANONICAL_AU_NAMES, AdLabel, AdSpec, Interval, read_json
 from sentipipe.errors import ConfigError, DegenerateData, SchemaError, ValidationError
+from sentipipe.ingest import Dataset
 from sentipipe.metrics import (
     AdScore,
     KpiReport,
     chance_baseline,
     complement_intervals,
-    curve_max,
     evaluate_kpis,
     roc_auc,
     single_au_baselines,
     write_kpi_report,
     write_kpi_table_csv,
 )
+from sentipipe.pipeline import run_baselines
 
 from conftest import au_vec, curve_of, make_video
 
@@ -92,8 +94,13 @@ def test_roc_invariant_under_order_preserving_transform(pos, neg):
 
 class TestCurveMax:
     def test_max_of_bins(self):
-        assert curve_max(curve_of([0.2, 0.9, 0.4])) == 0.9
-        assert curve_max(curve_of([0.2])) == 0.2
+        ads = {"s": AdSpec(ad_id="s", label=AdLabel.SENTIMENTAL, duration_s=1.5,
+                           moments=(Interval(0.0, 0.5),)),
+               "n": NON_SENTIMENTAL_AD}
+        curves = [curve_of([0.2, 0.9, 0.4], ad_id="s"), curve_of([0.2], ad_id="n")]
+        details = evaluate_kpis(curves, ads).per_ad_scores
+        assert details["s"].curve_max == 0.9
+        assert details["n"].curve_max == 0.2
 
 
 class TestComplementIntervals:
@@ -253,10 +260,16 @@ def marker_fixture():
     return ads, videos_by_ad
 
 
+def au_curves(ads, videos_by_ad):
+    """Each ad's 20 AU curves, binned as run_baselines bins them."""
+    return [aggregate_columns(ad_id, [face_frames(v) for v in videos], ads[ad_id].duration_s)
+            for ad_id, videos in videos_by_ad.items()]
+
+
 class TestBaselines:
     def test_single_au_reports_isolate_the_marker(self):
         ads, videos_by_ad = marker_fixture()
-        reports = single_au_baselines(videos_by_ad, ads)
+        reports = single_au_baselines(au_curves(ads, videos_by_ad), ads)
         assert len(reports) == len(CANONICAL_AU_NAMES) == 20
         assert reports[0].roc_ad == 1.0
         assert reports[0].roc_sent == 1.0
@@ -266,7 +279,7 @@ class TestBaselines:
 
     def test_chance_is_exactly_half(self):
         ads, videos_by_ad = marker_fixture()
-        report = chance_baseline(videos_by_ad, ads)
+        report = chance_baseline(au_curves(ads, videos_by_ad), ads)
         assert report.roc_ad == 0.5
         assert report.roc_sent == 0.5
         assert report.avg == 0.5
@@ -274,8 +287,9 @@ class TestBaselines:
     def test_chance_needs_a_scored_frame_per_ad(self):
         ads, videos_by_ad = marker_fixture()
         videos_by_ad["n"] = [make_video("vn", "n", [(0.0, False, None), (2.0, True, [0.5] * 20)])]
+        videos = [v for vs in videos_by_ad.values() for v in vs]
         with pytest.raises(DegenerateData, match=r"ad 'n': no scored frames fall inside \[0, 1.0\)"):
-            chance_baseline(videos_by_ad, ads)
+            run_baselines(Dataset(ads=ads, videos=videos), min_coverage=0.0)
 
 
 class TestReportFiles:
