@@ -144,8 +144,11 @@ def cmd_train(args: argparse.Namespace) -> dict:
     config = _config(TrainConfig, args.config, rng_seed=args.seed, epochs=args.epochs,
                      batch_size=args.batch_size, learning_rate=args.learning_rate,
                      oversample_positives=False if args.no_oversample else None)
+    start = time.perf_counter()
     examples = read_examples_jsonl(args.examples)
+    read_done = time.perf_counter()
     params, losses = train(examples, config)
+    train_done = time.perf_counter()
     save_model(params, _prepare_parent(args.model_out))
     if args.loss_out is not None:
         with open(_prepare_parent(args.loss_out), "w", encoding="utf-8",
@@ -154,6 +157,8 @@ def cmd_train(args: argparse.Namespace) -> dict:
             writer.writerow(["epoch", "mean_loss"])
             for epoch, loss in enumerate(losses, start=1):
                 writer.writerow([epoch, repr(loss)])
+    stages = {"read": read_done - start, "train": train_done - read_done,
+              "write": time.perf_counter() - train_done}
     summary = label_summary(examples)
     return {
         "command": "train",
@@ -165,6 +170,7 @@ def cmd_train(args: argparse.Namespace) -> dict:
         "adam_steps": adam_steps(summary.positives, summary.negatives, config),
         "seed": config.rng_seed,
         "final_loss": losses[-1],
+        "stages": stages,
     }
 
 

@@ -30,6 +30,13 @@ BCE_EPS = 1e-12
 _SHAPES = {"w1": (N_HIDDEN, N_INPUT), "b1": (N_HIDDEN,), "w2": (1, N_HIDDEN), "b2": (1,)}
 _ENDS = np.cumsum([math.prod(shape) for shape in _SHAPES.values()])
 N_PARAMS = int(_ENDS[-1])
+# train forms gw1 and gb1 with one product for batches up to this many rows;
+# a BLAS may split a longer inner dimension into blocks and add their partial
+# sums, which is not np.add.reduce's running sum (OpenBLAS 0.3.31 summed up to
+# 5,952 rows in order, and not 5,953)
+_FOLD_MAX_ROWS = 256
+# train fills its bias-correction table for this many steps at a time
+_TABLE_STEPS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,21 +252,41 @@ def train(
 
     Each step runs forward, backward and Adam inline, with the float64
     arithmetic of _forward_batch, _backward_batch and adam_step, which stay
-    as the reference this loop is tested against bit for bit. The step
-    writes into views and scratch arrays built once per call, and reads its
-    constants from float64 0-d arrays built with them. Four places make
-    fewer or cheaper numpy calls than the helpers and still give their bits:
+    as the reference this loop is tested against bit for bit. The step makes
+    31 numpy calls, none of which broadcasts, into views and scratch arrays
+    built once per call, with constants held in float64 0-d arrays. It makes
+    fewer or cheaper calls than the helpers where the bits cannot differ:
 
-    - np.dot, not @, forms the four products: for these operands both
-      reach the same BLAS gemm/gemv calls, and np.dot takes less time to
-      get there.
-    - The sigmoid clips only from below, at -700, which keeps exp() finite.
-      For z >= 700, exp(-z) <= e**-700 < 2**-53, so 1 + exp(-z) rounds to
-      exactly 1.0 and the sigmoid is 1.0 with or without the upper clip;
-      NaN and +inf give the same result both ways too.
+    - np.dot, not @, forms the products: for these operands both reach the
+      same BLAS calls, and np.dot gets there sooner.
+    - The biases go through the products. Each row of x gets a trailing 1
+      and layer 1 is stored as one (8, 21) block [w1 | b1], so one product
+      gives x @ w1.T + b1: the kernel adds the 21st term last, as
+      fl(sum of 20 + b1). The product of delta1.T with the same rows gives
+      gw1 and, in its last column, gb1: the kernel sums the batch in order,
+      as np.add.reduce over axis 0 does. For a batch of more than
+      _FOLD_MAX_ROWS rows a BLAS may split that sum into blocks, so such a
+      batch forms gw1 and gb1 as _backward_batch does.
+    - The parameters are stored negated. A product, sum or Adam update of
+      -theta is the exact negation of the same operation on theta, so each
+      layer's product gives -z, and y - p and h - 1 give the negated
+      gradient. The returned MlpParams is built from one negation at the end.
+    - So the sigmoid is minimum(-z, 700), exp, add and divide, with no
+      negative(). That minimum is the clip of z at -700, which keeps exp()
+      finite. The clip at +700 is left out, as it changes nothing: for
+      z >= 700, exp(-z) <= e**-700 < 2**-53, so 1 + exp(-z) rounds to
+      exactly 1.0 either way. NaN and +inf give the same result both ways.
+    - The output layer works on the 1-D score column, with b2 as a 0-d view.
+    - delta2 (x) w2 is one np.dot with an inner dimension of 1. It gives the
+      products' values, but a -0 product comes out as +0. No sign of a zero
+      reaches theta or the losses: every sum it feeds is a BLAS
+      accumulation that starts at +0, and Adam's m starts at +0, to which
+      -0 adds +0.
     - m and v are the halves of one vector, so one multiply by a vector of
-      beta1s then beta2s and one add update both; each element gets
-      adam_step's operations in adam_step's order.
+      beta1s then beta2s and one add update both, and one divide by a row of
+      a table that holds adam_step's Python floats 1 - beta1**t, then
+      1 - beta2**t, applies both bias corrections. The table is filled for
+      up to _TABLE_STEPS steps at a time.
     - Each epoch's rows are gathered into a fresh array, of which batches
       are contiguous slices: np.take with out= and the index check
       (mode "raise") copies through a temporary, so it takes longer.
@@ -275,85 +302,97 @@ def train(
         raise DegenerateData(
             f"need both classes, got {n_pos} positives and {n_neg} negatives")
     rng = np.random.default_rng(config.rng_seed)
-    theta = _glorot_init(rng)
-    layers = _unpack(theta)  # views: they follow theta's in-place updates
-    w1, b1, w2, b2 = layers
-    w1t, w2t = w1.T, w2.T
+    w1, b1, w2, b2 = _unpack(_glorot_init(rng))
+    # -theta in train's layout: the block [w1 | b1] row by row, then w2 and b2
+    theta = np.negative(np.concatenate([np.column_stack([w1, b1]).ravel(), w2[0], b2]))
+    x1 = np.ones((len(x), N_INPUT + 1))  # x with a column of ones
+    x1[:, :N_INPUT] = x
+    l1 = N_HIDDEN * (N_INPUT + 1)  # where the block ends; w2 ends at l2
+    l2 = l1 + N_HIDDEN
+    # from here on, the layers are views of -theta: they follow its updates
+    layer1_t = theta[:l1].reshape(N_HIDDEN, N_INPUT + 1).T
+    w2, b2 = theta[l1:l2], theta[l2:].reshape(())
+    w2_row = w2.reshape(1, N_HIDDEN)
     grad = np.empty(N_PARAMS)
-    gw1, gb1, gw2, gb2 = _unpack(grad)
-    gw2_row = gw2[0]
+    g1 = grad[:l1].reshape(N_HIDDEN, N_INPUT + 1)
+    gw2, gb2 = grad[l1:l2], grad[l2:].reshape(())
     moments = np.zeros(2 * N_PARAMS)  # m then v
-    m, v = moments[:N_PARAMS], moments[N_PARAMS:]
     # Adam scratch: the moments' gains, then the step and its denominator
     scratch = np.empty(2 * N_PARAMS)
     step, denom = scratch[:N_PARAMS], scratch[N_PARAMS:]
     rows = _epoch_length(n_pos, n_neg, config.oversample_positives)
     batch = min(config.batch_size, rows)
     n_full, n_tail = divmod(rows, batch)
-    z_epoch = np.empty((rows, 1))  # output layer; holds the epoch's scores
-    hidden, delta1, one_minus_h = (np.empty((batch, N_HIDDEN)) for _ in range(3))
+    p_epoch = np.empty(rows)  # output layer; holds the epoch's scores
+    hidden, delta1, h_minus_1 = (np.empty((batch, N_HIDDEN)) for _ in range(3))
     delta2 = np.empty(batch)
     # Constant operands are float64 0-d arrays built once per call: a ufunc
     # takes one about 0.4 us faster than a Python float or int, and computes
-    # the same float64 values from it. The bias corrections change each step
-    # and stay Python floats; writing them into 0-d arrays saved nothing.
+    # the same float64 values from it.
     def f64(value) -> np.ndarray:
         return np.array(value, dtype=np.float64)
 
-    # per-row work arrays for a full batch and for the tail, and its row count
+    # per-row work arrays for a full batch and for the tail, its row count,
+    # and whether it forms gw1 and gb1 apart
     full, tail = ((hidden[:n], delta2[:n], delta2[:n, None], delta1[:n], delta1[:n].T,
-                   one_minus_h[:n], f64(n)) for n in (batch, n_tail))
-    batches = []
-    for start in range(0, rows, batch):
-        stop = start + batch
-        z = z_epoch[start:stop]
-        batches.append((slice(start, stop), z, z[:, 0],
-                        *(full if stop <= rows else tail)))
-    low, one = f64(-700.0), f64(1.0)
+                   h_minus_1[:n], f64(n), n > _FOLD_MAX_ROWS) for n in (batch, n_tail))
+    batches = [(slice(start, start + batch), p_epoch[start:start + batch],
+                *(full if start + batch <= rows else tail))
+               for start in range(0, rows, batch)]
+    table_steps = min(len(batches), _TABLE_STEPS)
+    chunks = [batches[i:i + table_steps] for i in range(0, len(batches), table_steps)]
+    corrections = np.empty((table_steps, 2 * N_PARAMS))
+    correction_rows = list(corrections)
+    high, one = f64(700.0), f64(1.0)
     beta1, beta2 = config.adam_beta1, config.adam_beta2
     decay = np.repeat([beta1, beta2], N_PARAMS)
     gain1, gain2 = f64(1.0 - beta1), f64(1.0 - beta2)
     lr, eps = f64(config.learning_rate), f64(config.adam_epsilon)
-    # the step is ~35 short numpy calls, so they are looked up once, not per
+    # the step is 31 short numpy calls, so they are looked up once, not per
     # call; np.add.reduce is np.sum without its Python-level wrapper
     dot, add, subtract, multiply, divide = (
         np.dot, np.add, np.subtract, np.multiply, np.divide)
-    maximum, negative, exp, sqrt = np.maximum, np.negative, np.exp, np.sqrt
-    reduce = np.add.reduce
+    minimum, exp, sqrt, reduce = np.minimum, np.exp, np.sqrt, np.add.reduce
     t = 0
     losses: list[float] = []
     for _ in range(config.epochs):
         order = _balanced_epoch_order(rng, y, config.oversample_positives)
-        x_epoch, y_epoch = x.take(order, 0), y.take(order)
-        for batch_rows, z, p, h, d2, d2_col, d1, d1_t, omh, n in batches:
-            xb = x_epoch[batch_rows]
-            # forward, as in _forward_batch: each layer through _sigmoid
-            add(dot(xb, w1t, out=h), b1, out=h)
-            maximum(h, low, out=h)
-            divide(one, add(one, exp(negative(h, out=h), out=h), out=h), out=h)
-            add(dot(h, w2t, out=z), b2, out=z)
-            maximum(z, low, out=z)
-            divide(one, add(one, exp(negative(z, out=z), out=z), out=z), out=z)
-            # backward, as in _backward_batch
-            divide(subtract(p, y_epoch[batch_rows], out=d2), n, out=d2)
-            multiply(multiply(d2_col, w2, out=d1), h, out=d1)
-            multiply(d1, subtract(one, h, out=omh), out=d1)
-            dot(d1_t, xb, out=gw1)
-            reduce(d1, axis=0, out=gb1)
-            dot(d2, h, out=gw2_row)
-            reduce(d2, keepdims=True, out=gb2)
-            # Adam, as in adam_step
-            t += 1
-            multiply(gain1, grad, out=step)
-            multiply(multiply(gain2, grad, out=denom), grad, out=denom)
-            add(multiply(moments, decay, out=moments), scratch, out=moments)
-            multiply(lr, divide(m, 1.0 - beta1 ** t, out=step), out=step)
-            divide(v, 1.0 - beta2 ** t, out=denom)
-            add(sqrt(denom, out=denom), eps, out=denom)
-            subtract(theta, divide(step, denom, out=step), out=theta)
+        x_epoch, y_epoch = x1.take(order, 0), y.take(order)
+        for chunk in chunks:
+            corrections[:len(chunk)] = np.repeat(
+                [(1.0 - beta1 ** s, 1.0 - beta2 ** s)
+                 for s in range(t + 1, t + 1 + len(chunk))], N_PARAMS, axis=1)
+            t += len(chunk)
+            for (batch_rows, p, h, d2, d2_col, d1, d1_t, hm1, n, unfolded), correction in zip(
+                    chunk, correction_rows):
+                xb = x_epoch[batch_rows]
+                # forward, as in _forward_batch on -theta: each layer's
+                # pre-activation comes out negated
+                minimum(dot(xb, layer1_t, out=h), high, out=h)
+                divide(one, add(one, exp(h, out=h), out=h), out=h)
+                minimum(add(dot(h, w2, out=p), b2, out=p), high, out=p)
+                divide(one, add(one, exp(p, out=p), out=p), out=p)
+                # backward, as in _backward_batch: the negated gradient
+                divide(subtract(y_epoch[batch_rows], p, out=d2), n, out=d2)
+                multiply(dot(d2_col, w2_row, out=d1), h, out=d1)
+                multiply(d1, subtract(h, one, out=hm1), out=d1)
+                dot(d1_t, xb, out=g1)
+                if unfolded:
+                    g1[:, :N_INPUT] = d1_t @ xb[:, :N_INPUT]
+                    reduce(d1, axis=0, out=g1[:, N_INPUT])
+                dot(d2, h, out=gw2)
+                reduce(d2, out=gb2)
+                # Adam, as in adam_step
+                multiply(gain1, grad, out=step)
+                multiply(multiply(gain2, grad, out=denom), grad, out=denom)
+                add(multiply(moments, decay, out=moments), scratch, out=moments)
+                divide(moments, correction, out=scratch)
+                multiply(lr, step, out=step)
+                add(sqrt(denom, out=denom), eps, out=denom)
+                subtract(theta, divide(step, denom, out=step), out=theta)
         # the same per-batch sums as summing each batch's losses on its own,
         # added in batch order as Python floats
-        bce = _bce_batch(z_epoch[:, 0], y_epoch)
+        bce = _bce_batch(p_epoch, y_epoch)
         batch_sums = bce[:n_full * batch].reshape(n_full, batch).sum(axis=1).tolist()
         if n_tail:
             batch_sums.append(float(bce[n_full * batch:].sum()))
@@ -361,7 +400,9 @@ def train(
         for batch_sum in batch_sums:
             loss_total += batch_sum
         losses.append(loss_total / rows)
-    return MlpParams(*layers), losses
+    np.negative(theta, out=theta)
+    layer1 = theta[:l1].reshape(N_HIDDEN, N_INPUT + 1)
+    return MlpParams(layer1[:, :N_INPUT], layer1[:, N_INPUT], w2_row, theta[l2:]), losses
 
 
 def evaluate_accuracy(params: MlpParams, examples: Examples) -> float:

@@ -7,7 +7,8 @@ touching disk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .aggregate import (DEFAULT_STEP_S, AggregateCurve, aggregate_ad, aggregate_columns,
@@ -28,7 +29,11 @@ from .weak_label import LabelingConfig, LabelSummary, extract_examples, label_su
 
 @dataclass(frozen=True, slots=True)
 class ChainResult:
-    """Everything one end-to-end run produces."""
+    """Everything one end-to-end run produces.
+
+    ``timings`` holds the ``perf_counter`` seconds of each stage (coverage
+    filter, label, train, predict, KPIs); two runs that differ only in them
+    compare equal."""
 
     params: MlpParams
     losses: tuple[float, ...]
@@ -37,6 +42,7 @@ class ChainResult:
     report: KpiReport
     dropped_train: tuple[str, ...]
     dropped_test: tuple[str, ...]
+    timings: dict[str, float] = field(compare=False)
 
 
 def grouped_by_ad(
@@ -91,13 +97,24 @@ def run_stages(
     min_coverage: float = DEFAULT_MIN_COVERAGE,
 ) -> ChainResult:
     """Label/train on the train split, aggregate/evaluate on the test split."""
+    clock = [time.perf_counter()]
+
+    def lap() -> float:
+        clock.append(time.perf_counter())
+        return clock[-1] - clock[-2]
+
     kept_train, dropped_train = filter_by_coverage(data.train.videos, min_coverage)
-    examples = extract_examples(kept_train, data.train.ads, labeling)
-    params, losses = train(examples, train_config)
     kept_test, dropped_test = filter_by_coverage(data.test.videos, min_coverage)
     test = Dataset(ads=data.test.ads, videos=tuple(kept_test))
+    timings = {"coverage": lap()}
+    examples = extract_examples(kept_train, data.train.ads, labeling)
+    timings["label"] = lap()
+    params, losses = train(examples, train_config)
+    timings["train"] = lap()
     curves = predict_curves(params, test, step_s)
+    timings["predict"] = lap()
     report = evaluate_kpis(curves, test.ads, guard_s)
+    timings["kpis"] = lap()
     return ChainResult(
         params=params,
         losses=tuple(losses),
@@ -106,6 +123,7 @@ def run_stages(
         report=report,
         dropped_train=tuple(dropped_train),
         dropped_test=tuple(dropped_test),
+        timings=timings,
     )
 
 

@@ -138,6 +138,10 @@ class TestChain:
         label = summaries["label"]
         rows = 2 * max(label["positives"], label["negatives"])  # oversampled
         assert summaries["train"]["adam_steps"] == math.ceil(rows / 64) * 40
+        stages = summaries["train"]["stages"]
+        assert list(stages) == ["read", "train", "write"]
+        assert all(isinstance(s, float) and s >= 0.0 for s in stages.values())
+        assert sum(stages.values()) <= summaries["train"]["elapsed_s"]
 
     def test_predict_outputs(self, chain):
         curves = read_curves_csv(chain["curves"])

@@ -401,16 +401,16 @@ class TestTrain:
 def reference_train(examples, config):
     """train as a plain per-batch loop: fancy-indexed batches, each batch's
     loss summed on its own, every array allocated by the step that uses it.
-    Returns (flat params, per-epoch losses, Adam steps taken, and the
+    Returns (flat params, per-epoch losses, Adam steps taken, the
     (smallest, largest) pre-activation seen in the hidden and in the output
-    layer)."""
+    layer, and the number of gradient entries that were exactly zero)."""
     x = np.array([ex.aus for ex in examples], dtype=np.float64)
     y = np.array([ex.label for ex in examples], dtype=np.float64)
     rng = np.random.default_rng(config.rng_seed)
     theta = _glorot_init(rng)
     layers = _unpack(theta)
     m, v, t = np.zeros(N_PARAMS), np.zeros(N_PARAMS), 0
-    losses, spans = [], [[np.inf, -np.inf], [np.inf, -np.inf]]
+    losses, spans, zeros = [], [[np.inf, -np.inf], [np.inf, -np.inf]], 0
     for _ in range(config.epochs):
         order = _balanced_epoch_order(rng, y, config.oversample_positives)
         loss_total = 0.0
@@ -424,9 +424,10 @@ def reference_train(examples, config):
                 span[:] = min(span[0], pre.min()), max(span[1], pre.max())
             loss_total += float(_bce_batch(p, yb).sum())
             grad = _backward_batch(layers, xb, h, p, yb)
+            zeros += int(np.count_nonzero(grad == 0.0))
             t = adam_step(theta, grad, m, v, t, config)
         losses.append(loss_total / len(order))
-    return theta, losses, t, spans
+    return theta, losses, t, spans, zeros
 
 
 def imbalanced_examples(n_pos=30, n_neg=170, seed=4):
@@ -474,7 +475,7 @@ class TestTrainMatchesReferenceLoop:
     def test_bit_equal(self, config):
         examples = imbalanced_examples()
         params, losses = train(examples, config)
-        theta, ref_losses, steps, spans = reference_train(examples, config)
+        theta, ref_losses, steps, spans, zeros = reference_train(examples, config)
         assert flatten(params).tobytes() == theta.tobytes()
         assert np.array(losses).tobytes() == np.array(ref_losses).tobytes()
         assert steps == adam_steps(30, 170, config)
@@ -483,6 +484,19 @@ class TestTrainMatchesReferenceLoop:
             # one, the reference both
             for lowest, highest in spans:
                 assert lowest < -700.0 and highest > 700.0
+            # saturated sigmoids give exact-zero gradient entries, where
+            # train's product forms +0 and the reference may form -0
+            assert zeros > 0
+
+    def test_bit_equal_beyond_the_folded_product(self):
+        # 6,200-row batches: OpenBLAS 0.3.31 no longer sums the batch in
+        # order there, so train must form gw1 and gb1 as the reference does
+        examples = imbalanced_examples(n_pos=3100, n_neg=3100, seed=5)
+        config = TrainConfig(epochs=2, batch_size=10 ** 6, rng_seed=18)
+        params, losses = train(examples, config)
+        theta, ref_losses, _, _, _ = reference_train(examples, config)
+        assert flatten(params).tobytes() == theta.tobytes()
+        assert np.array(losses).tobytes() == np.array(ref_losses).tobytes()
 
 
     def test_numpy_float_fields_train_as_plain_floats(self):
@@ -493,10 +507,37 @@ class TestTrainMatchesReferenceLoop:
                             learning_rate=np.longdouble(1e-3), adam_beta1=np.longdouble(0.9))
         params, losses = train(examples, numpy)
         plain_params, plain_losses = train(examples, plain)
-        theta, ref_losses, _, _ = reference_train(examples, plain)
+        theta, ref_losses, _, _, _ = reference_train(examples, plain)
         for flat, curve in ((flatten(plain_params), plain_losses), (theta, ref_losses)):
             assert flatten(params).tobytes() == flat.tobytes()
             assert np.array(losses).tobytes() == np.array(curve).tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 301))
+def test_blas_identities_train_relies_on(n):
+    """Each product identity train's loop uses, exactly, for every batch size
+    up to 300 rows: a BLAS build that breaks one names it here."""
+    rng = np.random.default_rng(n)
+    for magnitude in (1e-3, 1.0, 1e3):
+        x = rng.uniform(0, 1, (n, N_INPUT)) * magnitude
+        x1 = np.ones((n, N_INPUT + 1))
+        x1[:, :N_INPUT] = x
+        block = rng.normal(size=(N_HIDDEN, N_INPUT + 1)) * magnitude
+        w1, b1 = block[:, :N_INPUT], np.ascontiguousarray(block[:, N_INPUT])
+        d1 = rng.normal(size=(n, N_HIDDEN)) * magnitude
+        d2 = rng.normal(size=n) * magnitude
+        w2 = rng.normal(size=(1, N_HIDDEN)) * magnitude
+        expected = np.dot(x, np.ascontiguousarray(w1).T)
+        expected += b1
+        assert np.dot(x1, block.T).tobytes() == expected.tobytes(), \
+            "the product with the ones column is not dot followed by + b"
+        assert (np.ascontiguousarray(np.dot(d1.T, x1)[:, N_INPUT]).tobytes()
+                == np.add.reduce(d1, axis=0).tobytes()), \
+            "the ones column of d1.T @ [x | 1] is not np.add.reduce(d1, axis=0)"
+        assert np.dot(x1, -block.T).tobytes() == (-np.dot(x1, block.T)).tobytes(), \
+            "dot(x, -W) is not -dot(x, W)"
+        assert np.array_equal(np.dot(d2[:, None], w2), d2[:, None] * w2), \
+            "dot(d2[:, None], w2) is not d2[:, None] * w2 in value"
 
 
 class TestEvaluateAccuracy:

@@ -4,15 +4,17 @@ perfbench/tracing.py wraps each function in its TARGETS, in every sentipipe
 module that holds it, and reads a layer's time and counts from those calls.
 A refactor that stops calling one leaves its layer reading 0 with nothing
 failing, so these tests wrap the same functions the same way and count the
-calls on a small corpus.
+calls on a small corpus. The last test checks the stage timings that
+run_stages reports without a tracer.
 """
 
 import sys
 from collections import Counter
+from dataclasses import replace
 
 from sentipipe import aggregate, metrics
-from sentipipe.mlp import MlpParams
-from sentipipe.pipeline import predict_curves, run_baselines
+from sentipipe.mlp import MlpParams, TrainConfig
+from sentipipe.pipeline import predict_curves, run_baselines, run_stages
 
 
 def count_calls(monkeypatch, *functions):
@@ -44,3 +46,14 @@ def test_predict_curves_scores_each_video_once(monkeypatch, small_synth):
     calls = count_calls(monkeypatch, aggregate.score_video)
     predict_curves(MlpParams.zeros(), small_synth.test)
     assert calls == {"score_video": len(small_synth.test.videos)}
+
+
+def test_run_stages_times_each_stage(small_synth):
+    first, second = (run_stages(small_synth, train_config=TrainConfig(epochs=2))
+                     for _ in range(2))
+    assert list(first.timings) == ["coverage", "label", "train", "predict", "kpis"]
+    assert all(isinstance(s, float) and s >= 0.0 for s in first.timings.values())
+    assert first.timings != second.timings
+    # MlpParams compares by identity, so the rest of the result is compared
+    # with the first run's params in the second
+    assert replace(second, params=first.params) == first
