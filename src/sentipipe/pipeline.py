@@ -32,8 +32,7 @@ class ChainResult:
     """Everything one end-to-end run produces.
 
     ``timings`` holds the ``perf_counter`` seconds of each stage (coverage
-    filter, label, train, predict, KPIs); two runs that differ only in them
-    compare equal."""
+    filter, label, train, predict, KPIs) and takes no part in comparisons."""
 
     params: MlpParams
     losses: tuple[float, ...]
