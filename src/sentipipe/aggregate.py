@@ -26,9 +26,9 @@ from .mlp import MlpParams, _forward_batch
 
 DEFAULT_STEP_S = 0.5
 
-CURVE_CSV_COLUMNS = ("ad_id", "timestamp_s", "mean_score", "participant_count")
-_check_curve_numbers = number_cells(
-    (("timestamp_s", _DECIMAL), ("mean_score", _DECIMAL), ("participant_count", _INTEGER)))
+CURVE_CSV_COLUMNS = ("ad_id", "step_s", "timestamp_s", "mean_score", "participant_count")
+_check_curve_numbers = number_cells((("step_s", _DECIMAL), ("timestamp_s", _DECIMAL),
+                                     ("mean_score", _DECIMAL), ("participant_count", _INTEGER)))
 
 
 def n_bins_for(duration_s: float, step_s: float = DEFAULT_STEP_S) -> int:
@@ -233,50 +233,43 @@ def write_curves_csv(curves: Sequence[AggregateCurve], path: str | Path) -> None
         for curve in curves:
             # Python floats and ints: repr of a numpy scalar is not a number
             stamps = (np.arange(curve.n_bins) * curve.step_s).tolist()
-            writer.writerows(zip(repeat(curve.ad_id), map(repr, stamps),
-                                 map(repr, curve.scores.tolist()), curve.counts.tolist()))
+            writer.writerows(zip(repeat(curve.ad_id), repeat(repr(curve.step_s)),
+                                 map(repr, stamps), map(repr, curve.scores.tolist()),
+                                 curve.counts.tolist()))
 
 
 def read_curves_csv(path: str | Path) -> list[AggregateCurve]:
     """Parse a curves CSV back into AggregateCurve objects.
 
-    Rows of one ad must be contiguous and in bin order, bin b at timestamp
-    b * step_s. A single-bin curve does not pin down its own step, so the
-    default step is assumed there.
+    Rows of one ad must be contiguous, carry one step_s, and come in bin
+    order: bin b's timestamp_s is exactly b * step_s, the product the writer
+    wrote. Each row is checked as it is read, so an error names its file:line.
     """
-    rows: dict[str, list[tuple[float, float, int]]] = {}  # ad_id -> its bins
+    bins: dict[str, tuple[float, list[tuple[float, int]]]] = {}  # ad_id -> step, (score, count)s
     last_ad: str | None = None
-    for where, (ad_id, ts_s, score_s, count_s) in csv_rows(path, CURVE_CSV_COLUMNS):
+    for where, (ad_id, step_s, ts_s, score_s, count_s) in csv_rows(path, CURVE_CSV_COLUMNS):
         if not ad_id:
             raise SchemaError(f"{where}: empty ad_id")
-        if ad_id != last_ad:
-            if ad_id in rows:
-                raise SchemaError(f"{where}: rows for ad {ad_id!r} are not contiguous")
-            last_ad, bins = ad_id, rows.setdefault(ad_id, [])
-        _check_curve_numbers(where, (ts_s, score_s, count_s))
+        _check_curve_numbers(where, (step_s, ts_s, score_s, count_s))
         try:
-            ts, score, count = float(ts_s), float(score_s), int(count_s)
+            step, ts, score, count = float(step_s), float(ts_s), float(score_s), int(count_s)
         except ValueError as exc:  # int() refuses more than 4300 digits
             raise SchemaError(f"{where}: {exc}") from exc
         # also false for NaN; counts are stored as int64
-        if not (0.0 <= ts < math.inf and 0.0 <= score <= 1.0 and 0 <= count < 2 ** 63):
-            raise SchemaError(f"{where}: timestamp_s must be finite and >= 0, "
+        if not (0.0 < step < math.inf and 0.0 <= score <= 1.0 and 0 <= count < 2 ** 63):
+            raise SchemaError(f"{where}: step_s must be finite and > 0, "
                               f"mean_score in [0, 1], participant_count in [0, 2**63)")
-        bins.append((ts, score, count))
-    curves = []
-    for ad_id, bins in rows.items():
-        stamps, scores, counts = zip(*bins)
-        step = stamps[1] - stamps[0] if len(stamps) > 1 else DEFAULT_STEP_S
-        try:
-            curve = AggregateCurve(ad_id=ad_id, step_s=step, scores=scores, counts=counts)
-        except ValidationError as exc:
-            raise SchemaError(f"{path}: {exc}") from exc
-        for b, ts in enumerate(stamps):
-            if abs(ts - b * curve.step_s) > 1e-9:
-                raise SchemaError(f"{path}: curve for ad {ad_id!r}: bin {b} timestamp {ts} "
-                                  f"breaks the arithmetic progression with step {curve.step_s}")
-        curves.append(curve)
-    return curves
+        if ad_id != last_ad:
+            if ad_id in bins:
+                raise SchemaError(f"{where}: rows for ad {ad_id!r} are not contiguous")
+            last_ad, (ad_step, rows) = ad_id, bins.setdefault(ad_id, (step, []))
+        if step != ad_step:
+            raise SchemaError(f"{where}: ad {ad_id!r} changes step_s from {ad_step!r} to {step!r}")
+        if ts != len(rows) * step:
+            raise SchemaError(f"{where}: ad {ad_id!r}: bin {len(rows)} timestamp {ts!r} "
+                              f"breaks the arithmetic progression with step {step!r}")
+        rows.append((score, count))
+    return [AggregateCurve(ad_id, step, *zip(*rows)) for ad_id, (step, rows) in bins.items()]
 
 
 def export_curve_svg(

@@ -29,6 +29,7 @@ from typing import Sequence, TypeVar
 from .aggregate import (
     DEFAULT_STEP_S,
     export_curve_svg,
+    n_bins_for,
     read_curves_csv,
     write_curves_csv,
 )
@@ -178,13 +179,7 @@ def cmd_predict(args: argparse.Namespace) -> dict:
     dataset, dropped = load_dataset(args.annotations, args.streams, args.min_coverage)
     params = load_model(args.model)
     curves = predict_curves(params, dataset, args.step_s)
-    svg_names = None if args.svg_dir is None else _svg_filenames(curves)
     write_curves_csv(curves, _prepare_parent(args.out))
-    if svg_names is not None:
-        svg_dir = Path(args.svg_dir)
-        svg_dir.mkdir(parents=True, exist_ok=True)
-        for curve, name in zip(curves, svg_names):
-            export_curve_svg(curve, svg_dir / name, moments=dataset.ads[curve.ad_id].moments)
     covered = {c.ad_id for c in curves}
     return {
         "command": "predict",
@@ -232,6 +227,11 @@ def cmd_export_curves(args: argparse.Namespace) -> dict:
     for curve in curves:  # before any output, as the name check above
         if curve.ad_id not in ads:
             raise ValidationError(f"curve references unknown ad {curve.ad_id!r}")
+    for curve in curves:  # a file cut short reads back with a short last curve
+        ad = ads[curve.ad_id]
+        if curve.n_bins != (n_bins := n_bins_for(ad.duration_s, curve.step_s)):
+            raise ValidationError(f"curve for ad {ad.ad_id!r} has {curve.n_bins} bins, but "
+                                  f"{ad.duration_s:g} s at step {curve.step_s:g} s takes {n_bins}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for curve, name in zip(curves, svg_names):
@@ -291,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output curves CSV")
     p.add_argument("--step-s", type=float, default=DEFAULT_STEP_S)
     p.add_argument("--min-coverage", type=float, default=DEFAULT_MIN_COVERAGE)
-    p.add_argument("--svg-dir", default=None, help="also render one SVG per ad")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="compute KPIs and the baseline table")

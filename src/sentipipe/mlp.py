@@ -41,7 +41,7 @@ _TABLE_STEPS = 64
 
 @dataclass(frozen=True, eq=False)
 class MlpParams:
-    """Network weights. Arrays are copied in and marked read-only."""
+    """Network weights. Arrays are copied in, marked read-only and compared by value."""
 
     w1: np.ndarray
     b1: np.ndarray
@@ -61,6 +61,11 @@ class MlpParams:
 
     def __iter__(self) -> Iterator[np.ndarray]:
         return iter((self.w1, self.b1, self.w2, self.b2))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MlpParams):
+            return NotImplemented
+        return all(map(np.array_equal, self, other))
 
     @classmethod
     def zeros(cls) -> "MlpParams":

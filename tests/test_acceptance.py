@@ -253,7 +253,7 @@ GOLDEN_SHA256 = {
     "examples.jsonl": "a3f289776518f59e95edec04f9074b259ccc16b807001bfff914b45ffc0d91d4",
     "model.json": "d93256484578a59c11d5411516d53cd36cc81d243961aa58c93caca3608dcc96",
     "loss.csv": "72bf2855736c271b7331605750c7793fe5926eb50f132235a0f6d7405596ef6b",
-    "curves.csv": "64aaf2c2b382602cd72b374b1807d4237215c3acee3f7ba6b81801e6426577b4",
+    "curves.csv": "4df8263235b68b904148842deda2561a751182c02b450518a9dfb1d4f2f2ae57",
     "report.json": "50efabc2efd37fc7329af2f8d99a6143352bc2b735fb63a0cf1e1e8eec93d939",
     "table.csv": "97e4b06534855b2d7f38419b5b3d13c353c4cb8032adcc903acad01f29b5da8f",
 }

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from sentipipe import aggregate
 from sentipipe.aggregate import (
     CURVE_CSV_COLUMNS,
-    DEFAULT_STEP_S,
     aggregate_ad,
     aggregate_columns,
     aggregate_scores,
@@ -421,11 +420,13 @@ class TestCurvesCsv:
         write_curves_csv(self._curves(), path)
         assert path.read_text().splitlines()[0] == ",".join(CURVE_CSV_COLUMNS)
 
-    def test_single_bin_curve_assumes_default_step(self, tmp_path):
+    @pytest.mark.parametrize("step", [0.5, 1.0, 20.0])
+    def test_single_bin_curve_keeps_its_step(self, tmp_path, step):
+        # one bin's timestamp is 0.0 at any step, so only the step_s cell carries it
         path = tmp_path / "curves.csv"
-        write_curves_csv([curve_of([0.7], step=DEFAULT_STEP_S)], path)
-        [curve] = read_curves_csv(path)
-        assert curve.step_s == DEFAULT_STEP_S
+        written = [curve_of([0.7], step=step), curve_of([0.2, 0.4], step=step, ad_id="ad_2")]
+        write_curves_csv(written, path)
+        assert read_curves_csv(path) == written  # curves compare their step_s too
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "curves.csv"
@@ -443,18 +444,19 @@ class TestCurvesCsv:
         path = tmp_path / "curves.csv"
         write_curves_csv(self._curves(), path)
         lines = path.read_text().splitlines()
-        lines.append(lines[1].replace("ad_a,0.0", "ad_a,1.5"))
+        lines.append(lines[1].replace("ad_a,0.5,0.0", "ad_a,0.5,1.5"))
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(SchemaError, match="contiguous"):
             read_curves_csv(path)
 
     def test_bad_number(self, tmp_path):
         path = tmp_path / "curves.csv"
-        path.write_text(",".join(CURVE_CSV_COLUMNS) + "\nad,0.0,high,1\n")
+        path.write_text(",".join(CURVE_CSV_COLUMNS) + "\nad,0.5,0.0,high,1\n")
         with pytest.raises(SchemaError, match=":2:"):
             read_curves_csv(path)
 
     @pytest.mark.parametrize("column, cell", [
+        ("step_s", " 0.5"), ("step_s", "+0.5"), ("step_s", "0_5"),
         ("timestamp_s", " 0.0"), ("timestamp_s", "+0.0"), ("timestamp_s", "0_0"),
         ("mean_score", "0.5 "), ("mean_score", "+0.5"), ("mean_score", "0.2_5"),
         ("participant_count", " 1"), ("participant_count", "+1"),
@@ -462,7 +464,7 @@ class TestCurvesCsv:
     ])
     def test_numbers_take_the_stream_grammar(self, tmp_path, column, cell):
         # float() and int() take each of these cells
-        row = dict(zip(CURVE_CSV_COLUMNS, ["ad", "0.0", "0.5", "1"]), **{column: cell})
+        row = dict(zip(CURVE_CSV_COLUMNS, ["ad", "0.5", "0.0", "0.5", "1"]), **{column: cell})
         path = tmp_path / "curves.csv"
         path.write_text(",".join(CURVE_CSV_COLUMNS) + "\n" + ",".join(row.values()) + "\n")
         with pytest.raises(SchemaError, match=re.escape(f"{path}:2: column '{column}' holds")):
@@ -470,21 +472,46 @@ class TestCurvesCsv:
 
     def test_count_of_more_than_4300_digits(self, tmp_path):
         path = tmp_path / "curves.csv"
-        path.write_text(",".join(CURVE_CSV_COLUMNS) + "\nad,0.0,0.5," + "0" * 5000 + "1\n")
+        path.write_text(",".join(CURVE_CSV_COLUMNS) + "\nad,0.5,0.0,0.5," + "0" * 5000 + "1\n")
         with pytest.raises(SchemaError, match=":2:"):
             read_curves_csv(path)
 
     def test_negative_count(self, tmp_path):
         path = tmp_path / "curves.csv"
-        path.write_text(",".join(CURVE_CSV_COLUMNS) + "\nad,0.0,0.5,-1\n")
+        path.write_text(",".join(CURVE_CSV_COLUMNS) + "\nad,0.5,0.0,0.5,-1\n")
         with pytest.raises(SchemaError):
+            read_curves_csv(path)
+
+    @pytest.mark.parametrize("step", ["0.0", "-0.5", "1e400"])
+    def test_step_must_be_finite_and_positive(self, tmp_path, step):
+        path = tmp_path / "curves.csv"
+        path.write_text(",".join(CURVE_CSV_COLUMNS) + f"\nad,{step},0.0,0.5,1\n")
+        with pytest.raises(SchemaError, match=re.escape(f"{path}:2: step_s must be finite")):
             read_curves_csv(path)
 
     def test_broken_progression(self, tmp_path):
         path = tmp_path / "curves.csv"
         path.write_text(",".join(CURVE_CSV_COLUMNS)
-                        + "\nad,0.0,0.5,1\nad,0.5,0.5,1\nad,1.7,0.5,1\n")
-        with pytest.raises(SchemaError, match="progression"):
+                        + "\nad,0.5,0.0,0.5,1\nad,0.5,0.5,0.5,1\nad,0.5,1.7,0.5,1\n")
+        with pytest.raises(SchemaError, match="progression") as caught:
+            read_curves_csv(path)
+        assert str(caught.value).startswith(f"{path}:4: ad 'ad': bin 2 timestamp 1.7 ")
+
+    def test_timestamp_must_be_the_writers_product(self, tmp_path):
+        # 3 * 0.1 is 0.30000000000000004, so a rounded 0.3 is no bin 3 of step 0.1
+        path = tmp_path / "curves.csv"
+        path.write_text(",".join(CURVE_CSV_COLUMNS) + "".join(
+            f"\nad,0.1,{ts},0.5,1" for ts in ("0.0", "0.1", "0.2", "0.3")) + "\n")
+        with pytest.raises(SchemaError, match=re.escape(f"{path}:5: ad 'ad': bin 3 ")):
+            read_curves_csv(path)
+
+    def test_step_changes_within_an_ad(self, tmp_path):
+        # each row on its own is a bin of a valid progression; the step may not change
+        path = tmp_path / "curves.csv"
+        path.write_text(",".join(CURVE_CSV_COLUMNS)
+                        + "\nad,0.5,0.0,0.5,1\nad,0.5,0.5,0.5,1\nad,1.0,2.0,0.5,1\n")
+        with pytest.raises(SchemaError, match=re.escape(
+                f"{path}:4: ad 'ad' changes step_s from 0.5 to 1.0")):
             read_curves_csv(path)
 
 

@@ -11,11 +11,12 @@ import sys
 import pytest
 
 from sentipipe import cli, errors
-from sentipipe.aggregate import read_curves_csv
+from sentipipe.aggregate import export_curve_svg, read_curves_csv
 from sentipipe.cli import main
 from sentipipe.core import AdLabel, AdSpec, Interval, read_json
-from sentipipe.ingest import SIDECAR_SUFFIX, Dataset, write_dataset
+from sentipipe.ingest import SIDECAR_SUFFIX, Dataset, load_dataset, write_dataset
 from sentipipe.mlp import MlpParams, TrainConfig, load_model, save_model
+from sentipipe.pipeline import predict_curves
 from sentipipe.synth import SynthConfig
 from sentipipe.weak_label import LabelingConfig, read_examples_jsonl
 
@@ -71,11 +72,10 @@ def chain(tmp_path_factory):
     assert code == 0, err
 
     curves = root / "curves.csv"
-    svg_dir = root / "svg"
     code, summaries["predict"], err = run_cli(
         "predict", "--annotations", str(out / "test" / "annotations.json"),
         "--streams", str(out / "test" / "au_streams.csv"),
-        "--model", str(model), "--out", str(curves), "--svg-dir", str(svg_dir))
+        "--model", str(model), "--out", str(curves))
     assert code == 0, err
 
     report = root / "report.json"
@@ -96,7 +96,7 @@ def chain(tmp_path_factory):
 
     return {"root": root, "out": out, "examples": examples, "model": model,
             "losses": losses, "curves": curves, "report": report,
-            "table": table, "svg_dir": svg_dir, "export_dir": export_dir,
+            "table": table, "export_dir": export_dir,
             "summaries": summaries}
 
 
@@ -152,9 +152,6 @@ class TestChain:
         s = chain["summaries"]["predict"]
         assert s["ads"] == 4
         assert s["ads_without_videos"] == []
-        svgs = sorted(p.name for p in chain["svg_dir"].iterdir())
-        assert svgs == ["test_nonsent_01.svg", "test_nonsent_02.svg",
-                        "test_sent_01.svg", "test_sent_02.svg"]
 
     def test_evaluate_outputs(self, chain):
         payload = read_json(chain["report"])
@@ -178,9 +175,32 @@ class TestChain:
 
     def test_export_curves(self, chain):
         rendered = sorted(p.name for p in chain["export_dir"].iterdir())
-        assert len(rendered) == 4
-        assert all(name.endswith(".svg") for name in rendered)
+        assert rendered == ["test_nonsent_01.svg", "test_nonsent_02.svg",
+                            "test_sent_01.svg", "test_sent_02.svg"]
         assert chain["summaries"]["export"]["svgs"] == 4
+
+    @pytest.mark.parametrize("step_s", [0.5, 0.3, 1.0, 20.0])
+    def test_export_curves_draws_the_predicted_curves(self, chain, tmp_path, capsys, step_s):
+        # predict's CSV carries each curve's step, so export-curves draws the
+        # curves predict_curves gives in memory; at 20 s each ad has one bin
+        test = chain["out"] / "test"
+        ann, streams = test / "annotations.json", test / "au_streams.csv"
+        curves, drawn, expected = tmp_path / "c.csv", tmp_path / "drawn", tmp_path / "expected"
+        assert main(["predict", "--annotations", str(ann), "--streams", str(streams),
+                     "--model", str(chain["model"]), "--out", str(curves),
+                     "--step-s", str(step_s)]) == 0
+        assert main(["export-curves", "--curves", str(curves), "--annotations", str(ann),
+                     "--out-dir", str(drawn)]) == 0
+        capsys.readouterr()
+        dataset, _ = load_dataset(ann, streams)
+        expected.mkdir()
+        for curve in predict_curves(load_model(chain["model"]), dataset, step_s):
+            export_curve_svg(curve, expected / f"{curve.ad_id}.svg",
+                             moments=dataset.ads[curve.ad_id].moments)
+        assert sorted(p.name for p in drawn.iterdir()) == sorted(
+            p.name for p in expected.iterdir())
+        for svg in expected.iterdir():
+            assert (drawn / svg.name).read_bytes() == svg.read_bytes(), svg.name
 
     def test_stdout_is_one_json_line(self, chain, capsys):
         code = main(["simulate", "--out", str(chain["root"] / "again"),
@@ -415,7 +435,7 @@ class TestExitCodes:
         assert flag.lstrip("-").replace("-", "_") in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", ["predict step", "evaluate step", "annotations duration",
-                                      "simulate duration"])
+                                      "simulate duration", "curves step"])
     def test_count_beyond_an_array_exits_2(self, chain, tmp_path, capsys, case):
         test = chain["out"] / "test"
         annotations = test / "annotations.json"
@@ -426,6 +446,9 @@ class TestExitCodes:
             annotations.write_text(json.dumps(ads))
         config = tmp_path / "synth.json"
         config.write_text(json.dumps({**TINY, "ad_duration_s": 1e308}))
+        curves = tmp_path / "curves.csv"
+        curves.write_text("ad_id,step_s,timestamp_s,mean_score,participant_count\n"
+                          "test_sent_01,1e-300,0.0,0.5,1\n")
         inputs = ["--annotations", str(annotations), "--streams", str(test / "au_streams.csv"),
                   "--model", str(chain["model"])]
         argv = {
@@ -436,6 +459,8 @@ class TestExitCodes:
             "annotations duration": ["predict", *inputs, "--out", str(tmp_path / "c.csv")],
             "simulate duration": ["simulate", "--out", str(tmp_path / "x"),
                                   "--config", str(config)],
+            "curves step": ["export-curves", "--curves", str(curves), "--annotations",
+                            str(annotations), "--out-dir", str(tmp_path / "svg")],
         }[case]
         assert main(argv) == 2
         assert "array can hold" in capsys.readouterr().err
@@ -470,8 +495,8 @@ class TestExitCodes:
     def test_export_curves_unknown_ad(self, tmp_path, capsys):
         curves = tmp_path / "curves.csv"
         curves.write_text(
-            "ad_id,timestamp_s,mean_score,participant_count\n"
-            "ghost,0.0,0.5,1\n")
+            "ad_id,step_s,timestamp_s,mean_score,participant_count\n"
+            "ghost,0.5,0.0,0.5,1\n")
         ann = tmp_path / "annotations.json"
         ann.write_text("[]")
         code = main(["export-curves", "--curves", str(curves),
@@ -485,9 +510,9 @@ class TestExitCodes:
         # before any SVG is written
         curves = tmp_path / "curves.csv"
         curves.write_text(
-            "ad_id,timestamp_s,mean_score,participant_count\n"
-            "a,0.0,0.5,1\n"
-            "ghost,0.0,0.5,1\n")
+            "ad_id,step_s,timestamp_s,mean_score,participant_count\n"
+            "a,1.0,0.0,0.5,1\n"
+            "ghost,1.0,0.0,0.5,1\n")
         ann = tmp_path / "annotations.json"
         ann.write_text(json.dumps([{"ad_id": "a", "label": "non_sentimental",
                                     "duration_s": 1.0, "moments": []}]))
@@ -502,8 +527,8 @@ class TestExitCodes:
         # the csv module refuses fields over its 128 KiB limit
         curves = tmp_path / "curves.csv"
         curves.write_text(
-            "ad_id,timestamp_s,mean_score,participant_count\n"
-            + "a" * 200_000 + ",0.0,0.5,1\n")
+            "ad_id,step_s,timestamp_s,mean_score,participant_count\n"
+            + "a" * 200_000 + ",0.5,0.0,0.5,1\n")
         ann = tmp_path / "annotations.json"
         ann.write_text("[]")
         code = main(["export-curves", "--curves", str(curves),
@@ -571,8 +596,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"error: {bad}" in err and "not valid JSON" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["predict", "export-curves"])
-    def test_ad_ids_sharing_an_svg_name_exit_4(self, tmp_path, capsys, command):
+    def test_ad_ids_sharing_an_svg_name_exit_4(self, tmp_path, capsys):
         # "ad 1" and "ad_1" both map to ad_1.svg
         ads = {ad_id: AdSpec(ad_id, AdLabel.NON_SENTIMENTAL, 1.0) for ad_id in ("ad 1", "ad_1")}
         videos = [make_video(f"v{i}", ad_id, [(t, True, [0.3] * 20) for t in (0.0, 0.5)])
@@ -581,14 +605,10 @@ class TestExitCodes:
         write_dataset(Dataset(ads=ads, videos=tuple(videos)), ann, streams)
         model, curves, svg = tmp_path / "model.json", tmp_path / "curves.csv", tmp_path / "svg"
         save_model(MlpParams.zeros(), model)
-        predict = ["predict", "--annotations", str(ann), "--streams", str(streams),
-                   "--model", str(model), "--out", str(curves)]
-        if command == "predict":
-            argv = [*predict, "--svg-dir", str(svg)]
-        else:
-            assert main(predict) == 0
-            argv = ["export-curves", "--curves", str(curves), "--annotations", str(ann),
-                    "--out-dir", str(svg)]
+        assert main(["predict", "--annotations", str(ann), "--streams", str(streams),
+                     "--model", str(model), "--out", str(curves)]) == 0
+        argv = ["export-curves", "--curves", str(curves), "--annotations", str(ann),
+                "--out-dir", str(svg)]
         written = set(tmp_path.iterdir())
         capsys.readouterr()
         assert main(argv) == 4
@@ -684,6 +704,37 @@ class TestInterpolatedBins:
         counts = [c.counts.tolist() for c in read_curves_csv(tmp_path / "c.csv")]
         assert counts == [[1, 1, 0, 1], [1, 1, 1, 1]]
         assert "interpolated_bin_frac" not in read_json(tmp_path / "r.json")["metadata"]
+
+
+class TestExportCurves:
+    def test_single_bin_curve_keeps_its_step(self, tmp_path, capsys):
+        # a 1 s ad at 1 s bins has one bin, whose timestamp 0.0 fits any step
+        ads = {"ad": AdSpec("ad", AdLabel.SENTIMENTAL, 1.0, (Interval(0.0, 0.5),))}
+        videos = [make_video("v", "ad", [(t, True, [0.3] * 20) for t in (0.0, 0.5)])]
+        ann, streams = tmp_path / "annotations.json", tmp_path / "au_streams.csv"
+        write_dataset(Dataset(ads=ads, videos=tuple(videos)), ann, streams)
+        model, curves, svg = tmp_path / "model.json", tmp_path / "c.csv", tmp_path / "svg"
+        save_model(MlpParams.zeros(), model)
+        assert main(["predict", "--annotations", str(ann), "--streams", str(streams),
+                     "--model", str(model), "--out", str(curves), "--step-s", "1.0"]) == 0
+        assert main(["export-curves", "--curves", str(curves), "--annotations", str(ann),
+                     "--out-dir", str(svg)]) == 0
+        capsys.readouterr()
+        [curve] = predict_curves(MlpParams.zeros(), load_dataset(ann, streams)[0], 1.0)
+        expected = tmp_path / "expected.svg"
+        export_curve_svg(curve, expected, moments=ads["ad"].moments)
+        assert (svg / "ad.svg").read_bytes() == expected.read_bytes()
+        assert "ad (0 to 1 s, step 1 s)</text>" in expected.read_text()
+
+    def test_cut_file_exits_4_and_writes_nothing(self, chain, tmp_path, capsys):
+        # a file cut at a line boundary reads back with a short last curve
+        cut = tmp_path / "curves.csv"
+        cut.write_text("".join(chain["curves"].read_text().splitlines(keepends=True)[:-4]))
+        svg = tmp_path / "svg"
+        assert main(["export-curves", "--curves", str(cut), "--annotations",
+                     str(chain["out"] / "test" / "annotations.json"), "--out-dir", str(svg)]) == 4
+        assert "has 36 bins, but 20 s at step 0.5 s takes 40\n" in capsys.readouterr().err
+        assert not svg.exists()
 
 
 class TestEntry:

@@ -321,11 +321,12 @@ class TestCurves:
 
     def test_progression_enforced(self, tmp_path):
         path = tmp_path / "curves.csv"
-        # the first two bins set the step to 0.7, which the third one breaks
-        path.write_text("ad_id,timestamp_s,mean_score,participant_count\n"
-                        "a,0.0,0.1,1\na,0.7,0.2,1\na,1.0,0.3,1\n")
-        with pytest.raises(SchemaError, match="progression"):
+        # the step is 0.7, which the third bin's timestamp breaks
+        path.write_text("ad_id,step_s,timestamp_s,mean_score,participant_count\n"
+                        "a,0.7,0.0,0.1,1\na,0.7,0.7,0.2,1\na,0.7,1.0,0.3,1\n")
+        with pytest.raises(SchemaError, match="progression") as caught:
             read_curves_csv(path)
+        assert str(caught.value).startswith(f"{path}:4: ")
 
     def test_helpers(self):
         curve = self.curve(scores=[0.1 * i for i in range(4)], counts=[1] * 4)

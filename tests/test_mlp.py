@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -92,6 +93,18 @@ class TestMlpParams:
         with pytest.raises(ValidationError, match="b2"):
             MlpParams(w1=np.zeros((8, 20)), b1=np.zeros(8),
                       w2=np.zeros((1, 8)), b2=b2)
+
+    def test_equality_by_value(self, tmp_path):
+        params = random_params(np.random.default_rng(5))
+        path = tmp_path / "model.json"
+        save_model(params, path)
+        loaded = load_model(path)
+        assert loaded == params and loaded is not params
+        for name in ("w1", "b1", "w2", "b2"):
+            changed = np.array(getattr(params, name))
+            changed.flat[-1] = np.nextafter(changed.flat[-1], np.inf)
+            assert dataclasses.replace(params, **{name: changed}) != params, name
+        assert params != flatten(params).tolist()
 
 
 class TestTrainConfig:

@@ -10,7 +10,6 @@ run_stages reports without a tracer.
 
 import sys
 from collections import Counter
-from dataclasses import replace
 
 from sentipipe import aggregate, metrics
 from sentipipe.mlp import MlpParams, TrainConfig
@@ -54,6 +53,4 @@ def test_run_stages_times_each_stage(small_synth):
     assert list(first.timings) == ["coverage", "label", "train", "predict", "kpis"]
     assert all(isinstance(s, float) and s >= 0.0 for s in first.timings.values())
     assert first.timings != second.timings
-    # MlpParams compares by identity, so the rest of the result is compared
-    # with the first run's params in the second
-    assert replace(second, params=first.params) == first
+    assert second == first
