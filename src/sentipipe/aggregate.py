@@ -126,7 +126,10 @@ def aggregate_columns(
     ``counts`` array, which depends on the timestamps alone. Raises
     ValidationError for a NaN or infinite timestamp or score, and for a bin
     sum that overflows float64; DegenerateData when no frame falls inside
-    the bins.
+    the bins. Bins are interpolated only when some bin is empty. The (k, n)
+    block of bin values and ``counts`` are checked once, as the
+    AggregateCurve constructor checks a curve's, and each curve holds a
+    read-only row view of the block.
     """
     n = n_bins_for(duration_s, step_s)
     stamps, columns = [], []
@@ -170,13 +173,20 @@ def aggregate_columns(
     means = sums / np.maximum(frames[:, populated], 1)[:, :, None]
     knots = _exact_sum(means.reshape(p, -1)).reshape(-1, k) / counts[populated, None]
     values = np.empty((k, n))
-    for j in range(k):
-        values[j] = np.interp(np.arange(n), populated, knots[:, j])
+    if len(populated) < n:
+        for j in range(k):
+            values[j] = np.interp(np.arange(n), populated, knots[:, j])
     # np.interp may perturb knot values by an ulp; keep measured bins exact
     values[:, populated] = knots.T
     np.clip(values, 0.0, 1.0, out=values)
+    counts = counts.astype(np.int64, copy=False)
+    # the comparisons are False for NaN, so NaN values fail here too
+    if not (((values >= 0.0) & (values <= 1.0)).all() and (counts >= 0).all()):
+        raise ValidationError(f"curve for ad {ad_id!r}: scores must lie in [0, 1], counts >= 0")
     values.flags.writeable = counts.flags.writeable = False
-    return tuple(AggregateCurve(ad_id, step_s, row, counts) for row in values)
+    # n_bins_for has checked step_s, and the block has passed the check that
+    # AggregateCurve runs on each curve
+    return tuple(AggregateCurve._from_checked(ad_id, float(step_s), row, counts) for row in values)
 
 
 def aggregate_scores(
@@ -204,24 +214,30 @@ def aggregate_ad(
     return aggregate_scores(ad_id, scored, duration_s, step_s)
 
 
-def max_over_interval(curve: AggregateCurve, interval: Interval) -> float:
-    """Maximum bin value over the bins whose start lies in [start, end).
+def interval_bins(n_bins: int, step_s: float, interval: Interval) -> tuple[int, int]:
+    """(first, last_excl): the bins of an n_bins curve at step_s whose start
+    lies in [start, end).
 
     When the interval is too narrow to contain any bin start, it falls back
     to the single bin containing its start. Raises DegenerateData when the
     interval lies entirely outside the curve domain.
     """
-    n = curve.n_bins
-    step = curve.step_s
-    first = max(0, math.ceil(interval.start_s / step - 1e-9))
-    last_excl = min(n, math.ceil(interval.end_s / step - 1e-9))
+    first = max(0, math.ceil(interval.start_s / step_s - 1e-9))
+    last_excl = min(n_bins, math.ceil(interval.end_s / step_s - 1e-9))
     if first >= last_excl:
-        k = math.floor(interval.start_s / step + 1e-9)
-        if not 0 <= k < n:
+        k = math.floor(interval.start_s / step_s + 1e-9)
+        if not 0 <= k < n_bins:
             raise DegenerateData(
                 f"interval [{interval.start_s}, {interval.end_s}) lies outside "
-                f"the curve domain [0, {curve.domain_end_s})")
+                f"the curve domain [0, {n_bins * step_s})")
         first, last_excl = k, k + 1
+    return first, last_excl
+
+
+def max_over_interval(curve: AggregateCurve, interval: Interval) -> float:
+    """Maximum bin value over the bins ``interval_bins`` gives for the
+    interval."""
+    first, last_excl = interval_bins(curve.n_bins, curve.step_s, interval)
     return float(curve.scores[first:last_excl].max())
 
 

@@ -34,7 +34,7 @@ from .aggregate import (
     write_curves_csv,
 )
 from .core import AggregateCurve, read_json
-from .errors import ConfigError, SentiPipeError, ValidationError
+from .errors import ConfigError, SchemaError, SentiPipeError, ValidationError
 from .ingest import (
     DEFAULT_MIN_COVERAGE,
     load_dataset,
@@ -229,7 +229,11 @@ def cmd_export_curves(args: argparse.Namespace) -> dict:
             raise ValidationError(f"curve references unknown ad {curve.ad_id!r}")
     for curve in curves:  # a file cut short reads back with a short last curve
         ad = ads[curve.ad_id]
-        if curve.n_bins != (n_bins := n_bins_for(ad.duration_s, curve.step_s)):
+        try:
+            n_bins = n_bins_for(ad.duration_s, curve.step_s)
+        except ConfigError as exc:  # the step came from the curves file, not a flag
+            raise SchemaError(f"{args.curves}: ad {ad.ad_id!r}: {exc}") from None
+        if curve.n_bins != n_bins:
             raise ValidationError(f"curve for ad {ad.ad_id!r} has {curve.n_bins} bins, but "
                                   f"{ad.duration_s:g} s at step {curve.step_s:g} s takes {n_bins}")
     out_dir = Path(args.out_dir)

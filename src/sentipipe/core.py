@@ -204,6 +204,9 @@ class VideoRecord:
     ``frames`` is one read-only record array of FRAME_DTYPE: columns read as
     ``frames.timestamp_s`` and rows as ``frames[i].aus``. A writable input
     array is copied, so nothing can change a record after it was checked.
+    The check compares each row with the one before it, row 0 with the
+    bounds, and the AU scores of every row in one pass; an error names the
+    first row that breaks its rule.
     """
 
     video_id: str
@@ -217,19 +220,28 @@ class VideoRecord:
                 f"video {self.video_id!r}: frames must be a 1-d array of FRAME_DTYPE")
         if frames.size == 0:
             raise ValidationError(f"video {self.video_id!r} has no frames")
-        frames = _read_only(frames, FRAME_DTYPE).view(np.recarray)
+        frames = _read_only(frames, FRAME_DTYPE)  # plain field lookups: recarray's cost more
         index, ts, face, aus = (frames[name] for name in FRAME_DTYPE.names)
         where = f"video {self.video_id!r}"
-        _first_bad(where, np.diff(index, prepend=-1) <= 0,
-                   "frame_index must be >= 0 and increase strictly")
-        _first_bad(where, ~np.isfinite(ts) | (np.diff(ts, prepend=0.0) < 0.0),
-                   "timestamp_s must be finite, >= 0 and non-decreasing")
-        # the comparisons are False for NaN, so NaN scores fail here too
-        _first_bad(where, face & ~((aus >= 0.0) & (aus <= 1.0)).all(axis=1),
-                   "AU scores of a face frame must lie in [0, 1]")
-        _first_bad(where, ~face & (aus != 0.0).any(axis=1),
-                   "a frame without a detected face must carry all-zero AU scores")
-        object.__setattr__(self, "frames", frames)
+        # comparisons, not differences: a difference of int64 indices can overflow
+        bad = np.empty(len(frames), dtype=np.bool_)
+        bad[0] = index[0] < 0
+        np.less_equal(index[1:], index[:-1], out=bad[1:])
+        _first_bad(where, bad, "frame_index must be >= 0 and increase strictly")
+        bad = ~np.isfinite(ts)
+        bad[0] |= ts[0] < 0.0
+        bad[1:] |= ts[1:] < ts[:-1]
+        _first_bad(where, bad, "timestamp_s must be finite, >= 0 and non-decreasing")
+        # a face row's scores lie in [0, 1], any other row's in [0, 0]; the
+        # comparisons are False for NaN, so NaN scores fail here too. They
+        # run fastest on a contiguous copy with one row per AU column
+        columns = np.ascontiguousarray(aus.T)
+        ok = (columns >= 0.0) & (columns <= face)
+        if not ok.all():
+            bad = ~ok.all(axis=0)
+            _first_bad(where, face & bad, "AU scores of a face frame must lie in [0, 1]")
+            _first_bad(where, bad, "a frame without a detected face must carry all-zero AU scores")
+        object.__setattr__(self, "frames", frames.view(np.recarray))
 
     @classmethod
     def from_columns(cls, video_id: str, ad_id: str, frame_index, timestamp_s,
@@ -398,6 +410,18 @@ class AggregateCurve:
         object.__setattr__(self, "step_s", step)
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "counts", counts)
+
+    @classmethod
+    def _from_checked(cls, ad_id: str, step_s: float, scores: np.ndarray,
+                 counts: np.ndarray) -> AggregateCurve:
+        """A curve built without __post_init__, from fields that already
+        are what it stores: a float step_s and read-only float64 scores and
+        int64 counts that its checks pass."""
+        curve = object.__new__(cls)
+        for name, value in (("ad_id", ad_id), ("step_s", step_s), ("scores", scores),
+                            ("counts", counts)):
+            object.__setattr__(curve, name, value)
+        return curve
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AggregateCurve):

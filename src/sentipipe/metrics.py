@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .aggregate import max_over_interval
+from .aggregate import interval_bins
 from .core import CANONICAL_AU_NAMES, N_AUS, AdSpec, AggregateCurve, Interval
 from .errors import ConfigError, DegenerateData, ValidationError
 
@@ -112,6 +112,68 @@ class KpiReport:
         object.__setattr__(self, "per_ad_scores", dict(self.per_ad_scores))
 
 
+def _column_max(scores: np.ndarray, bins: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Each row's maximum over the bin ranges ``bins`` of a (k, n) block."""
+    return np.maximum.reduce([scores[:, first:last].max(axis=1) for first, last in bins])
+
+
+def _kpi_columns(
+    blocks: Sequence[tuple[str, float, np.ndarray]],
+    ads: Mapping[str, AdSpec],
+    guard_s: float,
+) -> list[KpiReport]:
+    """One report per score column, as ``evaluate_kpis`` gives it for that
+    column's curves.
+
+    ``blocks`` holds, per ad, (ad_id, step_s, scores (k, n)): the ad's k
+    curves as rows, all with the same k. An ad's bin ranges and complement
+    are worked out once for all k columns, and each interval's maxima are
+    taken with one ``max(axis=1)``.
+    """
+    specs = []
+    for ad_id, _, _ in blocks:
+        ad = ads.get(ad_id)
+        if ad is None:
+            raise ValidationError(f"curve references unknown ad {ad_id!r}")
+        specs.append(ad)
+    sentimental = [ad.is_sentimental for ad in specs]
+    n_sent = sum(sentimental)
+    if not 0 < n_sent < len(specs):
+        raise DegenerateData(
+            f"need both ad classes, got {n_sent} sentimental and "
+            f"{len(specs) - n_sent} non-sentimental")
+    within = []  # (moment maxima, complement maxima) of each sentimental ad, (k,) each
+    for (ad_id, step, scores), ad, sent in zip(blocks, specs, sentimental):
+        if not sent:
+            continue
+        n_bins = scores.shape[1]
+        moments = _column_max(scores, [interval_bins(n_bins, step, m) for m in ad.moments])
+        gaps = complement_intervals(ad.moments, ad.duration_s, guard_s)
+        if not gaps:
+            raise DegenerateData(
+                f"ad {ad_id!r}: moments (plus guard {guard_s}s) cover the "
+                f"whole ad, leaving no negative intervals")
+        within.append((moments, _column_max(scores, [interval_bins(n_bins, step, g)
+                                                     for g in gaps])))
+    # (k, ads) and (k, sentimental ads) tables of Python floats
+    peaks = np.array([scores.max(axis=1) for _, _, scores in blocks]).T.tolist()
+    moment_max = np.array([m for m, _ in within]).T.tolist()
+    complement_max = np.array([c for _, c in within]).T.tolist()
+    reports = []
+    for col_peaks, col_moments, col_complements in zip(peaks, moment_max, complement_max):
+        roc_ad = roc_auc([peak for peak, sent in zip(col_peaks, sentimental) if sent],
+                         [peak for peak, sent in zip(col_peaks, sentimental) if not sent])
+        roc_sent = roc_auc(col_moments, col_complements)
+        sent_maxima = zip(col_moments, col_complements)
+        details: dict[str, AdScore] = {}
+        for (ad_id, _, _), ad, sent, peak in zip(blocks, specs, sentimental, col_peaks):
+            details[ad_id] = (AdScore(ad.label.value, peak, *next(sent_maxima))
+                              if sent else AdScore(ad.label.value, peak))
+        reports.append(KpiReport(roc_ad=roc_ad, roc_sent=roc_sent,
+                                 avg=(roc_ad + roc_sent) / 2, per_ad_scores=details))
+    return reports
+
+
 def evaluate_kpis(
     curves: Sequence[AggregateCurve],
     ads: Mapping[str, AdSpec],
@@ -123,44 +185,10 @@ def evaluate_kpis(
     non-sentimental ads. ROC-Sent is the ROC-AUC of within-ad maxima over
     the sentimental ads: each contributes one positive (its labeled moments)
     and one negative (their complement, shrunk by guard_s). Each ad's maxima
-    are taken once and feed both the ROCs and the details.
+    are taken once and feed both the ROCs and the details. This is the one
+    column case of the path ``single_au_baselines`` runs for twenty.
     """
-    peaks = []
-    for curve in curves:
-        ad = ads.get(curve.ad_id)
-        if ad is None:
-            raise ValidationError(f"curve references unknown ad {curve.ad_id!r}")
-        peaks.append((ad, float(curve.scores.max())))
-    pos = [peak for ad, peak in peaks if ad.is_sentimental]
-    neg = [peak for ad, peak in peaks if not ad.is_sentimental]
-    if not pos or not neg:
-        raise DegenerateData(
-            f"need both ad classes, got {len(pos)} sentimental and "
-            f"{len(neg)} non-sentimental")
-    roc_ad = roc_auc(pos, neg)
-    details: dict[str, AdScore] = {}
-    within: list[tuple[float, float]] = []
-    for curve, (ad, peak) in zip(curves, peaks):
-        if not ad.is_sentimental:
-            details[curve.ad_id] = AdScore(label=ad.label.value, curve_max=peak)
-            continue
-        p = max(max_over_interval(curve, m) for m in ad.moments)
-        gaps = complement_intervals(ad.moments, ad.duration_s, guard_s)
-        if not gaps:
-            raise DegenerateData(
-                f"ad {curve.ad_id!r}: moments (plus guard {guard_s}s) cover the "
-                f"whole ad, leaving no negative intervals")
-        n = max(max_over_interval(curve, g) for g in gaps)
-        within.append((p, n))
-        details[curve.ad_id] = AdScore(
-            label=ad.label.value, curve_max=peak, moment_max=p, complement_max=n)
-    roc_sent = roc_auc(*zip(*within))
-    return KpiReport(
-        roc_ad=roc_ad,
-        roc_sent=roc_sent,
-        avg=(roc_ad + roc_sent) / 2,
-        per_ad_scores=details,
-    )
+    return _kpi_columns([(c.ad_id, c.step_s, c.scores[None]) for c in curves], ads, guard_s)[0]
 
 
 def single_au_baselines(
@@ -171,12 +199,19 @@ def single_au_baselines(
     """KPIs obtained by using each raw AU activation as the score.
 
     ``per_ad`` holds, for each ad, its 20 AU curves in canonical order, as
-    ``aggregate_columns`` gives them for the ad's face frames. Returns one
-    report per AU in canonical order. These are the single-marker reference
-    points the trained model has to beat.
+    ``aggregate_columns`` gives them for the ad's face frames: one ad id,
+    step and bin count, else ValidationError. Returns one report per AU in
+    canonical order, each equal to ``evaluate_kpis`` over that AU's curves;
+    each ad's 20 curves are scored together as one (20, n) block. These are
+    the single-marker reference points the trained model has to beat.
     """
-    return [evaluate_kpis([curves[k] for curves in per_ad], ads, guard_s)
-            for k in range(N_AUS)]
+    blocks = []
+    for curves in per_ad:
+        if len(curves) != N_AUS or len({(c.ad_id, c.step_s, c.n_bins) for c in curves}) != 1:
+            raise ValidationError(f"each ad needs {N_AUS} AU curves with one ad id, step "
+                                  "and bin count")
+        blocks.append((curves[0].ad_id, curves[0].step_s, np.stack([c.scores for c in curves])))
+    return _kpi_columns(blocks, ads, guard_s)
 
 
 def chance_baseline(

@@ -20,7 +20,7 @@ from sentipipe.aggregate import (
     write_curves_csv,
     _exact_sum,
 )
-from sentipipe.core import Interval
+from sentipipe.core import AggregateCurve, Interval
 from sentipipe.errors import (
     ConfigError,
     DegenerateData,
@@ -255,6 +255,30 @@ class TestAggregateColumns:
         with pytest.raises(ValidationError, match="1-D"):
             aggregate_columns("ad", [(np.array([[0.0, 0.6]]), np.array([[0.2], [0.4]]))],
                               duration_s=1.0)
+
+
+    @pytest.mark.parametrize("stamps, empty_bins", [
+        ([0.0, 0.6, 1.2], 0),
+        ([0.0, 1.2], 1),
+    ], ids=["every-bin-filled", "one-empty-bin"])
+    @pytest.mark.parametrize("step", [0.5, 1])
+    def test_curves_are_what_the_checked_constructor_builds(self, stamps, empty_bins, step):
+        ts = np.array(stamps) * step / 0.5
+        scores = np.linspace(0.0, 1.0, len(ts) * 3).reshape(-1, 3)
+        curves = aggregate_columns("ad", [(ts, scores), (ts[:1], scores[:1] / 2)],
+                                   duration_s=1.5 * step / 0.5, step_s=step)
+        for curve in curves:
+            assert (curve.counts == 0).sum() == empty_bins
+            checked = AggregateCurve(curve.ad_id, curve.step_s, curve.scores.copy(),
+                                     curve.counts.copy())
+            assert type(curve.step_s) is float and curve.step_s == checked.step_s
+            assert curve.scores.dtype == checked.scores.dtype
+            assert curve.scores.tobytes() == checked.scores.tobytes()
+            assert curve.counts.dtype == checked.counts.dtype
+            assert curve.counts.tobytes() == checked.counts.tobytes()
+            assert not curve.scores.flags.writeable and not curve.counts.flags.writeable
+            with pytest.raises(ValueError):
+                curve.scores[0] = 0.5
 
 
 def _reference_columns(parts, duration_s, step_s):

@@ -435,8 +435,10 @@ class TestExitCodes:
         assert flag.lstrip("-").replace("-", "_") in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", ["predict step", "evaluate step", "annotations duration",
-                                      "simulate duration", "curves step"])
+                                      "simulate duration"])
     def test_count_beyond_an_array_exits_2(self, chain, tmp_path, capsys, case):
+        # predict bins an annotated duration at its --step-s flag, so a larger
+        # step mends the count: a flag error, also where the duration is huge
         test = chain["out"] / "test"
         annotations = test / "annotations.json"
         if case == "annotations duration":
@@ -446,9 +448,6 @@ class TestExitCodes:
             annotations.write_text(json.dumps(ads))
         config = tmp_path / "synth.json"
         config.write_text(json.dumps({**TINY, "ad_duration_s": 1e308}))
-        curves = tmp_path / "curves.csv"
-        curves.write_text("ad_id,step_s,timestamp_s,mean_score,participant_count\n"
-                          "test_sent_01,1e-300,0.0,0.5,1\n")
         inputs = ["--annotations", str(annotations), "--streams", str(test / "au_streams.csv"),
                   "--model", str(chain["model"])]
         argv = {
@@ -459,11 +458,22 @@ class TestExitCodes:
             "annotations duration": ["predict", *inputs, "--out", str(tmp_path / "c.csv")],
             "simulate duration": ["simulate", "--out", str(tmp_path / "x"),
                                   "--config", str(config)],
-            "curves step": ["export-curves", "--curves", str(curves), "--annotations",
-                            str(annotations), "--out-dir", str(tmp_path / "svg")],
         }[case]
         assert main(argv) == 2
         assert "array can hold" in capsys.readouterr().err
+
+    def test_curves_step_beyond_an_array_exits_4(self, chain, tmp_path, capsys):
+        # export-curves reads each curve's step from the curves file: no flag sets it
+        curves = tmp_path / "curves.csv"
+        curves.write_text("ad_id,step_s,timestamp_s,mean_score,participant_count\n"
+                          "test_sent_01,1e-300,0.0,0.5,1\n")
+        code = main(["export-curves", "--curves", str(curves), "--annotations",
+                     str(chain["out"] / "test" / "annotations.json"),
+                     "--out-dir", str(tmp_path / "svg")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert f"{curves}: ad 'test_sent_01': duration_s" in err and "array can hold" in err
+        assert not (tmp_path / "svg").exists()
 
     def test_label_bad_threshold(self, tmp_path, capsys):
         ann = tmp_path / "annotations.json"

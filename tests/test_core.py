@@ -164,6 +164,20 @@ class TestVideoRecord:
         assert built.frames.tobytes() == copied.frames.tobytes()
         assert not np.frombuffer(built.frames.tobytes(), np.uint8).reshape(3, -1)[:, 17:24].any()
 
+    def test_largest_int64_frame_index(self):
+        # the check compares indices, so no difference of them can overflow
+        assert record([2 ** 63 - 1], [0.0], [False]).frames.frame_index.tolist() == [2 ** 63 - 1]
+        assert len(record([2 ** 63 - 2, 2 ** 63 - 1], [0.0, 0.5], [False, False]).frames) == 2
+        with pytest.raises(ValidationError, match=r"increase strictly \(first at row 1\)"):
+            record([2 ** 63 - 1, 2 ** 63 - 1], [0.0, 0.5], [False, False])
+        with pytest.raises(ValidationError, match=r"increase strictly \(first at row 1\)"):
+            record([5, -2 ** 63], [0.0, 0.5], [False, False])
+
+    def test_signed_zero_scores_pass(self):
+        aus = np.full((2, N_AUS), -0.0)
+        aus[0, 1] = 0.5
+        assert len(record([0, 1], [0.0, 0.5], [True, False], aus).frames) == 2
+
     def test_equality_by_value(self):
         a = record([0, 1], [0.0, 0.5], [True, False], [[0.5] * N_AUS, [0.0] * N_AUS])
         b = record([0, 1], [0.0, 0.5], [True, False], [[0.5] * N_AUS, [0.0] * N_AUS])
@@ -171,6 +185,68 @@ class TestVideoRecord:
         assert a != record([0, 1], [0.0, 0.5], [True, False])
         assert a != VideoRecord.from_columns("w", "a", [0, 1], [0.0, 0.5], [True, False],
                                              a.frames.aus)
+
+
+INDEX_RULE = "frame_index must be >= 0 and increase strictly"
+TIME_RULE = "timestamp_s must be finite, >= 0 and non-decreasing"
+FACE_RULE = "AU scores of a face frame must lie in [0, 1]"
+ZERO_RULE = "a frame without a detected face must carry all-zero AU scores"
+
+
+def _break_index(row, value):
+    return lambda index, ts, face, aus: index.__setitem__(row, value)
+
+
+def _break_time(row, value):
+    return lambda index, ts, face, aus: ts.__setitem__(row, value)
+
+
+def _break_score(row, column, value):
+    return lambda index, ts, face, aus: aus.__setitem__((row, column), value)
+
+
+def _hide_face(row):
+    return lambda index, ts, face, aus: face.__setitem__(row, False)
+
+
+@pytest.mark.parametrize("edits, rule, row", [
+    ([_break_index(0, -1)], INDEX_RULE, 0),
+    ([_break_index(2, 1)], INDEX_RULE, 2),
+    ([_break_index(4, 3)], INDEX_RULE, 4),
+    ([_break_time(0, -0.5)], TIME_RULE, 0),
+    ([_break_time(2, np.nan)], TIME_RULE, 2),
+    ([_break_time(2, 0.25)], TIME_RULE, 2),
+    ([_break_time(4, np.inf)], TIME_RULE, 4),
+    ([_break_time(3, -np.inf)], TIME_RULE, 3),
+    ([_break_score(0, 5, np.nan)], FACE_RULE, 0),
+    ([_break_score(2, 19, 1.5)], FACE_RULE, 2),
+    ([_break_score(4, 0, -0.25)], FACE_RULE, 4),
+    ([_break_score(4, 0, np.inf)], FACE_RULE, 4),
+    ([_break_score(1, 3, 0.25)], ZERO_RULE, 1),
+    ([_break_score(3, 0, np.nan)], ZERO_RULE, 3),
+    ([_break_score(3, 7, -0.5)], ZERO_RULE, 3),
+    ([_hide_face(0)], ZERO_RULE, 0),
+    ([_hide_face(4)], ZERO_RULE, 4),
+    # the rules are checked in this order, each naming its own first row
+    ([_break_time(4, np.nan), _break_index(3, 0)], INDEX_RULE, 3),
+    ([_break_score(0, 0, 2.0), _break_time(4, -1.0)], TIME_RULE, 4),
+    ([_hide_face(0), _break_score(4, 0, 2.0)], FACE_RULE, 4),
+], ids=["index-first", "index-middle", "index-last", "time-negative-first", "time-nan-middle",
+        "time-decreasing-middle", "time-inf-last", "time-minus-inf", "face-nan-first",
+        "face-above-one-middle", "face-negative-last", "face-inf-last", "zero-positive",
+        "zero-nan", "zero-negative", "zero-first", "zero-last", "index-before-time",
+        "time-before-face", "face-before-zero"])
+def test_record_check_names_the_rule_and_first_row(edits, rule, row):
+    """Five frames, faces on rows 0, 2 and 4, broken by edits: the error
+    names the first rule broken and the first row that breaks it."""
+    index, ts = np.arange(5), np.arange(5) * 0.5
+    face = np.array([True, False, True, False, True])
+    aus = np.where(face[:, None], 0.5, 0.0) * np.ones((5, N_AUS))
+    for edit in edits:
+        edit(index, ts, face, aus)
+    with pytest.raises(ValidationError) as info:
+        VideoRecord.from_columns("v", "a", index, ts, face, aus)
+    assert str(info.value) == f"video 'v': {rule} (first at row {row})"
 
 
 class TestInterval:

@@ -492,6 +492,21 @@ class TestAuStream:
                                                    np.full((1, 20), 0.5))]
         assert videos[0].frames[0].frame_index == int(cell)
 
+    @pytest.mark.parametrize("index", [2 ** 63 - 1, 2 ** 63])
+    def test_frame_index_at_the_int64_limit(self, tmp_path, index):
+        path = tmp_path / "s.csv"
+        write_au_stream([make_video("v", "a", [(0.0, True, [0.5] * 20)])], path)
+        sidecar_of(path).unlink(missing_ok=True)
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].replace(",0,", f",{index},", 1)
+        path.write_text("\n".join(lines) + "\n")
+        if index < 2 ** 63:
+            assert parse_au_stream(path) == [VideoRecord.from_columns(
+                "v", "a", [index], [0.0], [True], np.full((1, 20), 0.5))]
+        else:
+            with pytest.raises(ValidationError, match=f":2: frame_index {index} out of range"):
+                parse_au_stream(path)
+
 
 class WithoutSidecars:
     """Sidecars off, as on a Python without _blake2: nothing writes or reads

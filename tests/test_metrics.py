@@ -5,8 +5,8 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sentipipe.aggregate import aggregate_columns, face_frames
-from sentipipe.core import CANONICAL_AU_NAMES, AdLabel, AdSpec, Interval, read_json
+from sentipipe.aggregate import aggregate_columns, face_frames, max_over_interval
+from sentipipe.core import CANONICAL_AU_NAMES, N_AUS, AdLabel, AdSpec, Interval, read_json
 from sentipipe.errors import ConfigError, DegenerateData, SchemaError, ValidationError
 from sentipipe.ingest import Dataset
 from sentipipe.metrics import (
@@ -290,6 +290,126 @@ class TestBaselines:
         videos = [v for vs in videos_by_ad.values() for v in vs]
         with pytest.raises(DegenerateData, match=r"ad 'n': no scored frames fall inside \[0, 1.0\)"):
             run_baselines(Dataset(ads=ads, videos=videos), min_coverage=0.0)
+
+
+def oracle_report(curves, ads, guard_s):
+    """evaluate_kpis worked out one curve and one interval at a time, with
+    each ROC a brute-force pair count."""
+    peaks = [max(c.scores.tolist()) for c in curves]
+    sentimental = [ads[c.ad_id].is_sentimental for c in curves]
+    details, within = {}, []
+    for curve, peak, sent in zip(curves, peaks, sentimental):
+        ad = ads[curve.ad_id]
+        if not sent:
+            details[curve.ad_id] = AdScore(ad.label.value, peak)
+            continue
+        p = max(max_over_interval(curve, m) for m in ad.moments)
+        gaps = complement_intervals(ad.moments, ad.duration_s, guard_s)
+        if not gaps:
+            raise DegenerateData(f"ad {curve.ad_id!r}: moments (plus guard {guard_s}s) cover "
+                                 f"the whole ad, leaving no negative intervals")
+        n = max(max_over_interval(curve, g) for g in gaps)
+        within.append((p, n))
+        details[curve.ad_id] = AdScore(ad.label.value, peak, p, n)
+    roc_ad = brute_force_auc([p for p, s in zip(peaks, sentimental) if s],
+                             [p for p, s in zip(peaks, sentimental) if not s])
+    roc_sent = brute_force_auc(*zip(*within))
+    return KpiReport(roc_ad, roc_sent, (roc_ad + roc_sent) / 2, details)
+
+
+@st.composite
+def kpi_blocks(draw):
+    """(per_ad: each ad's k curves, ads, guard_s) with k 1 or 20; ads of
+    1-12 bins, moments down to a tenth of a bin wide, scores often tied."""
+    k = draw(st.sampled_from([1, N_AUS]))
+    step = draw(st.sampled_from([0.5, 0.3, 1.0]))
+    guard_s = draw(st.sampled_from([0.0, 0.1, 0.7 * step]))
+    score = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+    labels = draw(st.lists(st.booleans(), min_size=2, max_size=6).filter(
+        lambda ls: any(ls) and not all(ls)))
+    ads, per_ad = {}, []
+    for i, sentimental in enumerate(labels):
+        ad_id = f"ad{i}"
+        n_bins = draw(st.integers(1, 12))
+        duration = n_bins * step
+        moments = ()
+        if sentimental:
+            start = draw(st.floats(0.0, duration * 0.9))
+            width = draw(st.sampled_from([0.1 * step, step, 2.5 * step]))
+            moments = (Interval(start, min(start + width, duration)),)
+        ads[ad_id] = AdSpec(ad_id, AdLabel.SENTIMENTAL if sentimental
+                            else AdLabel.NON_SENTIMENTAL, duration, moments)
+        block = draw(st.lists(st.lists(score, min_size=n_bins, max_size=n_bins),
+                              min_size=k, max_size=k))
+        per_ad.append([curve_of(row, step=step, ad_id=ad_id) for row in block])
+    return per_ad, ads, guard_s
+
+
+@settings(max_examples=200, deadline=None)
+@given(kpi_blocks())
+def test_kpi_columns_match_one_column_runs_and_the_pair_count(case):
+    per_ad, ads, guard_s = case
+    columns = list(zip(*per_ad))
+
+    def outcome(run):
+        try:
+            return run()
+        except DegenerateData as exc:  # moments plus guard can leave no gap
+            return type(exc), str(exc)
+
+    one_column = [outcome(lambda: evaluate_kpis(list(curves), ads, guard_s))
+                  for curves in columns]
+    assert one_column == [outcome(lambda: oracle_report(list(curves), ads, guard_s))
+                          for curves in columns]
+    if len(columns) == N_AUS:
+        assert outcome(lambda: single_au_baselines(per_ad, ads, guard_s)) == (
+            one_column[0] if isinstance(one_column[0], tuple) else one_column)
+
+
+def error_case(name):
+    """(per_ad with 20 curves per ad, ads, guard_s) set up to fail one way."""
+    sent = AdSpec("s", AdLabel.SENTIMENTAL, 2.0, (Interval(0.5, 1.0),))
+    ads = {"s": sent, "n": AdSpec("n", AdLabel.NON_SENTIMENTAL, 2.0)}
+    ad_ids, guard_s = ["s", "n"], 0.0
+    if name == "unknown ad":
+        ad_ids = ["s", "ghost", "n"]
+    elif name == "one class":
+        ad_ids = ["s", "s"]
+    elif name == "no gap":
+        guard_s = 1.0
+    elif name == "outside domain":
+        ads["s"] = AdSpec("s", AdLabel.SENTIMENTAL, 9.0, (Interval(3.0, 4.0),))
+    per_ad = [[curve_of([0.25, 0.5, 0.75, 0.5], ad_id=ad_id)] * N_AUS for ad_id in ad_ids]
+    return per_ad, ads, guard_s
+
+
+@pytest.mark.parametrize("name, error, message", [
+    ("unknown ad", ValidationError, "curve references unknown ad 'ghost'"),
+    ("one class", DegenerateData, "need both ad classes, got 2 sentimental and 0 non-sentimental"),
+    ("no gap", DegenerateData,
+     "ad 's': moments (plus guard 1.0s) cover the whole ad, leaving no negative intervals"),
+    ("outside domain", DegenerateData,
+     "interval [3.0, 4.0) lies outside the curve domain [0, 2.0)"),
+])
+@pytest.mark.parametrize("path", ["evaluate_kpis", "single_au_baselines"])
+def test_kpi_errors(path, name, error, message):
+    per_ad, ads, guard_s = error_case(name)
+    with pytest.raises(error) as info:
+        if path == "evaluate_kpis":
+            evaluate_kpis([curves[0] for curves in per_ad], ads, guard_s)
+        else:
+            single_au_baselines(per_ad, ads, guard_s)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_baselines_need_one_ad_and_step_per_ad():
+    ads, _ = kpi_fixture()
+    good = [curve_of([0.5, 0.5], ad_id="s1")] * N_AUS
+    for curves in (good[:-1], good[:-1] + [curve_of([0.5, 0.5], ad_id="s2")],
+                   good[:-1] + [curve_of([0.5, 0.5], step=1.0, ad_id="s1")],
+                   good[:-1] + [curve_of([0.5], ad_id="s1")]):
+        with pytest.raises(ValidationError, match="20 AU curves with one ad id, step and bin"):
+            single_au_baselines([curves], ads)
 
 
 class TestReportFiles:
