@@ -193,59 +193,44 @@ FACE_RULE = "AU scores of a face frame must lie in [0, 1]"
 ZERO_RULE = "a frame without a detected face must carry all-zero AU scores"
 
 
-def _break_index(row, value):
-    return lambda index, ts, face, aus: index.__setitem__(row, value)
-
-
-def _break_time(row, value):
-    return lambda index, ts, face, aus: ts.__setitem__(row, value)
-
-
-def _break_score(row, column, value):
-    return lambda index, ts, face, aus: aus.__setitem__((row, column), value)
-
-
-def _hide_face(row):
-    return lambda index, ts, face, aus: face.__setitem__(row, False)
-
-
 @pytest.mark.parametrize("edits, rule, row", [
-    ([_break_index(0, -1)], INDEX_RULE, 0),
-    ([_break_index(2, 1)], INDEX_RULE, 2),
-    ([_break_index(4, 3)], INDEX_RULE, 4),
-    ([_break_time(0, -0.5)], TIME_RULE, 0),
-    ([_break_time(2, np.nan)], TIME_RULE, 2),
-    ([_break_time(2, 0.25)], TIME_RULE, 2),
-    ([_break_time(4, np.inf)], TIME_RULE, 4),
-    ([_break_time(3, -np.inf)], TIME_RULE, 3),
-    ([_break_score(0, 5, np.nan)], FACE_RULE, 0),
-    ([_break_score(2, 19, 1.5)], FACE_RULE, 2),
-    ([_break_score(4, 0, -0.25)], FACE_RULE, 4),
-    ([_break_score(4, 0, np.inf)], FACE_RULE, 4),
-    ([_break_score(1, 3, 0.25)], ZERO_RULE, 1),
-    ([_break_score(3, 0, np.nan)], ZERO_RULE, 3),
-    ([_break_score(3, 7, -0.5)], ZERO_RULE, 3),
-    ([_hide_face(0)], ZERO_RULE, 0),
-    ([_hide_face(4)], ZERO_RULE, 4),
+    ([("frame_index", 0, -1)], INDEX_RULE, 0),
+    ([("frame_index", 2, 1)], INDEX_RULE, 2),
+    ([("frame_index", 4, 3)], INDEX_RULE, 4),
+    ([("timestamp_s", 0, -0.5)], TIME_RULE, 0),
+    ([("timestamp_s", 2, np.nan)], TIME_RULE, 2),
+    ([("timestamp_s", 2, 0.25)], TIME_RULE, 2),
+    ([("timestamp_s", 4, np.inf)], TIME_RULE, 4),
+    ([("timestamp_s", 3, -np.inf)], TIME_RULE, 3),
+    ([("aus", (0, 5), np.nan)], FACE_RULE, 0),
+    ([("aus", (2, 19), 1.5)], FACE_RULE, 2),
+    ([("aus", (4, 0), -0.25)], FACE_RULE, 4),
+    ([("aus", (4, 0), np.inf)], FACE_RULE, 4),
+    ([("aus", (1, 3), 0.25)], ZERO_RULE, 1),
+    ([("aus", (3, 0), np.nan)], ZERO_RULE, 3),
+    ([("aus", (3, 7), -0.5)], ZERO_RULE, 3),
+    ([("face_detected", 0, False)], ZERO_RULE, 0),
+    ([("face_detected", 4, False)], ZERO_RULE, 4),
     # the rules are checked in this order, each naming its own first row
-    ([_break_time(4, np.nan), _break_index(3, 0)], INDEX_RULE, 3),
-    ([_break_score(0, 0, 2.0), _break_time(4, -1.0)], TIME_RULE, 4),
-    ([_hide_face(0), _break_score(4, 0, 2.0)], FACE_RULE, 4),
+    ([("timestamp_s", 4, np.nan), ("frame_index", 3, 0)], INDEX_RULE, 3),
+    ([("aus", (0, 0), 2.0), ("timestamp_s", 4, -1.0)], TIME_RULE, 4),
+    ([("face_detected", 0, False), ("aus", (4, 0), 2.0)], FACE_RULE, 4),
 ], ids=["index-first", "index-middle", "index-last", "time-negative-first", "time-nan-middle",
         "time-decreasing-middle", "time-inf-last", "time-minus-inf", "face-nan-first",
         "face-above-one-middle", "face-negative-last", "face-inf-last", "zero-positive",
         "zero-nan", "zero-negative", "zero-first", "zero-last", "index-before-time",
         "time-before-face", "face-before-zero"])
 def test_record_check_names_the_rule_and_first_row(edits, rule, row):
-    """Five frames, faces on rows 0, 2 and 4, broken by edits: the error
-    names the first rule broken and the first row that breaks it."""
-    index, ts = np.arange(5), np.arange(5) * 0.5
+    """Five frames, faces on rows 0, 2 and 4, broken by (column, at, value)
+    edits: the error names the first rule broken and the first row that
+    breaks it."""
     face = np.array([True, False, True, False, True])
-    aus = np.where(face[:, None], 0.5, 0.0) * np.ones((5, N_AUS))
-    for edit in edits:
-        edit(index, ts, face, aus)
+    columns = {"frame_index": np.arange(5), "timestamp_s": np.arange(5) * 0.5,
+               "face_detected": face, "aus": np.where(face[:, None], 0.5, np.zeros((5, N_AUS)))}
+    for name, at, value in edits:
+        columns[name][at] = value
     with pytest.raises(ValidationError) as info:
-        VideoRecord.from_columns("v", "a", index, ts, face, aus)
+        VideoRecord.from_columns("v", "a", **columns)
     assert str(info.value) == f"video 'v': {rule} (first at row {row})"
 
 
