@@ -2,8 +2,10 @@ import csv
 import json
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sentipipe.aggregate import aggregate_columns, face_frames, max_over_interval
 from sentipipe.core import CANONICAL_AU_NAMES, N_AUS, AdLabel, AdSpec, Interval, read_json
@@ -339,8 +341,7 @@ def kpi_blocks(draw):
             moments = (Interval(start, min(start + width, duration)),)
         ads[ad_id] = AdSpec(ad_id, AdLabel.SENTIMENTAL if sentimental
                             else AdLabel.NON_SENTIMENTAL, duration, moments)
-        block = draw(st.lists(st.lists(score, min_size=n_bins, max_size=n_bins),
-                              min_size=k, max_size=k))
+        block = draw(arrays(np.float64, (k, n_bins), elements=score))
         per_ad.append([curve_of(row, step=step, ad_id=ad_id) for row in block])
     return per_ad, ads, guard_s
 
